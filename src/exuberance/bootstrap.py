@@ -7,6 +7,11 @@ distribution inherits the observed heteroskedasticity pattern.  All
 replicate streams are pure functions of ``(seed, replicate_index)``:
 running replicates serially, in any order, or in parallel produces
 bitwise-identical draws.
+
+Replicate paths are built one by one from those streams and scored in
+panel chunks of rows: sadf and gsadf scan a whole chunk at once, every
+other statistic loops over its rows.  Chunking changes no draw and no
+value; a replicate's statistic is the same at any chunk position.
 """
 
 from __future__ import annotations
@@ -89,14 +94,6 @@ def multiplier_draws(rng: np.random.Generator, n: int, kind: str = "gaussian") -
     raise ValueError(f"unknown multiplier kind {kind!r}; choose from {MULTIPLIERS}")
 
 
-def _stat_sadf(v, tau0, det, k):
-    return recursive.sadf(v, tau0=tau0, det=det, k=k).value
-
-
-def _stat_gsadf(v, tau0, det, k):
-    return recursive.gsadf(v, tau0=tau0, det=det, k=k).value
-
-
 def _stat_hb_chow(v, tau0, det, k):
     return recursive.hb_sup_chow(v, tau0=tau0, k=k).value
 
@@ -125,43 +122,72 @@ def _stat_gstadf(v, tau0, det, k):
     return robust.time_transformed_tests(v, tau0=tau0).gstadf.value
 
 
+def _by_row(stat):
+    """Panel form of a one-series statistic: row by row, NaN where degenerate."""
+
+    def fn(panel, tau0, det, k):
+        out = np.full(len(panel), np.nan)
+        for i, y in enumerate(panel):
+            try:
+                out[i] = stat(y, tau0, det, k)
+            except DegenerateFitError:
+                pass
+        return out
+
+    return fn
+
+
+#: name -> fn(panel, tau0, det, k) -> one value per row (NaN: degenerate).
 _STATISTICS = {
-    "sadf": _stat_sadf,
-    "gsadf": _stat_gsadf,
-    "hb_chow": _stat_hb_chow,
-    "sadf_gls": _stat_sadf_gls,
-    "sbz": _stat_sbz,
-    "sign_sadf": _stat_sign_sadf,
-    "sign_gsadf": _stat_sign_gsadf,
-    "stadf": _stat_stadf,
-    "gstadf": _stat_gstadf,
+    "sadf": recursive.sadf_panel,
+    "gsadf": recursive.gsadf_panel,
+    "hb_chow": _by_row(_stat_hb_chow),
+    "sadf_gls": _by_row(_stat_sadf_gls),
+    "sbz": _by_row(_stat_sbz),
+    "sign_sadf": _by_row(_stat_sign_sadf),
+    "sign_gsadf": _by_row(_stat_sign_gsadf),
+    "stadf": _by_row(_stat_stadf),
+    "gstadf": _by_row(_stat_gstadf),
 }
 
 #: Statistic names accepted by the bootstrap entry points (and the CLI).
 STATISTICS = tuple(sorted(_STATISTICS))
 
+#: Cells (rows x observations) of replicate paths scored per panel chunk;
+#: keeps a chunk's per-endpoint scan temporaries at a few MB.
+CHUNK_CELLS = 1 << 15
+
 
 def _statistic_fn(statistic):
-    """Map a statistic name or callable to fn(values, tau0, det, k) -> float.
+    """Map a statistic name or callable to fn(panel, tau0, det, k) -> values.
 
     Named statistics follow the package convention: the observed value may
     use the caller's lag order k, while replicates are always evaluated at
-    k = 0.  A custom callable receives only the series values and is used
+    k = 0.  A custom callable receives only one series' values and is used
     verbatim on both sides.
     """
     if callable(statistic):
         name = getattr(statistic, "__name__", "custom")
-
-        def fn(v, tau0, det, k):
-            return float(statistic(v))
-
-        return name, fn
+        return name, _by_row(lambda v, tau0, det, k: float(statistic(v)))
     key = str(statistic).strip().lower()
     if key not in _STATISTICS:
         raise ValueError(
             f"unknown statistic {statistic!r}; choose from {STATISTICS} or pass a callable"
         )
     return key, _STATISTICS[key]
+
+
+def _replicate_values(n: int, T: int, path, score) -> np.ndarray:
+    """Score replicate paths ``path(r)`` (length T), r = 0..n-1, in chunks.
+
+    ``score`` maps a (rows, T) panel to one value (or row of values) per
+    path; the results are stacked in replicate order.
+    """
+    rows = max(1, CHUNK_CELLS // T)
+    return np.concatenate([
+        score(np.stack([path(r) for r in range(c0, min(n, c0 + rows))]))
+        for c0 in range(0, n, rows)
+    ])
 
 
 def _null_resample(v: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -251,18 +277,14 @@ def wild_bootstrap_pvalue(
         raise ValueError(f"unknown multiplier kind {multiplier!r}; choose from {MULTIPLIERS}")
     name, fn = _statistic_fn(statistic)
     seed = _resolve_seed(seed)
-    observed = float(fn(v, tau0, det, k))
+    observed = float(fn(v[None, :], tau0, det, k)[0])
     if np.isnan(observed):
         raise DegenerateFitError(f"observed {name} statistic is undefined on this series")
 
-    replicates = np.full(B, np.nan)
-    for r in range(B):
-        rng = replicate_rng(seed, r)
-        w = multiplier_draws(rng, v.size - 1, multiplier)
-        try:
-            replicates[r] = fn(_null_resample(v, w), tau0, det, 0)
-        except DegenerateFitError:
-            pass
+    def path(r):
+        return _null_resample(v, multiplier_draws(replicate_rng(seed, r), v.size - 1, multiplier))
+
+    replicates = _replicate_values(B, v.size, path, lambda Y: fn(Y, tau0, det, 0))
     n_bad = int(np.isnan(replicates).sum())
     _degenerate_guard(n_bad, B, f"{name} statistic")
     count = int(np.sum(replicates >= observed))
@@ -367,10 +389,8 @@ def composite_monitor_cv(
     # residuals at the same indices up to the window end.
     e_used = resid[: end - k - 1]
 
-    replicate_max = np.full(B, np.nan)
-    for r in range(B):
-        rng = replicate_rng(seed, r)
-        w = multiplier_draws(rng, e_used.size, multiplier)
+    def path(r):
+        w = multiplier_draws(replicate_rng(seed, r), e_used.size, multiplier)
         dystar = np.empty(end - 1)
         dystar[:k] = dy[:k]
         if k == 0:
@@ -386,13 +406,12 @@ def composite_monitor_cv(
         ystar[0] = v[0]
         np.cumsum(dystar, out=ystar[1:])
         ystar[1:] += v[0]
-        try:
-            maxvals, _, _ = ols.bsadf_backward(ystar, m0, det=det, k=0)
-        except DegenerateFitError:
-            continue
-        vals = maxvals[m0:]
-        if np.any(~np.isnan(vals)):
-            replicate_max[r] = np.nanmax(vals)
+        return ystar
+
+    def score(Y):
+        return recursive._row_sup(ols.bsadf_backward(Y, m0, det=det, k=0)[0][:, m0:])
+
+    replicate_max = _replicate_values(B, end, path, score)
     n_bad = int(np.isnan(replicate_max).sum())
     _degenerate_guard(n_bad, B, "windowed backward sup statistic")
     cv = float(np.nanquantile(replicate_max, level, method="higher"))
@@ -560,21 +579,18 @@ def bootstrap_union(
     names = tuple(name for name, _ in resolved)
     seed = _resolve_seed(seed)
 
-    observed = np.array([float(fn(v, tau0, det, k)) for _, fn in resolved])
+    observed = np.array([fn(v[None, :], tau0, det, k)[0] for _, fn in resolved])
     if np.any(np.isnan(observed)):
         bad = [n for n, o in zip(names, observed) if np.isnan(o)]
         raise DegenerateFitError(f"observed statistic undefined for union members {bad}")
-    M = len(resolved)
-    replicates = np.full((B, M), np.nan)
-    for r in range(B):
-        rng = replicate_rng(seed, r)
-        w = multiplier_draws(rng, v.size - 1, multiplier)
-        ystar = _null_resample(v, w)
-        for mi, (_, fn) in enumerate(resolved):
-            try:
-                replicates[r, mi] = fn(ystar, tau0, det, 0)
-            except DegenerateFitError:
-                pass
+
+    def path(r):
+        return _null_resample(v, multiplier_draws(replicate_rng(seed, r), v.size - 1, multiplier))
+
+    def score(Y):
+        return np.column_stack([fn(Y, tau0, det, 0) for _, fn in resolved])
+
+    replicates = _replicate_values(B, v.size, path, score)
     n_degenerate = np.isnan(replicates).sum(axis=0).astype(np.int64)
     for mi, name in enumerate(names):
         _degenerate_guard(int(n_degenerate[mi]), B, f"{name} statistic")

@@ -143,7 +143,6 @@ class RunConfig:
     alt_vol: dict | None = None
     table_out: str | None = None
     out: str | None = None
-    threads: int | None = None
 
     def __post_init__(self) -> None:
         if self.subcommand not in SUBCOMMANDS:
@@ -160,11 +159,13 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(raw) - known)
+        data = dict(raw)
+        # configs embedded in older reports carry the removed engine option
+        if data.pop("threads", None) is not None:
+            raise UsageError("the 'threads' option was removed: the scan engine is single-threaded numpy")
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
         if unknown:
             raise UsageError(f"unknown config fields: {', '.join(unknown)}")
-        data = dict(raw)
         for name in ("sizes", "levels"):
             if data.get(name) is not None:
                 data[name] = tuple(data[name])
@@ -573,22 +574,8 @@ _DISPATCH = {
 }
 
 
-def _apply_threads(threads: int | None) -> None:
-    if threads is None:
-        return
-    if threads < 1:
-        raise UsageError(f"--threads must be >= 1, got {threads}")
-    try:
-        import numba
-
-        numba.set_num_threads(min(threads, numba.get_num_threads()))
-    except ImportError:  # pragma: no cover - numba is a hard dependency
-        pass
-
-
 def run_config(config: RunConfig) -> dict:
     """Execute one configured run and return the report as a dict."""
-    _apply_threads(config.threads)
     runner = _DISPATCH.get(config.subcommand)
     if runner is None:  # pragma: no cover - guarded by RunConfig
         raise UsageError(f"unknown subcommand {config.subcommand!r}")
@@ -724,7 +711,6 @@ def _build_parser() -> _Parser:
     common.add_argument("--config", help="config or report JSON to re-run")
     common.add_argument("--out", help="report destination (stdout when omitted)")
     common.add_argument("--seed", type=int, help=f"RNG seed (default ${SEED_ENV_VAR} or 0)")
-    common.add_argument("--threads", type=int, help="cap engine parallelism")
 
     data = _Parser(add_help=False)
     data.add_argument("--input", help="CSV series file")

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bootstrap import _statistic_fn
+from .bootstrap import _replicate_values, _statistic_fn
 from .exceptions import DataError, DegenerateFitError
 from .series import Series, frac_to_index
 
@@ -485,13 +485,11 @@ def tabulate_critical_values(
         )
     values: dict = {}
     for T in sizes:
-        stats = np.full(replications, np.nan)
-        for r in range(replications):
-            y = _null_walk(T, _replication_rng(seed, T, r))
-            try:
-                stats[r] = fn(y, tau0, det, k)
-            except DegenerateFitError:
-                continue
+        stats = _replicate_values(
+            replications, T,
+            lambda r: _null_walk(T, _replication_rng(seed, T, r)),
+            lambda Y: fn(Y, tau0, det, k),
+        )
         good = stats[np.isfinite(stats)]
         if good.size < replications / 2:
             raise DegenerateFitError(
@@ -549,19 +547,13 @@ class SizePowerStudy:
 
 
 def _rejection_arm(spec, vol, fn, tau0, det, k, cv, seed, arm, replications):
-    rejections = 0
-    degenerate = 0
-    for r in range(replications):
+    def path(r):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(arm, r)))
-        y = simulate(spec, vol, seed=rng).values
-        try:
-            stat = fn(y, tau0, det, k)
-        except DegenerateFitError:
-            degenerate += 1
-            continue
-        if np.isfinite(stat) and stat > cv:
-            rejections += 1
-    return rejections, degenerate
+        return simulate(spec, vol, seed=rng).values
+
+    stats = _replicate_values(replications, spec.T, path, lambda Y: fn(Y, tau0, det, k))
+    rejections = int(np.sum(np.isfinite(stats) & (stats > cv)))
+    return rejections, int(np.isnan(stats).sum())
 
 
 def size_power_study(

@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import json
 import math
+import statistics
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as spstats
 
 from .bootstrap import MIN_REPLICATIONS, _resolve_seed, multiplier_draws, replicate_rng
 from .exceptions import DataError, DegenerateFitError
@@ -62,7 +62,7 @@ def cauchy_critical_value(level: float) -> float:
     for lev, c in CAUCHY_PERCENTILES.items():
         if abs(level - lev) < 1e-12:
             return c
-    return float(spstats.cauchy.ppf(0.5 + level / 2.0))
+    return math.tan(math.pi * level / 2.0)
 
 
 @dataclass
@@ -186,7 +186,7 @@ def t_ci(segment, det: str = "const", level: float = 0.95) -> MildlyExplosiveCI:
     rho_hat = 1.0 + fit.delta
     if not np.isfinite(fit.se) or fit.se < 0.0:
         raise DegenerateFitError("standard error undefined on this segment")
-    z = float(spstats.norm.ppf(0.5 + level / 2.0))
+    z = statistics.NormalDist().inv_cdf(0.5 + level / 2.0)
     half_width = z * fit.se
     return MildlyExplosiveCI(
         rho_hat=rho_hat,
@@ -419,7 +419,7 @@ def migration_test(
         beta0_hat=float(beta[0]),
         beta1_hat=float(beta[1]),
         z_beta=z_beta,
-        p_value=float(spstats.norm.sf(z_beta)),
+        p_value=0.5 * math.erfc(z_beta / math.sqrt(2.0)),
         origin_x=origin_x,
         origin_y=origin_y,
         m=m,
@@ -471,8 +471,16 @@ def contagion_delay(
     R-squared; ties break toward the smallest delay.
 
     Both sequences must come from rolling windows of the same length on
-    the same time grid, e.g. from :func:`rolling_ar_coefficients`.
+    the same time grid, e.g. from :func:`rolling_ar_coefficients`;
+    sequences of any other kind (such as expanding-window coefficients)
+    raise :class:`DataError`.
     """
+    kinds = (core_coeffs.kind, target_coeffs.kind)
+    if kinds != ("ar1_rolling", "ar1_rolling"):
+        raise DataError(
+            f"contagion needs rolling AR coefficients (kind 'ar1_rolling'), got {kinds}; "
+            "see rolling_ar_coefficients"
+        )
     ends = _sequence_ends(core_coeffs)
     ends_t = _sequence_ends(target_coeffs)
     if not np.array_equal(ends, ends_t):

@@ -8,21 +8,25 @@ built from observations inside the window; nobs = end - start - k - 1.
 The test statistic is the t-ratio of the lagged-level coefficient with
 sigma^2 = ssr / (nobs - #params).
 
-Three routes compute it:
+``fit_adf_window`` is the dense per-window least-squares reference.  Every
+scan (``bsadf_backward``, ``sadf_prefix_stats``, ``adf_tstat_pairs``) runs
+one moment engine, on a single series or on a (rows, T) panel at once.
+For an endpoint e the rows t = e, e-1, ..., k+2 are re-anchored at y_e
+(when an intercept is present), and running sums of their cross moments
+give the Gram matrix of every window (s, e] at once; the prefix windows
+(0, e] read the same running sums forward from y_1 in one pass.  Each
+Gram matrix is equilibrated to unit diagonal and factored; the level
+coefficient's t-ratio follows without forming the inverse.
 
-* ``fit_adf_window``: dense per-window least squares (the reference).
-* ``adf_tstat_pairs``: vectorized over many windows using prefix sums of
-  cross moments (incremental rank-1 accumulation), an equilibrated batched
-  solve, and a condition-number guard (1e12) that falls back to the dense
-  route window by window.
-* ``_kernels``: compiled incremental loops for the intercept-only k=0 case
-  used by the sup scans; flagged windows are likewise refit densely.
+The moment route is guarded.  A window whose equilibrated Gram has
+condition number above ``COND_LIMIT`` (1e12) or is not numerically
+positive definite, or whose residual sum of squares shows cancellation,
+is refit densely; a window that cannot support the fit (too short, or a
+column with no variation from the anchor) yields NaN.
 
-When an intercept is present, windows are re-anchored by subtracting one
-of their own observations before moments are formed.  The intercept
-absorbs the shift, so results are unchanged while cancellation error in
-the accumulators drops sharply; for integer-valued data the statistic
-becomes exactly invariant to integer level shifts.
+Re-anchoring changes nothing for an intercept regression, but it keeps
+cancellation error in the running sums small; for integer-valued data
+the statistic becomes exactly invariant to integer level shifts.
 """
 
 from __future__ import annotations
@@ -31,9 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .exceptions import DegenerateFitError
-from .series import as_values, normalize_det
+from .series import Series, as_values, normalize_det
 
 __all__ = [
     "AdfFit",
@@ -76,10 +79,15 @@ def _det_count(det: str) -> int:
     return {"none": 0, "const": 1, "trend": 2}[det]
 
 
+def _nparams(det: str, k: int) -> int:
+    """Regressor count p; a window with moments at index i (i + 1
+    observations) leaves a residual degree of freedom iff i >= p."""
+    return _det_count(det) + 1 + k
+
+
 def _min_window_len(det: str, k: int) -> int:
     """Smallest window length leaving one residual degree of freedom."""
-    p = _det_count(det) + 1 + k
-    return k + 1 + p + 1
+    return k + 1 + _nparams(det, k) + 1
 
 
 def fit_adf_window(
@@ -199,13 +207,160 @@ def _dense_or_nan(v: np.ndarray, s: int, e: int, det: str, k: int) -> float:
         return np.nan
 
 
-def adf_tstat_pairs(values, starts, ends, det: str = "const", k: int = 0) -> np.ndarray:
-    """Vectorized ADF t-ratios for many windows (starts[i], ends[i]].
+def _as_panel(values) -> tuple[np.ndarray, bool]:
+    """Validate a 1-D series or a (rows, T) panel.
 
-    Uses prefix-sum cross moments with an equilibrated batched solve; any
-    window whose (scaled) Gram matrix has condition number above 1e12, or
-    that shows cancellation in the residual sum, is recomputed densely.
-    Windows that cannot support the fit yield NaN.
+    Returns the panel in time-major (T, rows) layout and whether the
+    input was a single series.
+    """
+    if not isinstance(values, Series):
+        arr = np.asarray(values, dtype=np.float64)
+        if arr.ndim == 2:
+            if arr.shape[0] < 1 or arr.shape[1] < 2:
+                raise ValueError(f"a panel needs >= 1 row of >= 2 observations, got shape {arr.shape}")
+            if not np.isfinite(arr).all():
+                raise ValueError("panel contains non-finite values")
+            return np.ascontiguousarray(arr.T), False
+    return as_values(values)[:, None], True
+
+
+def _moments(Y: np.ndarray, d: np.ndarray, e: int, det: str, k: int, backward: bool = True):
+    """Running cross moments of the regression rows t = k+2..e.
+
+    ``Y`` is a time-major (T, rows) panel and ``d`` its first
+    differences.  Backward, the rows run t = e, e-1, ..., k+2 re-anchored
+    at y_e, so ``C[i]`` sums the window (e-k-2-i, e]; forward, they run
+    t = k+2, ..., e re-anchored at y_1, so ``C[i]`` sums the prefix
+    window (0, k+2+i].  Either window has i + 1 observations.  Returns
+    ``(C, slots)``: ``C[i, slot]`` is one running sum per series, and
+    ``slots`` maps (i, j) to Gram entry G_ij (i <= j; absent when both
+    columns are the intercept, whose sum is the observation count),
+    ("b", i) to Z_i'dy and "dd" to dy'dy.  Columns run intercept, trend,
+    lagged differences, and the lagged level last.
+    """
+    order = slice(None, None, -1) if backward else slice(None)
+    dep = d[k : e - 1][order]
+    level = Y[k : e - 1][order]
+    cols: list[np.ndarray | None] = []
+    if det != "none":
+        cols.append(None)
+        level = level - Y[e - 1 if backward else 0]
+    if det == "trend":
+        cols.append(np.arange(dep.shape[0], dtype=float)[:, None])
+    cols += [d[k - j : e - 1 - j][order] for j in range(1, k + 1)]
+    cols.append(level)
+    terms, slots = [], {}
+    for i, a in enumerate(cols):
+        for j in range(i, len(cols)):
+            c = cols[j]
+            if a is not None or c is not None:
+                slots[i, j] = len(terms)
+                terms.append(c if a is None else a if c is None else a * c)
+        slots["b", i] = len(terms)
+        terms.append(dep if a is None else a * dep)
+    slots["dd"] = len(terms)
+    terms.append(dep * dep)
+    return np.cumsum(np.stack(np.broadcast_arrays(*terms), axis=1), axis=0), slots
+
+
+def _tstats(C: np.ndarray, slots: dict, nobs: np.ndarray, p: int):
+    """Level t-ratios of a batch of windows from their cross moments.
+
+    ``C[w, slot]`` holds window w's moments (one column per series) and
+    ``nobs[w]`` its observation count.  The Gram matrix is equilibrated
+    to unit diagonal and factored as L L'; with the level last its
+    t-ratio is z_p / sigma, where z = L^-1 D Z'dy.  Returns ``(t,
+    refit)``: t is NaN where the window cannot support the fit or needs
+    a dense refit, and ``refit`` marks windows whose equilibrated Gram is
+    not numerically positive definite or has condition number above
+    ``COND_LIMIT``, or whose residual sum of squares shows cancellation.
+    """
+    nobs = nobs[:, None]
+
+    def gram(i, j):
+        return C[:, slots[i, j]] if (i, j) in slots else nobs
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        usable = nobs >= p + 1
+        for i in range(p):
+            usable = usable & (gram(i, i) > 0)
+        D = [1.0 / np.sqrt(gram(i, i)) for i in range(p)]
+        # Cholesky factor of the unit-diagonal Gram, its inverse and z
+        L: dict = {}
+        pd = usable
+        for j in range(p):
+            piv = 1.0 - sum(L[j, m] ** 2 for m in range(j))
+            pd = pd & (piv > 0)
+            L[j, j] = np.sqrt(piv)
+            for i in range(j + 1, p):
+                gh = gram(j, i) * D[i] * D[j]
+                L[i, j] = (gh - sum(L[i, m] * L[j, m] for m in range(j))) / L[j, j]
+        Linv: dict = {}
+        trace = 0.0
+        for c in range(p):
+            for i in range(c, p):
+                acc = (1.0 if i == c else 0.0) - sum(L[i, m] * Linv[m, c] for m in range(c, i))
+                Linv[i, c] = acc / L[i, i]
+                trace = trace + Linv[i, c] ** 2
+        z: list = []
+        for i in range(p):
+            z.append((D[i] * C[:, slots["b", i]] - sum(L[i, m] * z[m] for m in range(i))) / L[i, i])
+        # lambda_max <= p and lambda_min >= 1 / trace(Gram^-1) = 1 / trace,
+        # so only windows with p * trace past the limit need the exact
+        # eigenvalue check
+        illcond = usable & ~pd
+        suspect = np.flatnonzero(pd & ~(p * trace <= COND_LIMIT))
+        if suspect.size:
+            G = np.empty((suspect.size, p, p))
+            for i in range(p):
+                G[:, i, i] = 1.0
+                for j in range(i + 1, p):
+                    G[:, i, j] = G[:, j, i] = (gram(i, j) * D[i] * D[j]).ravel()[suspect]
+            lam = np.linalg.eigvalsh(G)
+            np.put(illcond, suspect[~(lam[:, 0] > 0) | (lam[:, -1] > COND_LIMIT * lam[:, 0])], True)
+        sdd = C[:, slots["dd"]]
+        ssr = sdd - sum(zi * zi for zi in z)
+        refit = illcond | (pd & (ssr < -1e-8 * np.maximum(sdd, 1e-300)))
+        t = z[-1] / np.sqrt(np.maximum(ssr, 0.0) / (nobs - p))
+        t[~pd | refit] = np.nan
+        # a zero residual variance gives +-inf (NaN with a zero slope);
+        # any other non-finite ratio is refit densely
+        odd = np.flatnonzero(pd & ~refit & ~np.isfinite(t))
+        if odd.size:
+            zp = z[-1].ravel()[odd]
+            exact = (ssr <= 0).ravel()[odd]
+            np.put(t, odd, np.where(zp == 0, np.nan, np.sign(zp) * np.inf))
+            np.put(refit, odd[~exact], True)
+            np.put(t, odd[~exact], np.nan)
+    return t, refit
+
+
+def _window_tstats(Y, C, slots, nobs, starts, ends, det, k):
+    """t-ratios (windows x series) of the windows (starts[w], ends[w]]
+    whose moments are ``C[w]``, flagged windows refit densely."""
+    t, refit = _tstats(C, slots, nobs, _nparams(det, k))
+    for w, r in zip(*np.nonzero(refit)):
+        t[w, r] = _dense_or_nan(Y[:, r], starts[w], ends[w], det, k)
+    return t
+
+
+def _check_scan(values, m0, det, k):
+    Y, single = _as_panel(values)
+    det = normalize_det(det)
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
+    T = Y.shape[0]
+    m0 = int(m0)
+    if not 2 <= m0 <= T:
+        raise ValueError(f"minimum window {m0} out of range for T={T}")
+    return Y, single, det, m0
+
+
+def adf_tstat_pairs(values, starts, ends, det: str = "const", k: int = 0) -> np.ndarray:
+    """ADF t-ratios for many windows (starts[i], ends[i]] of one series.
+
+    Windows are grouped by end and served by the backward moment scan
+    of that end; windows that cannot support the fit yield NaN.
     """
     v = as_values(values)
     det = normalize_det(det)
@@ -218,110 +373,34 @@ def adf_tstat_pairs(values, starts, ends, det: str = "const", k: int = 0) -> np.
     T = v.size
     if starts.size and (starts.min() < 0 or ends.max() > T or (starts >= ends).any()):
         raise ValueError("window bounds out of range")
-
-    a = v - v[0] if det != "none" else v
-    d = np.diff(a)
-    ndet = _det_count(det)
-    p = ndet + 1 + k
-    dpos = ndet
-
-    # Row t (1-based, valid from t = k+2) lives at slot t of length-(T+1)
-    # arrays; invalid rows are zero so prefix sums skip them automatically.
-    Z = np.zeros((T + 1, p))
-    dep = np.zeros(T + 1)
-    t_idx = np.arange(k + 2, T + 1)
-    col = 0
-    if det in ("const", "trend"):
-        Z[t_idx, col] = 1.0
-        col += 1
-    if det == "trend":
-        Z[t_idx, col] = t_idx / T
-        col += 1
-    Z[t_idx, col] = a[t_idx - 2]
-    for j in range(1, k + 1):
-        Z[t_idx, col + j] = d[t_idx - 2 - j]
-    dep[t_idx] = d[t_idx - 2]
-
-    PG = np.cumsum(np.einsum("ti,tj->tij", Z, Z), axis=0)
-    Pb = np.cumsum(Z * dep[:, None], axis=0)
-    Pdd = np.cumsum(dep * dep)
-
-    out = np.empty(starts.size)
-    chunk = 300_000
-    for c0 in range(0, starts.size, chunk):
-        sl = slice(c0, min(c0 + chunk, starts.size))
-        s_c, e_c = starts[sl], ends[sl]
-        lo = s_c + k + 1  # prefix index just before first row t = s+k+2
-        G = PG[e_c] - PG[lo]
-        b = Pb[e_c] - Pb[lo]
-        sdd = Pdd[e_c] - Pdd[lo]
-        nobs = (e_c - s_c - k - 1).astype(float)
-
-        res = np.full(s_c.size, np.nan)
-        diag = np.einsum("wii->wi", G)
-        usable = (nobs >= p + 1) & (diag > 0).all(axis=1)
-        dense_mask = np.zeros(s_c.size, dtype=bool)
-        if usable.any():
-            D = np.zeros_like(diag)
-            D[usable] = 1.0 / np.sqrt(diag[usable])
-            Ghat = G * D[:, None, :] * D[:, :, None]
-            Ghat[~usable] = np.eye(p)
-            sv = np.linalg.svd(Ghat, compute_uv=False)
-            illcond = (sv[:, -1] <= 0) | (sv[:, 0] > COND_LIMIT * sv[:, -1])
-            dense_mask |= illcond & usable
-            solvable = usable & ~illcond
-            Ghat[~solvable] = np.eye(p)
-            rhs = np.zeros((s_c.size, p, 2))
-            rhs[:, :, 0] = D * b
-            rhs[:, dpos, 1] = 1.0
-            sol = np.linalg.solve(Ghat, rhs)
-            u = sol[:, :, 0]
-            ginv_dd = sol[:, dpos, 1]
-            ssr = sdd - np.einsum("wi,wi->w", u, D * b)
-            cancel = ssr < -1e-8 * np.maximum(np.abs(sdd), 1e-300)
-            dense_mask |= cancel & solvable
-            ok = solvable & ~cancel
-            ssr = np.clip(ssr, 0.0, None)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                sigma2 = ssr / (nobs - p)
-                beta_d = D[:, dpos] * u[:, dpos]
-                var_d = sigma2 * D[:, dpos] ** 2 * ginv_dd
-                tv = beta_d / np.sqrt(var_d)
-            exact = ok & (sigma2 == 0)
-            res[ok] = tv[ok]
-            res[exact & (beta_d > 0)] = np.inf
-            res[exact & (beta_d < 0)] = -np.inf
-            res[exact & (beta_d == 0)] = np.nan
-            bad_var = ok & ~exact & ~(var_d > 0)
-            dense_mask |= bad_var
-        for i in np.flatnonzero(dense_mask):
-            res[i] = _dense_or_nan(v, s_c[i], e_c[i], det, k)
-        out[sl] = res
+    Y = v[:, None]
+    d = np.diff(Y, axis=0)
+    idx = ends - starts - k - 2
+    fit = np.flatnonzero(idx >= _nparams(det, k))
+    out = np.full(starts.size, np.nan)
+    for e in np.unique(ends[fit]):
+        sel = fit[ends[fit] == e]
+        C, slots = _moments(Y, d, int(e), det, k)
+        out[sel] = _window_tstats(Y, C[idx[sel]], slots, idx[sel] + 1, starts[sel], ends[sel], det, k)[:, 0]
     return out
 
 
 def sadf_prefix_stats(values, m0: int, det: str = "const", k: int = 0) -> np.ndarray:
     """ADF t-ratios on prefix windows (0, e], e = m0..T.
 
-    Returns a length-(T+1) array indexed by e; entries below m0 are NaN,
-    degenerate windows stay NaN.
+    Returns an array indexed by e along its last axis (length T+1; one
+    row per series for a panel); entries below m0 and degenerate windows
+    are NaN.  One forward pass of the moment scan serves every e.
     """
-    v = as_values(values)
-    det = normalize_det(det)
-    T = v.size
-    m0 = int(m0)
-    if not 2 <= m0 <= T:
-        raise ValueError(f"minimum window {m0} out of range for T={T}")
-    if det == "const" and k == 0 and _kernels.HAVE_NUMBA:
-        stats, flags = _kernels.sadf_prefix_const_k0(v, m0)
-        for e in np.flatnonzero(flags == 2):
-            stats[e] = _dense_or_nan(v, 0, int(e), det, k)
-        return stats
-    ends = np.arange(m0, T + 1, dtype=np.int64)
-    vals = adf_tstat_pairs(v, np.zeros_like(ends), ends, det=det, k=k)
-    out = np.full(T + 1, np.nan)
-    out[m0:] = vals
-    return out
+    Y, single, det, m0 = _check_scan(values, m0, det, k)
+    T = Y.shape[0]
+    lo = max(m0, _nparams(det, k) + k + 2)
+    out = np.full((T + 1, Y.shape[1]), np.nan)
+    if lo <= T:
+        C, slots = _moments(Y, np.diff(Y, axis=0), T, det, k, backward=False)
+        ends = np.arange(lo, T + 1)
+        out[lo:] = _window_tstats(Y, C[lo - k - 2 :], slots, ends - k - 1, np.zeros_like(ends), ends, det, k)
+    return out[:, 0].copy() if single else np.ascontiguousarray(out.T)
 
 
 def bsadf_backward(
@@ -333,62 +412,41 @@ def bsadf_backward(
 ):
     """Backward sup scan: for each e in [m0, T], sup over s in [0, e-m0].
 
-    Returns ``(maxvals, argmax_s, tmat)`` where ``maxvals[e]`` is the sup
-    of the window statistic over admissible starts (NaN when every window
-    is degenerate), ``argmax_s[e]`` the smallest attaining start, and
-    ``tmat`` the full (T+1, T+1) statistic matrix if requested else None.
+    ``values`` is one series or a (rows, T) panel; a panel is scanned for
+    all rows at once, endpoint by endpoint.  Returns ``(maxvals,
+    argmax_s, tmat)``: ``maxvals[..., e]`` is the sup of the window
+    statistic over admissible starts (NaN when every window is
+    degenerate), ``argmax_s[..., e]`` the smallest attaining start (-1
+    when none), and ``tmat`` the (T+1, T+1) statistic matrix of a single
+    series if requested, else None.
     """
-    v = as_values(values)
-    det = normalize_det(det)
-    T = v.size
-    m0 = int(m0)
-    if not 2 <= m0 <= T:
-        raise ValueError(f"minimum window {m0} out of range for T={T}")
-
-    if det == "const" and k == 0 and _kernels.HAVE_NUMBA:
-        maxvals, argmax_s, nflags, tmat, _f = _kernels.bsadf_scan_const_k0(
-            v, m0, want_matrix
-        )
-        if nflags == 0 and not want_matrix:
-            return maxvals, argmax_s, None
-        if nflags == 0 and want_matrix:
-            return maxvals, argmax_s, tmat
-        # some windows need a dense refit: redo with the full matrix
-        maxvals, argmax_s, _n, tmat, fmat = _kernels.bsadf_scan_const_k0(v, m0, True)
-        for e, s in zip(*np.nonzero(fmat == 2)):
-            tmat[e, s] = _dense_or_nan(v, int(s), int(e), det, k)
-        maxvals, argmax_s = _rowwise_max(tmat, m0, T)
-        return maxvals, argmax_s, (tmat if want_matrix else None)
-
-    # generic route: flat pair enumeration
-    ends_list = []
-    starts_list = []
+    Y, single, det, m0 = _check_scan(values, m0, det, k)
+    if want_matrix and not single:
+        raise ValueError("want_matrix needs a single series, not a panel")
+    T, R = Y.shape
+    d = np.diff(Y, axis=0)
+    maxvals = np.full((T + 1, R), np.nan)
+    argmax_s = np.full((T + 1, R), -1, dtype=np.int64)
+    tmat = np.full((T + 1, T + 1), np.nan) if want_matrix else None
+    lo = max(m0 - k - 2, _nparams(det, k))
     for e in range(m0, T + 1):
-        s_arr = np.arange(0, e - m0 + 1, dtype=np.int64)
-        starts_list.append(s_arr)
-        ends_list.append(np.full(s_arr.size, e, dtype=np.int64))
-    starts = np.concatenate(starts_list)
-    ends = np.concatenate(ends_list)
-    vals = adf_tstat_pairs(v, starts, ends, det=det, k=k)
-    tmat = np.full((T + 1, T + 1), np.nan)
-    tmat[ends, starts] = vals
-    maxvals, argmax_s = _rowwise_max(tmat, m0, T)
-    return maxvals, argmax_s, (tmat if want_matrix else None)
-
-
-def _rowwise_max(tmat: np.ndarray, m0: int, T: int):
-    maxvals = np.full(T + 1, np.nan)
-    argmax_s = np.full(T + 1, -1, dtype=np.int64)
-    for e in range(m0, T + 1):
-        row = tmat[e, : e - m0 + 1]
-        finite = ~np.isnan(row)
-        if not finite.any():
+        n = e - k - 1  # observations in the (0, e] window
+        if n <= lo:
             continue
-        filled = np.where(finite, row, -np.inf)
-        m = filled.max()
-        maxvals[e] = m
-        argmax_s[e] = int(np.flatnonzero(filled == m)[0])
-    return maxvals, argmax_s
+        C, slots = _moments(Y, d, e, det, k)
+        s = np.arange(n - lo)  # starts 0, 1, ... have moments at n-1, n-2, ...
+        vals = _window_tstats(Y, C[lo:][::-1], slots, n - s, s, np.full_like(s, e), det, k)
+        valid = ~np.isnan(vals)
+        filled = np.where(valid, vals, -np.inf)
+        best = filled.max(axis=0)
+        has = valid.any(axis=0)
+        maxvals[e] = np.where(has, best, np.nan)
+        argmax_s[e] = np.where(has, np.argmax(valid & (filled == best), axis=0), -1)
+        if tmat is not None:
+            tmat[e, : s.size] = vals[:, 0]
+    if single:
+        return maxvals[:, 0].copy(), argmax_s[:, 0].copy(), tmat
+    return np.ascontiguousarray(maxvals.T), np.ascontiguousarray(argmax_s.T), None
 
 
 def gls_adjust(values, det: str = "const", c_bar: float | None = None) -> np.ndarray:

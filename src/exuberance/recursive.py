@@ -23,6 +23,8 @@ __all__ = [
     "SupResult",
     "sadf",
     "gsadf",
+    "sadf_panel",
+    "gsadf_panel",
     "hb_sup_chow",
     "sadf_gls",
     "end_of_sample_stats",
@@ -156,20 +158,42 @@ def _double_supresult(kind, maxvals, argmax_s, m0, T, tau0) -> SupResult:
     )
 
 
-def _folded_prefix(v: np.ndarray, m0: int, det: str, k: int) -> np.ndarray:
-    """Prefix-window curve with the full-sample entry pinned from below.
+def _prefix_curves(Y: np.ndarray, m0: int, det: str, k: int) -> np.ndarray:
+    """Prefix-window curves of a (rows, T) panel, e = T pinned from below.
 
     The scan engine and the dense single-window fit agree to rounding
-    error; taking the larger of the two at e = T makes the sup of this
-    curve dominate the standalone full-sample statistic exactly, so the
-    nesting chain of the sup tests holds pathwise in floating point.
+    error; taking the larger of the two at e = T makes the sup of each
+    curve dominate the standalone full-sample statistic exactly.
     """
-    T = v.size
-    stats = ols.sadf_prefix_stats(v, m0, det=det, k=k)
-    dense_T = ols._dense_or_nan(v, 0, T, det, k)
-    if not np.isnan(dense_T) and not dense_T <= stats[T]:
-        stats[T] = dense_T
+    T = Y.shape[1]
+    stats = ols.sadf_prefix_stats(Y, m0, det=det, k=k)
+    for r, y in enumerate(Y):
+        dense_T = ols._dense_or_nan(y, 0, T, det, k)
+        if not np.isnan(dense_T) and not dense_T <= stats[r, T]:
+            stats[r, T] = dense_T
     return stats
+
+
+def _backward_curves(Y: np.ndarray, m0: int, det: str, k: int):
+    """Backward sup curves of a (rows, T) panel and their attaining starts.
+
+    The prefix windows they share with the forward scan are folded in
+    from the same arithmetic that scan uses, so the double sup dominates
+    the forward sup exactly, not just up to rounding.
+    """
+    maxvals, argmax_s, _ = ols.bsadf_backward(Y, m0, det=det, k=k)
+    prefix = _prefix_curves(Y, m0, det, k)
+    upd = ~np.isnan(prefix) & (np.isnan(maxvals) | (prefix >= maxvals))
+    maxvals[upd] = prefix[upd]
+    argmax_s[upd] = 0
+    return maxvals, argmax_s
+
+
+def _row_sup(curves: np.ndarray) -> np.ndarray:
+    """Sup of each row, skipping NaN; NaN for a row with no value."""
+    valid = ~np.isnan(curves)
+    best = np.where(valid, curves, -np.inf).max(axis=1)
+    return np.where(valid.any(axis=1), best, np.nan)
 
 
 def sadf(series, tau0: float | None = None, det: str = "const", k: int = 0) -> SupResult:
@@ -181,7 +205,7 @@ def sadf(series, tau0: float | None = None, det: str = "const", k: int = 0) -> S
     v = as_values(series)
     T = v.size
     tau0, m0 = _resolve_tau0(T, tau0)
-    stats = _folded_prefix(v, m0, det, k)
+    stats = _prefix_curves(v[None, :], m0, det, k)[0]
     return _prefix_supresult("sadf", stats, m0, T, tau0)
 
 
@@ -197,13 +221,28 @@ def gsadf(series, tau0: float | None = None, det: str = "const", k: int = 0) -> 
     v = as_values(series)
     T = v.size
     tau0, m0 = _resolve_tau0(T, tau0)
-    maxvals, argmax_s, _ = ols.bsadf_backward(v, m0, det=det, k=k)
-    prefix = _folded_prefix(v, m0, det, k)
-    upd = ~np.isnan(prefix) & (np.isnan(maxvals) | (prefix >= maxvals))
-    maxvals = np.where(upd, prefix, maxvals)
-    argmax_s = argmax_s.copy()
-    argmax_s[upd] = 0
-    return _double_supresult("bsadf", maxvals, argmax_s, m0, T, tau0)
+    maxvals, argmax_s = _backward_curves(v[None, :], m0, det, k)
+    return _double_supresult("bsadf", maxvals[0], argmax_s[0], m0, T, tau0)
+
+
+def sadf_panel(panel, tau0: float | None = None, det: str = "const", k: int = 0) -> np.ndarray:
+    """:func:`sadf` value of every row of a (rows, T) panel, in one scan.
+
+    A row whose windows are all degenerate gets NaN.
+    """
+    Y = np.asarray(panel, dtype=np.float64)
+    tau0, m0 = _resolve_tau0(Y.shape[1], tau0)
+    return _row_sup(_prefix_curves(Y, m0, det, k)[:, m0:])
+
+
+def gsadf_panel(panel, tau0: float | None = None, det: str = "const", k: int = 0) -> np.ndarray:
+    """:func:`gsadf` value of every row of a (rows, T) panel, in one scan.
+
+    A row whose windows are all degenerate gets NaN.
+    """
+    Y = np.asarray(panel, dtype=np.float64)
+    tau0, m0 = _resolve_tau0(Y.shape[1], tau0)
+    return _row_sup(_backward_curves(Y, m0, det, k)[0][:, m0:])
 
 
 def hb_sup_chow(series, tau0: float | None = None, k: int = 0) -> SupResult:

@@ -6,7 +6,7 @@ import pytest
 import oracles
 from exuberance import DegenerateFitError
 from exuberance import bootstrap as bt
-from exuberance import recursive
+from exuberance import recursive, robust
 
 
 def _walk(seed, T, scale=None):
@@ -212,6 +212,41 @@ class TestWildBootstrapPvalue:
         assert lines[1] == "0,0.25"
         assert lines[2] == "1,"
         assert lines[3] == "2,-1.5"
+
+
+class TestReplicateBatching:
+    T = 170  # replicate chunks hold fewer than 199 rows at this length
+
+    def test_chunk_boundary_inside_the_run(self):
+        rows = bt.CHUNK_CELLS // self.T
+        assert 99 < rows < 199
+
+    def test_replicates_equal_per_replicate_gsadf(self):
+        v = _walk(61, self.T, scale=np.where(np.arange(self.T) < 85, 1.0, 3.0))
+        rep = bt.wild_bootstrap_pvalue(v, "gsadf", B=199, seed=17)
+        want = [
+            recursive.gsadf(bt._null_resample(v, bt.multiplier_draws(
+                bt.replicate_rng(17, r), self.T - 1, "gaussian"))).value
+            for r in range(199)
+        ]
+        np.testing.assert_allclose(rep.replicates, want, rtol=1e-12, atol=0)
+        assert rep.observed == recursive.gsadf(v).value
+
+    def test_chunking_keeps_replicates_bit_for_bit(self):
+        v = _walk(62, self.T)
+        for stat in ("gsadf", "sadf"):
+            long = bt.wild_bootstrap_pvalue(v, stat, B=199, seed=23)
+            short = bt.wild_bootstrap_pvalue(v, stat, B=99, seed=23)
+            np.testing.assert_array_equal(long.replicates[:99], short.replicates)
+
+    def test_row_loop_statistics_match_their_scalar_form(self):
+        v = _walk(63, 40)
+        rep = bt.wild_bootstrap_pvalue(v, "sbz", B=99, seed=5, tau0=0.3)
+        want = []
+        for r in range(99):
+            y = _replicate_path(v, 5, r)
+            want.append(robust.sbz(y, tau0=0.3).value)
+        np.testing.assert_allclose(rep.replicates, want, rtol=1e-12, atol=1e-12)
 
 
 class TestCompositeMonitorCv:

@@ -1,7 +1,10 @@
 """End-to-end command line behavior: exit codes, reports, reruns."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -60,6 +63,14 @@ def _read(path):
         return json.load(fh)
 
 
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy.stats took most of every command's start-up time
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    code = "import sys, exuberance.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 class TestRunConfig:
     def test_round_trip(self):
         cfg = RunConfig(subcommand="test", input="a.csv", tau0=0.2, sizes=(50, 100))
@@ -70,6 +81,16 @@ class TestRunConfig:
     def test_unknown_field_rejected(self):
         with pytest.raises(UsageError, match="unknown config fields"):
             RunConfig.from_dict({"subcommand": "test", "verbosity": 3})
+
+    def test_removed_threads_option(self, bubble_csv):
+        # a config embedded in an older report carries "threads": null,
+        # which still loads; a value asks for an option that is gone
+        cfg = RunConfig.from_dict({"subcommand": "test", "input": "a.csv", "threads": None})
+        assert cfg == RunConfig(subcommand="test", input="a.csv")
+        assert "threads" not in cfg.to_dict()
+        with pytest.raises(UsageError, match="removed"):
+            RunConfig.from_dict({"subcommand": "test", "threads": 2})
+        assert main(["test", "--input", bubble_csv, "--column", "price", "--threads", "2"]) == 1
 
     def test_bad_values_rejected(self):
         with pytest.raises(UsageError):

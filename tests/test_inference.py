@@ -97,6 +97,16 @@ class TestCauchyCriticalValue:
                 cauchy_critical_value(bad)
 
 
+def test_quantiles_match_scipy_over_levels():
+    stats = pytest.importorskip("scipy.stats")
+    y = _explosive_segment(21, 90)
+    _, se = oracles.ar1_slope(y, 0, y.size)
+    for level in np.linspace(0.02, 0.995, 40):
+        q = 0.5 + level / 2.0
+        assert cauchy_critical_value(level) == pytest.approx(stats.cauchy.ppf(q), rel=1e-12)
+        assert t_ci(y, level=level).half_width == pytest.approx(stats.norm.ppf(q) * se, rel=1e-10)
+
+
 class TestCauchyCI:
     def test_frozen_half_width_example(self):
         # rho_hat = 1.05, n = 100, 95%: hw = (0.1025 / 1.05^100) * 12.7
@@ -540,6 +550,20 @@ class TestContagion:
         assert moved.delay == base.delay
         assert moved.r2 == pytest.approx(base.r2, rel=1e-12)
         assert moved.theta2_hat == pytest.approx(base.theta2_hat, rel=1e-12)
+
+    def test_recursive_coefficients_rejected(self):
+        # expanding-window coefficients share the grid and the window
+        # fraction of rolling ones, so only their kind tells them apart
+        rng = np.random.default_rng(48)
+        x = _bubble_path(rng, 200, 60, 100, y0=50.0)
+        y = _bubble_path(rng, 200, 65, 105, y0=50.0)
+        tau0 = 30 / 200
+        rx, ry = recursive_ar_coefficients(x, tau0), recursive_ar_coefficients(y, tau0)
+        with pytest.raises(DataError, match="ar1_rolling"):
+            contagion_delay(rx, ry)
+        with pytest.raises(DataError, match="ar1_rolling"):
+            contagion_delay(rolling_ar_coefficients(x, 30), ry)
+        contagion_delay(rolling_ar_coefficients(x, 30), rolling_ar_coefficients(y, 30))
 
     def test_grid_mismatch_raises(self):
         core = self._core()

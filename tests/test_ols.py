@@ -7,13 +7,14 @@ from hypothesis import strategies as st
 
 import oracles
 from exuberance import DegenerateFitError, adf_stat, adf_tstat_pairs, fit_adf_window
+from exuberance import ols
 from exuberance.ols import (
     bsadf_backward,
     gls_adjust,
     sadf_prefix_stats,
     tstat_ar_noconst,
-    _rowwise_max,
 )
+from exuberance.recursive import gsadf, gsadf_panel, sadf, sadf_panel
 
 DETS = ("none", "const", "trend")
 
@@ -200,30 +201,57 @@ class TestScans:
             row = tmat[e, : e - 6 + 1]
             assert maxvals[e] == pytest.approx(np.nanmax(row), abs=0)
 
-    def test_kernel_and_generic_routes_agree(self):
+    def test_panel_rows_match_single_series(self):
+        # one scan over a panel gives each row exactly its own scan, and
+        # the sup over the pair-enumerated windows of that row
         rng = np.random.default_rng(53)
-        v = np.cumsum(rng.standard_normal(60))
-        fast, fast_arg, _ = bsadf_backward(v, 12, det="const", k=0)
+        panel = np.cumsum(rng.standard_normal((4, 60)), axis=1)
+        panel[1] += 40.0
         starts, ends = _grid(60, 12)
-        vals = adf_tstat_pairs(v, starts, ends, det="const", k=0)
-        i = 0
-        for e in range(12, 61):
-            n = e - 12 + 1
-            row = vals[i : i + n]
-            i += n
-            assert fast[e] == pytest.approx(np.nanmax(row), abs=1e-8)
-            assert fast_arg[e] == int(np.nanargmax(np.where(np.isnan(row), -np.inf, row)))
+        for det, k in (("const", 0), ("none", 1), ("trend", 2)):
+            maxvals, argmax_s, tmat = bsadf_backward(panel, 12, det=det, k=k)
+            assert tmat is None and maxvals.shape == argmax_s.shape == (4, 61)
+            prefix = sadf_prefix_stats(panel, 12, det=det, k=k)
+            for r, v in enumerate(panel):
+                one, one_arg, _ = bsadf_backward(v, 12, det=det, k=k)
+                np.testing.assert_array_equal(maxvals[r], one)
+                np.testing.assert_array_equal(argmax_s[r], one_arg)
+                np.testing.assert_array_equal(prefix[r], sadf_prefix_stats(v, 12, det=det, k=k))
+                vals = adf_tstat_pairs(v, starts, ends, det=det, k=k)
+                for e in range(12, 61):
+                    row = vals[ends == e]
+                    assert one[e] == pytest.approx(np.nanmax(row), rel=1e-12, abs=1e-12)
+                    assert one_arg[e] == int(np.nanargmax(row))
 
-    def test_exact_tie_takes_smallest_start(self):
-        tmat = np.full((8, 8), np.nan)
-        tmat[6, 0] = 1.0
-        tmat[6, 1] = 2.0
-        tmat[6, 2] = 2.0
-        tmat[7, 0] = -1.0
-        maxvals, argmax_s = _rowwise_max(tmat, 4, 7)
-        assert np.isnan(maxvals[4]) and argmax_s[4] == -1
-        assert maxvals[6] == 2.0 and argmax_s[6] == 1
-        assert maxvals[7] == -1.0 and argmax_s[7] == 0
+    def test_panel_gsadf_dominates_sadf_exactly(self):
+        rng = np.random.default_rng(57)
+        panel = np.cumsum(rng.standard_normal((30, 80)), axis=1) + 7.0
+        for det, k in (("const", 0), ("trend", 1), ("none", 2)):
+            assert (gsadf_panel(panel, det=det, k=k) >= sadf_panel(panel, det=det, k=k)).all()
+
+    def test_exact_tie_takes_smallest_start(self, monkeypatch):
+        # window statistics are served from a fixed matrix per series so
+        # the sup and its tie-break are checked on exact ties
+        tm = np.full((2, 8, 8), np.nan)
+        tm[0, 6, :3] = (1.0, 2.0, 2.0)
+        tm[0, 7, 0] = -1.0
+        tm[0, 5, 1] = -np.inf
+        tm[1, 5, :2] = (3.0, 3.0)
+        tm[1, 6, 2] = np.inf
+        tm[1, 7, :4] = (-np.inf, -np.inf, np.nan, -np.inf)
+
+        def served(Y, C, slots, nobs, starts, ends, det, k):
+            return tm[:, ends, starts].T
+
+        monkeypatch.setattr(ols, "_window_tstats", served)
+        maxvals, argmax_s, _ = bsadf_backward(np.zeros((2, 7)), 4)
+        assert np.isnan(maxvals[:, 4]).all() and (argmax_s[:, 4] == -1).all()
+        assert maxvals[0, 6] == 2.0 and argmax_s[0, 6] == 1
+        assert maxvals[0, 7] == -1.0 and argmax_s[0, 7] == 0
+        assert maxvals[0, 5] == -np.inf and argmax_s[0, 5] == 1
+        assert maxvals[1, 5] == 3.0 and argmax_s[1, 5] == 0
+        assert maxvals[1, 6] == np.inf and argmax_s[1, 6] == 2
+        assert maxvals[1, 7] == -np.inf and argmax_s[1, 7] == 0
 
     def test_integer_data_argmax_attains_oracle_sup(self):
         # on integer-valued data exact ties can occur; the reported start
@@ -242,6 +270,85 @@ class TestScans:
                 assert maxvals[e] == pytest.approx(stats[e], abs=1e-9)
                 attained = oracles.adf_fit(v, int(argmax_s[e]), e, "const", 0).tstat
                 assert attained == pytest.approx(stats[e], abs=1e-9)
+
+
+def _guard_panel(T=60):
+    """Rows that exercise the scan's numeric guards.
+
+    0: an ordinary walk; 1: the walk offset by 1e9; 2: integer-valued
+    steps on a large integer offset; 3: a walk with a flat stretch;
+    4: a constant row, where every window is degenerate.
+    """
+    rng = np.random.default_rng(71)
+    walk = np.cumsum(rng.standard_normal(T))
+    ints = np.cumsum(rng.integers(-3, 4, size=T)).astype(float)
+    flat = walk.copy()
+    flat[20:35] = flat[20]
+    return np.stack([walk, walk + 1e9, ints + 2.0**40, flat, np.full(T, 5.0)]), ints
+
+
+#: Offsets of the guard panel's rows.  Subtracting them is exact, and the
+#: dense oracle (which fits unanchored levels) is run on the difference.
+_OFFSETS = (0.0, 1e9, 2.0**40, 0.0)
+
+
+class TestPanelGuards:
+    M0 = 12
+
+    # exact fits on the flat stretch divide by a zero standard error in
+    # the oracle
+    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+    def test_rows_match_dense_oracles(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1:3])
+            return dense_or_nan(*args)
+
+        dense_or_nan = ols._dense_or_nan
+        monkeypatch.setattr(ols, "_dense_or_nan", counted)
+        panel, _ = _guard_panel()
+        for det, k in (("const", 0), ("const", 2), ("trend", 1)):
+            maxvals, argmax_s, _ = bsadf_backward(panel, self.M0, det=det, k=k)
+            prefix = sadf_prefix_stats(panel, self.M0, det=det, k=k)
+            for r, offset in enumerate(_OFFSETS):
+                frame = panel[r] - offset
+                stats, starts = oracles.bsadf_curve(frame, self.M0, det, k)
+                np.testing.assert_allclose(maxvals[r], stats, rtol=1e-12, atol=1e-12)
+                np.testing.assert_array_equal(argmax_s[r], starts)
+                for e in range(self.M0, 61):
+                    want = oracles.adf_fit(frame, 0, e, det, k).tstat
+                    assert prefix[r, e] == pytest.approx(want, rel=1e-12, abs=1e-12)
+            assert np.isnan(maxvals[4]).all() and (argmax_s[4] == -1).all()
+            assert np.isnan(prefix[4]).all()
+        # the flat stretch sends windows to the dense refit
+        assert len(calls) > 0
+
+    def test_integer_offset_is_bit_exact(self):
+        panel, ints = _guard_panel()
+        for det, k in (("const", 0), ("trend", 1)):
+            got = bsadf_backward(panel, self.M0, det=det, k=k)
+            base = bsadf_backward(ints, self.M0, det=det, k=k)
+            np.testing.assert_array_equal(got[0][2], base[0])
+            np.testing.assert_array_equal(got[1][2], base[1])
+
+    def test_degenerate_row_is_nan_in_panel_and_raises_alone(self):
+        panel, _ = _guard_panel()
+        for name, panel_fn, fn in (("sadf", sadf_panel, sadf), ("gsadf", gsadf_panel, gsadf)):
+            vals = panel_fn(panel, tau0=0.2)
+            assert np.isnan(vals[4]) and np.isfinite(vals[:4]).all()
+            for r in range(4):
+                assert vals[r] == fn(panel[r], tau0=0.2).value
+            with pytest.raises(DegenerateFitError):
+                fn(panel[4], tau0=0.2)
+
+    def test_panel_input_validation(self):
+        with pytest.raises(ValueError):
+            bsadf_backward(np.zeros((2, 20)), 5, want_matrix=True)
+        bad = np.zeros((2, 20))
+        bad[1, 3] = np.nan
+        with pytest.raises(ValueError):
+            bsadf_backward(bad, 5)
 
 
 class TestGls:
