@@ -504,71 +504,55 @@ class ModelSelection:
     fit: BubbleModelFit
 
 
-def _search_model(v, model, min_seg, seg, Pdd, stride):
-    """Minimum-SSR admissible dates for one model; (ssr, dates) or None."""
+def _search_models(v, min_seg, seg, Pdd):
+    """Minimum-SSR admissible dates of every regime model in one pass.
+
+    A candidate's SSR is head(a) + seg(a, b) + rest(b) with head(a) =
+    Pdd[a-1], so the best origin for a peak b is shared by all models:
+    f(b) = min over a >= ms, b - a >= ms, v_a < v_b of head(a) + seg(a, b).
+    The models differ only in the rest after the peak: nothing (model 1,
+    b = T), the raw tail (model 2), one collapse regime to T with
+    v_b > v_T (model 3), or g(b) = min over c in [b+ms, T-ms] with
+    v_c < v_b of seg(b, c) + tail(c) (model 4).  One loop over b builds f
+    and g in O(T) memory.  Ties go to the smallest (a, b, c).  Returns
+    {model: (ssr, dates)} for the models with an admissible candidate.
+    """
     T = v.size
-    total = Pdd[T - 1]
     ms = min_seg
-    best_ssr = np.inf
-    best = None
-
-    def better(ssr, dates):
-        nonlocal best_ssr, best
-        if ssr < best_ssr or (ssr == best_ssr and best is not None and dates < best):
-            best_ssr = ssr
-            best = dates
-
-    a_grid = np.arange(ms, T + 1, stride, dtype=np.int64)
-    if model == 1:
-        a = a_grid[a_grid <= T - ms]
-        if a.size:
-            ssr = Pdd[a - 1] + seg(a, np.full(a.size, T))
-            ok = v[T - 1] > v[a - 1]
-            ssr = np.where(ok, ssr, np.inf)
+    total = Pdd[T - 1]
+    bs = np.arange(2 * ms, T + 1, dtype=np.int64)
+    f = np.full(bs.size, np.inf)
+    fa = np.zeros(bs.size, dtype=np.int64)
+    g = np.full(bs.size, np.inf)
+    gc = np.zeros(bs.size, dtype=np.int64)
+    for j, b in enumerate(bs):
+        a = np.arange(ms, b - ms + 1, dtype=np.int64)
+        ssr = np.where(v[a - 1] < v[b - 1], Pdd[a - 1] + seg(a, b), np.inf)
+        i = int(np.argmin(ssr))
+        f[j], fa[j] = ssr[i], a[i]
+        c = np.arange(b + ms, T - ms + 1, dtype=np.int64)
+        if c.size:
+            ssr = np.where(v[c - 1] < v[b - 1], seg(b, c) + (total - Pdd[c - 1]), np.inf)
             i = int(np.argmin(ssr))
-            if np.isfinite(ssr[i]):
-                better(float(ssr[i]), (int(a[i]),))
-    elif model in (2, 3):
-        for a in a_grid:
-            b = np.arange(a + ms, T - ms + 1, stride, dtype=np.int64)
-            if not b.size:
-                continue
-            if model == 2:
-                ssr = Pdd[a - 1] + seg(np.full(b.size, a), b) + (total - Pdd[b - 1])
-                ok = v[b - 1] > v[a - 1]
-            else:
-                ssr = (
-                    Pdd[a - 1]
-                    + seg(np.full(b.size, a), b)
-                    + seg(b, np.full(b.size, T))
-                )
-                ok = (v[b - 1] > v[a - 1]) & (v[b - 1] > v[T - 1])
-            ssr = np.where(ok, ssr, np.inf)
-            i = int(np.argmin(ssr))
-            if np.isfinite(ssr[i]):
-                better(float(ssr[i]), (int(a), int(b[i])))
-    else:
-        for a in a_grid:
-            for b in np.arange(a + ms, T + 1, stride, dtype=np.int64):
-                if not v[b - 1] > v[a - 1]:
-                    continue
-                c = np.arange(b + ms, T - ms + 1, stride, dtype=np.int64)
-                if not c.size:
-                    continue
-                ssr = (
-                    Pdd[a - 1]
-                    + seg(np.full(c.size, a), np.full(c.size, b))
-                    + seg(np.full(c.size, b), c)
-                    + (total - Pdd[c - 1])
-                )
-                ok = v[b - 1] > v[c - 1]
-                ssr = np.where(ok, ssr, np.inf)
-                i = int(np.argmin(ssr))
-                if np.isfinite(ssr[i]):
-                    better(float(ssr[i]), (int(a), int(b), int(c[i])))
-    if best is None:
-        return None
-    return best_ssr, best
+            g[j], gc[j] = ssr[i], c[i]
+    inner = bs <= T - ms
+    rests = {
+        1: np.where(bs == T, 0.0, np.inf),
+        2: np.where(inner, total - Pdd[bs - 1], np.inf),
+        3: np.where(inner & (v[bs - 1] > v[T - 1]), seg(bs, T), np.inf),
+        4: g,
+    }
+    found = {}
+    for m, rest in rests.items():
+        ssr = f + rest
+        best = np.min(ssr, initial=np.inf)
+        if not np.isfinite(best):
+            continue
+        tied = np.flatnonzero(ssr == best)
+        j = int(tied[np.argmin(fa[tied])])
+        a, b, c = int(fa[j]), int(bs[j]), int(gc[j])
+        found[m] = (float(best), {1: (a,), 2: (a, b), 3: (a, b), 4: (a, b, c)}[m])
+    return found
 
 
 def _dates_to_fractions(model: int, dates: tuple[int, ...], T: int):
@@ -602,37 +586,31 @@ def _selection_episode(model: int, dates: tuple[int, ...], T: int) -> Episode:
 def select_model_bic(
     series,
     min_seg: int = DEFAULT_MIN_SEGMENT,
-    stride: int = 1,
     models=(1, 2, 3, 4),
 ) -> ModelSelection:
     """Choose the regime model and dates by penalized SSR comparison.
 
-    Every model's SSR is minimized over its admissible date grid (every
-    integer combination when ``stride`` is 1), then models are compared
-    by T·log(SSR/T) plus a penalty of 3, 4, 6, or 7 times log T counting
-    coefficients and estimated dates.  Ties prefer the smaller model.
-    Intended to run after a detection pass has already flagged an
-    episode.
+    Every model's SSR is minimized over all integer dates of its
+    admissible grid, then models are compared by T·log(SSR/T) plus a
+    penalty of 3, 4, 6, or 7 times log T counting coefficients and
+    estimated dates.  Ties prefer the smaller model.  Intended to run
+    after a detection pass has already flagged an episode.
     """
     v = as_values(series)
     T = v.size
     if min_seg < 2:
         raise ValueError(f"min_seg must be >= 2, got {min_seg}")
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
-    seg, Pdd = _segment_ssr_engine(v)
+    for m in models:
+        if m not in BIC_PENALTY:
+            raise ValueError(f"unknown model {m}")
+    found = _search_models(v, min_seg, *_segment_ssr_engine(v))
     bics: dict[int, float] = {}
     ssrs: dict[int, float] = {}
     dates: dict[int, tuple[int, ...]] = {}
     for m in models:
-        if m not in BIC_PENALTY:
-            raise ValueError(f"unknown model {m}")
-        found = _search_model(v, m, min_seg, seg, Pdd, stride)
-        if found is None:
+        if m not in found:
             continue
-        ssr, ds = found
-        if stride > 1:
-            ssr, ds = _refine_local(v, m, ds, min_seg, seg, Pdd, stride)
+        ssr, ds = found[m]
         if not ssr > 0:
             # an exact fit: the penalty comparison degenerates, keep it as
             # a perfect candidate with formally infinite preference
@@ -658,60 +636,6 @@ def select_model_bic(
     )
 
 
-def _refine_local(v, model, coarse, min_seg, seg, Pdd, stride):
-    """Exact search in the stride-neighbourhood of a coarse optimum."""
-    T = v.size
-    total = Pdd[T - 1]
-    ms = min_seg
-    rngs = [
-        np.arange(max(ms, d - stride), min(T, d + stride) + 1, dtype=np.int64)
-        for d in coarse
-    ]
-    best = (np.inf, coarse)
-    if model == 1:
-        for a in rngs[0]:
-            if a > T - ms or not v[T - 1] > v[a - 1]:
-                continue
-            ssr = float(Pdd[a - 1] + seg(np.int64(a), np.int64(T)))
-            if (ssr, (int(a),)) < best:
-                best = (ssr, (int(a),))
-    elif model in (2, 3):
-        for a in rngs[0]:
-            for b in rngs[1]:
-                if b < a + ms or b > T - ms:
-                    continue
-                if model == 2:
-                    if not v[b - 1] > v[a - 1]:
-                        continue
-                    ssr = float(Pdd[a - 1] + seg(np.int64(a), np.int64(b)) + total - Pdd[b - 1])
-                else:
-                    if not (v[b - 1] > v[a - 1] and v[b - 1] > v[T - 1]):
-                        continue
-                    ssr = float(
-                        Pdd[a - 1] + seg(np.int64(a), np.int64(b)) + seg(np.int64(b), np.int64(T))
-                    )
-                if (ssr, (int(a), int(b))) < best:
-                    best = (ssr, (int(a), int(b)))
-    else:
-        for a in rngs[0]:
-            for b in rngs[1]:
-                if b < a + ms or not v[b - 1] > v[a - 1]:
-                    continue
-                for c in rngs[2]:
-                    if c < b + ms or c > T - ms or not v[b - 1] > v[c - 1]:
-                        continue
-                    ssr = float(
-                        Pdd[a - 1]
-                        + seg(np.int64(a), np.int64(b))
-                        + seg(np.int64(b), np.int64(c))
-                        + total
-                        - Pdd[c - 1]
-                    )
-                    if (ssr, (int(a), int(b), int(c))) < best:
-                        best = (ssr, (int(a), int(b), int(c)))
-    return best
-
-
 def two_step_stamp(
     series,
     tau0: float | None = None,
@@ -721,7 +645,6 @@ def two_step_stamp(
     min_duration: float | None = None,
     delta: float = 1.0,
     min_seg: int = DEFAULT_MIN_SEGMENT,
-    stride: int = 1,
 ) -> list[Episode]:
     """Crossing-based stamping refined by per-episode regime-model fits.
 
@@ -745,7 +668,7 @@ def two_step_stamp(
         lo = max(lo, 1)
         piece = v[lo - 1 : hi]
         try:
-            sel = select_model_bic(piece, min_seg=min_seg, stride=stride)
+            sel = select_model_bic(piece, min_seg=min_seg)
         except DegenerateFitError:
             refined.append(ep)
             continue

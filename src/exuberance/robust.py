@@ -56,17 +56,16 @@ def _check_bandwidth(T: int, bandwidth: float | None) -> float:
 
 
 def _gaussian_smooth(x: np.ndarray, T: int, h: float) -> np.ndarray:
-    """Kernel regression of x (indexed by t = 2..T) on the time fractions."""
-    t = np.arange(2, T + 1, dtype=float)
-    out = np.empty_like(x)
-    scale = T * h
-    step = max(1, int(2_000_000 / max(t.size, 1)))
-    for lo in range(0, t.size, step):
-        hi = min(lo + step, t.size)
-        u = (t[None, :] - t[lo:hi, None]) / scale
-        w = np.exp(-0.5 * u * u)
-        out[lo:hi] = (w @ x) / w.sum(axis=1)
-    return out
+    """Kernel regression of x (indexed by t = 2..T) on the time fractions.
+
+    The Gaussian weight of t_j at t_i depends only on the lag j - i, so the
+    weighted sums are convolutions of x, and of ones, with one kernel over
+    the lags -(T-2)..T-2.
+    """
+    n = T - 1
+    u = np.arange(1 - n, n, dtype=float) / (T * h)
+    w = np.exp(-0.5 * u * u)
+    return np.convolve(x, w)[n - 1 : 2 * n - 1] / np.convolve(np.ones(n), w)[n - 1 : 2 * n - 1]
 
 
 def kernel_variance(series, bandwidth: float | None = None) -> np.ndarray:

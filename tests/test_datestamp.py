@@ -538,20 +538,49 @@ class TestSelectModelBic:
         assert BIC_PENALTY == {1: 3, 2: 4, 3: 6, 4: 7}
 
     def test_per_model_search_matches_oracle(self):
+        cases = []
         for seed in (11, 12, 13):
             rng = np.random.default_rng(seed)
             v = np.cumsum(rng.standard_normal(40))
             v[12:24] += np.linspace(0, 6, 12)
+            cases.append((v, 3))
+            if seed == 11:
+                cases += [(v, 2), (v, 5)]
+        # integer steps in {-1, 0, 1}: exact SSR ties at the minimum between
+        # peaks (seeds 14 and 116), between origins at one peak (181, 191)
+        # and between recovery dates (186)
+        for seed, T, ms in ((14, 20, 2), (116, 24, 3), (181, 24, 3), (186, 24, 3),
+                            (191, 24, 3)):
+            rng = np.random.default_rng(seed)
+            cases.append((np.cumsum(rng.integers(-1, 2, T)).astype(float), ms))
+        # too short for models 2-4 (T = 8) and for model 4 (T = 10)
+        cases += [(_walk(3, 8), 3), (_walk(4, 10), 3)]
+        # a post-peak regime oscillating about a level just above the peak:
+        # the best recovery date ignoring the level rule lies above the peak
+        rng = np.random.default_rng(3)
+        level = np.cumsum(0.3 * rng.standard_normal(36))
+        level[10:20] += np.linspace(0, 5, 10)
+        for t in range(20, 36):
+            gap = level[t - 1] - level[19] - 0.2
+            level[t] = level[19] + 0.2 - 0.6 * gap + 0.3 * rng.standard_normal()
+        cases.append((level, 3))
+        for v, ms in cases:
             for model in (1, 2, 3, 4):
-                o_ssr, o_dates = oracles.bubble_model_search(v, model, min_seg=3)
+                o_ssr, o_dates = oracles.bubble_model_search(v, model, min_seg=ms)
                 if not np.isfinite(o_ssr):
                     with pytest.raises(DegenerateFitError):
-                        select_model_bic(v, models=(model,))
+                        select_model_bic(v, min_seg=ms, models=(model,))
                     continue
-                sel = select_model_bic(v, models=(model,))
+                sel = select_model_bic(v, min_seg=ms, models=(model,))
                 n_dates = {1: 1, 2: 2, 3: 2, 4: 3}[model]
                 assert sel.dates[model] == o_dates[:n_dates]
                 assert sel.ssr[model] == pytest.approx(o_ssr, rel=1e-9)
+        a, b, c = select_model_bic(level, models=(4,)).dates[4]
+        free = min(
+            (oracles.bubble_model_fit(level, 4, a, b, cc)[0], cc)
+            for cc in range(b + 3, level.size - 2)
+        )
+        assert level[free[1] - 1] >= level[b - 1] > level[c - 1]
 
     def test_bic_formula(self):
         v = _walk(21, 80)
@@ -597,13 +626,6 @@ class TestSelectModelBic:
         ep = sel.episode
         assert ep.recovery_index == 40 and ep.recovery == 40 / 60
 
-    def test_stride_with_refinement_recovers_exact_dates(self):
-        v = _regime_series(150, 50, 90, noise=0.02, seed=8)
-        exact = select_model_bic(v)
-        coarse = select_model_bic(v, stride=3)
-        assert coarse.model == exact.model
-        assert coarse.dates[coarse.model] == exact.dates[exact.model]
-
     def test_model4_recovered_in_majority_of_noisy_replications(self):
         rng = np.random.default_rng(505)
         T, R = 200, 30
@@ -635,8 +657,6 @@ class TestSelectModelBic:
         v = _walk(1, 50)
         with pytest.raises(ValueError):
             select_model_bic(v, min_seg=1)
-        with pytest.raises(ValueError):
-            select_model_bic(v, stride=0)
         with pytest.raises(ValueError):
             select_model_bic(v, models=(9,))
         with pytest.raises(DegenerateFitError):
