@@ -17,13 +17,14 @@ value; a replicate's statistic is the same at any chunk position.
 from __future__ import annotations
 
 import csv
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import ols, recursive, robust
 from .exceptions import DegenerateFitError
-from .recursive import _resolve_tau0
+from .recursive import SupResult, _resolve_tau0
 from .series import as_values
 
 __all__ = [
@@ -94,34 +95,6 @@ def multiplier_draws(rng: np.random.Generator, n: int, kind: str = "gaussian") -
     raise ValueError(f"unknown multiplier kind {kind!r}; choose from {MULTIPLIERS}")
 
 
-def _stat_hb_chow(v, tau0, det, k):
-    return recursive.hb_sup_chow(v, tau0=tau0, k=k).value
-
-
-def _stat_sadf_gls(v, tau0, det, k):
-    return recursive.sadf_gls(v, tau0=tau0, det=det).value
-
-
-def _stat_sbz(v, tau0, det, k):
-    return robust.sbz(v, tau0=tau0).value
-
-
-def _stat_sign_sadf(v, tau0, det, k):
-    return robust.sign_statistics(v, tau0=tau0, filter_lags=k).ssadf.value
-
-
-def _stat_sign_gsadf(v, tau0, det, k):
-    return robust.sign_statistics(v, tau0=tau0, filter_lags=k).sgsadf.value
-
-
-def _stat_stadf(v, tau0, det, k):
-    return robust.time_transformed_tests(v, tau0=tau0).stadf.value
-
-
-def _stat_gstadf(v, tau0, det, k):
-    return robust.time_transformed_tests(v, tau0=tau0).gstadf.value
-
-
 def _by_row(stat):
     """Panel form of a one-series statistic: row by row, NaN where degenerate."""
 
@@ -137,21 +110,61 @@ def _by_row(stat):
     return fn
 
 
-#: name -> fn(panel, tau0, det, k) -> one value per row (NaN: degenerate).
-_STATISTICS = {
-    "sadf": recursive.sadf_panel,
-    "gsadf": recursive.gsadf_panel,
-    "hb_chow": _by_row(_stat_hb_chow),
-    "sadf_gls": _by_row(_stat_sadf_gls),
-    "sbz": _by_row(_stat_sbz),
-    "sign_sadf": _by_row(_stat_sign_sadf),
-    "sign_gsadf": _by_row(_stat_sign_gsadf),
-    "stadf": _by_row(_stat_stadf),
-    "gstadf": _by_row(_stat_gstadf),
+@dataclass(frozen=True)
+class _Statistic:
+    """One registered statistic.
+
+    ``result(values, tau0, **options)`` gives its SupResult.  ``panel(Y,
+    tau0, **options)``, where given, scores a (rows, T) panel in one scan,
+    NaN where degenerate; otherwise rows are scored one by one through
+    ``result``.  ``options`` names the regression options, of ``det`` and
+    ``k``, that the statistic reads: it receives only those, and
+    ``reason`` says why it takes no others.
+    """
+
+    result: Callable
+    options: tuple[str, ...] = ()
+    reason: str = ""
+    panel: Callable | None = None
+
+    def _read(self, det, k) -> dict:
+        return {name: val for name, val in (("det", det), ("k", k)) if name in self.options}
+
+    def observe(self, values, tau0, det, k) -> SupResult:
+        return self.result(values, tau0, **self._read(det, k))
+
+    def scores(self, Y, tau0, det, k) -> np.ndarray:
+        if self.panel is None:
+            return _by_row(lambda v, *args: self.observe(v, *args).value)(Y, tau0, det, k)
+        return self.panel(Y, tau0, **self._read(det, k))
+
+
+_SIGN = "sign statistics are rank-based and ignore regression options"
+_TIME = "time-transformed statistics are tuned by bandwidth, not regression options"
+
+#: name -> the one description of a statistic used by the CLI, the
+#: bootstrap, tabulation and studies.
+_REGISTRY = {
+    "sadf": _Statistic(recursive.sadf, ("det", "k"), panel=recursive.sadf_panel),
+    "gsadf": _Statistic(recursive.gsadf, ("det", "k"), panel=recursive.gsadf_panel),
+    "hb_chow": _Statistic(
+        recursive.hb_sup_chow, ("k",), "the sup-Chow statistic fixes its own deterministic terms"
+    ),
+    "sadf_gls": _Statistic(
+        recursive.sadf_gls, ("det",), "the GLS-demeaned statistic does not take lag augmentation"
+    ),
+    "sbz": _Statistic(
+        robust.sbz, (),
+        "the variance-profile statistic is tuned by bandwidth, not regression options",
+    ),
+    "sign_sadf": _Statistic(lambda v, tau0: robust.sign_statistics(v, tau0).ssadf, (), _SIGN),
+    "sign_gsadf": _Statistic(lambda v, tau0: robust.sign_statistics(v, tau0).sgsadf, (), _SIGN),
+    "stadf": _Statistic(lambda v, tau0: robust.time_transformed_tests(v, tau0).stadf, (), _TIME),
+    "gstadf": _Statistic(lambda v, tau0: robust.time_transformed_tests(v, tau0).gstadf, (), _TIME),
 }
 
 #: Statistic names accepted by the bootstrap entry points (and the CLI).
-STATISTICS = tuple(sorted(_STATISTICS))
+STATISTICS = tuple(sorted(_REGISTRY))
 
 #: Cells (rows x observations) of replicate paths scored per panel chunk;
 #: keeps a chunk's per-endpoint scan temporaries at a few MB.
@@ -159,22 +172,24 @@ CHUNK_CELLS = 1 << 15
 
 
 def _statistic_fn(statistic):
-    """Map a statistic name or callable to fn(panel, tau0, det, k) -> values.
+    """Map a statistic name or callable to (name, panel fn, result fn).
 
+    The panel fn maps (panel, tau0, det, k) to one value per row (NaN:
+    degenerate), the result fn (values, tau0, det, k) to the SupResult.
     Named statistics follow the package convention: the observed value may
     use the caller's lag order k, while replicates are always evaluated at
-    k = 0.  A custom callable receives only one series' values and is used
-    verbatim on both sides.
+    k = 0.  A custom callable receives only one series' values, is used
+    verbatim on both sides and has no result fn (None).
     """
     if callable(statistic):
         name = getattr(statistic, "__name__", "custom")
-        return name, _by_row(lambda v, tau0, det, k: float(statistic(v)))
+        return name, _by_row(lambda v, tau0, det, k: float(statistic(v))), None
     key = str(statistic).strip().lower()
-    if key not in _STATISTICS:
+    if key not in _REGISTRY:
         raise ValueError(
             f"unknown statistic {statistic!r}; choose from {STATISTICS} or pass a callable"
         )
-    return key, _STATISTICS[key]
+    return key, _REGISTRY[key].scores, _REGISTRY[key].observe
 
 
 def _replicate_values(n: int, T: int, path, score) -> np.ndarray:
@@ -206,6 +221,8 @@ class BootstrapReport:
     returns 0 and is exact at conventional levels when (B + 1) * level is
     an integer.  Degenerate replicates (statistic undefined on the
     resampled series) count as non-exceeding and are reported.
+    ``result`` is the observed statistic's SupResult (None for a custom
+    callable).
     """
 
     statistic: str
@@ -216,6 +233,7 @@ class BootstrapReport:
     multiplier: str
     n_degenerate: int
     replicates: np.ndarray = field(repr=False)
+    result: SupResult | None = field(default=None, repr=False)
 
     def dump_replicates(self, path: str) -> None:
         """Write the replicate values to CSV (blank cell for degenerate)."""
@@ -251,7 +269,8 @@ def wild_bootstrap_pvalue(
     mean-zero, unit-variance draw and cumulates from zero, which enforces
     the unit-root null while reproducing the volatility pattern of the
     data.  Replicate statistics use lag order 0 regardless of ``k``; the
-    observed statistic uses ``k`` as given.
+    observed statistic uses ``k`` as given.  A named statistic receives
+    only the options, of ``det`` and ``k``, that it reads.
 
     Parameters
     ----------
@@ -275,9 +294,13 @@ def wild_bootstrap_pvalue(
         raise ValueError(f"B must be >= {MIN_REPLICATIONS}, got {B}")
     if multiplier not in MULTIPLIERS:
         raise ValueError(f"unknown multiplier kind {multiplier!r}; choose from {MULTIPLIERS}")
-    name, fn = _statistic_fn(statistic)
+    name, fn, observe = _statistic_fn(statistic)
     seed = _resolve_seed(seed)
-    observed = float(fn(v[None, :], tau0, det, k)[0])
+    try:
+        result = None if observe is None else observe(v, tau0, det, k)
+        observed = float(statistic(v)) if result is None else result.value
+    except DegenerateFitError:
+        observed = np.nan
     if np.isnan(observed):
         raise DegenerateFitError(f"observed {name} statistic is undefined on this series")
 
@@ -297,6 +320,7 @@ def wild_bootstrap_pvalue(
         multiplier=multiplier,
         n_degenerate=n_bad,
         replicates=replicates,
+        result=result,
     )
 
 
@@ -576,10 +600,10 @@ def bootstrap_union(
     resolved = [_statistic_fn(t) for t in tests]
     if not resolved:
         raise ValueError("union needs at least one member test")
-    names = tuple(name for name, _ in resolved)
+    names = tuple(name for name, _, _ in resolved)
     seed = _resolve_seed(seed)
 
-    observed = np.array([fn(v[None, :], tau0, det, k)[0] for _, fn in resolved])
+    observed = np.array([fn(v[None, :], tau0, det, k)[0] for _, fn, _ in resolved])
     if np.any(np.isnan(observed)):
         bad = [n for n, o in zip(names, observed) if np.isnan(o)]
         raise DegenerateFitError(f"observed statistic undefined for union members {bad}")
@@ -588,7 +612,7 @@ def bootstrap_union(
         return _null_resample(v, multiplier_draws(replicate_rng(seed, r), v.size - 1, multiplier))
 
     def score(Y):
-        return np.column_stack([fn(Y, tau0, det, 0) for _, fn in resolved])
+        return np.column_stack([fn(Y, tau0, det, 0) for _, fn, _ in resolved])
 
     replicates = _replicate_values(B, v.size, path, score)
     n_degenerate = np.isnan(replicates).sum(axis=0).astype(np.int64)

@@ -25,6 +25,7 @@ import numpy as np
 
 from . import ols
 from .bootstrap import (
+    _REGISTRY,
     MULTIPLIERS,
     STATISTICS,
     composite_monitor_cv,
@@ -48,8 +49,7 @@ from .inference import (
     recursive_ar_coefficients,
     rolling_ar_coefficients,
 )
-from .recursive import gsadf, hb_sup_chow, sadf, sadf_gls
-from .robust import sbz, sign_statistics, time_transformed_tests
+from .recursive import gsadf, sadf
 from .series import default_min_window, frac_to_index, load_series
 
 __all__ = [
@@ -73,31 +73,6 @@ SUBCOMMANDS = ("test", "datestamp", "monitor", "simulate-cv", "study", "relate",
 DATESTAMP_METHODS = ("pwy", "psy", "two-step", "sign", "ssr-bic")
 RELATE_METHODS = ("migration", "contagion", "cobubble")
 DET_CHOICES = ("none", "const", "trend")
-
-#: Options each statistic actually consumes; anything else set to a
-#: non-default value is an incompatible combination and is rejected.
-_STAT_USES = {
-    "sadf": frozenset({"det", "k"}),
-    "gsadf": frozenset({"det", "k"}),
-    "hb_chow": frozenset({"k"}),
-    "sadf_gls": frozenset({"det"}),
-    "sbz": frozenset(),
-    "sign_sadf": frozenset(),
-    "sign_gsadf": frozenset(),
-    "stadf": frozenset(),
-    "gstadf": frozenset(),
-}
-
-_STAT_EXPLAIN = {
-    "hb_chow": "the sup-Chow statistic fixes its own deterministic terms",
-    "sadf_gls": "the GLS-demeaned statistic does not take lag augmentation",
-    "sbz": "the variance-profile statistic is tuned by bandwidth, not regression options",
-    "sign_sadf": "sign statistics are rank-based and ignore regression options",
-    "sign_gsadf": "sign statistics are rank-based and ignore regression options",
-    "stadf": "time-transformed statistics are tuned by bandwidth, not regression options",
-    "gstadf": "time-transformed statistics are tuned by bandwidth, not regression options",
-}
-
 
 class UsageError(ExuberanceError):
     """Raised for bad flags, bad config files, or incompatible options."""
@@ -209,19 +184,20 @@ def _load_input(config: RunConfig, attr: str = "input"):
     return load_series(path, column=column, label_column=label_column)
 
 
-def _check_stat_options(stat: str, config: RunConfig) -> None:
-    uses = _STAT_USES.get(stat)
-    if uses is None:
-        raise UsageError(f"unknown statistic {stat!r}; choose from {STATISTICS}")
-    offending = []
-    if "det" not in uses and config.det != "const":
-        offending.append(f"--det {config.det}")
-    if "k" not in uses and config.k != 0:
-        offending.append(f"--k {config.k}")
+def _check_stat_options(config: RunConfig) -> None:
+    """Reject --det/--k values that the chosen statistic does not read."""
+    entry = _REGISTRY.get(config.stat)
+    if entry is None:
+        raise UsageError(f"unknown statistic {config.stat!r}; choose from {STATISTICS}")
+    offending = [
+        f"--{name} {value}"
+        for name, value, default in (("det", config.det, "const"), ("k", config.k, 0))
+        if name not in entry.options and value != default
+    ]
     if offending:
         raise UsageError(
-            f"{' and '.join(offending)} cannot be combined with --stat {stat}: "
-            f"{_STAT_EXPLAIN.get(stat, 'the statistic ignores these options')}"
+            f"{' and '.join(offending)} cannot be combined with --stat {config.stat}: "
+            f"{entry.reason}"
         )
 
 
@@ -240,29 +216,6 @@ def _sequence_dict(seq, series=None, cv=None) -> dict:
     if cv is not None:
         out["cv"] = _jsonable(cv)
     return out
-
-
-def _observed_statistic(stat: str, series, tau0: float, det: str, k: int):
-    """Observed value plus whatever window/sequence detail the statistic has."""
-    if stat == "sadf":
-        res = sadf(series, tau0=tau0, det=det, k=k)
-    elif stat == "gsadf":
-        res = gsadf(series, tau0=tau0, det=det, k=k)
-    elif stat == "hb_chow":
-        res = hb_sup_chow(series, tau0=tau0, k=k)
-    elif stat == "sadf_gls":
-        res = sadf_gls(series, tau0=tau0, det=det)
-    elif stat == "sbz":
-        res = sbz(series, tau0=tau0)
-    elif stat in ("sign_sadf", "sign_gsadf"):
-        ss = sign_statistics(series, tau0=tau0)
-        res = ss.ssadf if stat == "sign_sadf" else ss.sgsadf
-    elif stat in ("stadf", "gstadf"):
-        tt = time_transformed_tests(series, tau0=tau0)
-        res = tt.stadf if stat == "stadf" else tt.gstadf
-    else:  # pragma: no cover - guarded by _check_stat_options
-        raise UsageError(f"unknown statistic {stat!r}")
-    return float(res.value), res.argmax, res.window, res.sequence
 
 
 def _table_critical_value(config: RunConfig, path: str, T: int, tau0: float) -> float:
@@ -296,52 +249,47 @@ def _run_test(config: RunConfig) -> dict:
     series = _load_input(config)
     T = len(series)
     tau0 = _resolve_tau0(config.tau0, T)
-    _check_stat_options(config.stat, config)
-    observed, argmax, window, seq = _observed_statistic(
-        config.stat, series, tau0, config.det, config.k
-    )
-
+    _check_stat_options(config)
     p_value = None
     n_degenerate = 0
-    if config.cv == "rule":
-        cv = rule_critical_value(T)
-        cv_source = "rule"
-        reject = observed > cv
-    elif config.cv.startswith("table:"):
-        cv = _table_critical_value(config, config.cv[len("table:"):], T, tau0)
-        cv_source = "table"
-        reject = observed > cv
-    elif config.cv == "bootstrap":
+    if config.cv == "bootstrap":
         rep = wild_bootstrap_pvalue(
             series, config.stat, tau0=tau0, B=config.B,
             multiplier=config.multiplier, seed=config.seed,
             det=config.det, k=config.k,
         )
-        p_value = rep.p_value
+        res, p_value, n_degenerate = rep.result, rep.p_value, rep.n_degenerate
         cv = float(np.nanquantile(rep.replicates, config.level, method="higher"))
-        cv_source = "bootstrap"
-        n_degenerate = rep.n_degenerate
         reject = p_value <= 1.0 - config.level
     else:
-        raise UsageError(
-            f"--cv must be 'rule', 'bootstrap', or 'table:<path>', got {config.cv!r}"
-        )
+        res = _REGISTRY[config.stat].observe(series, tau0, config.det, config.k)
+        if config.cv == "rule":
+            cv = rule_critical_value(T)
+        elif config.cv.startswith("table:"):
+            cv = _table_critical_value(config, config.cv[len("table:"):], T, tau0)
+        else:
+            raise UsageError(
+                f"--cv must be 'rule', 'bootstrap', or 'table:<path>', got {config.cv!r}"
+            )
+        reject = res.value > cv
 
     return {
         "T": T,
         "name": series.name,
         "statistic": config.stat,
-        "observed": observed,
+        "observed": res.value,
         "tau0": tau0,
-        "argmax": _jsonable(argmax),
-        "window": _jsonable(window),
-        "cv_source": cv_source,
+        "argmax": _jsonable(res.argmax),
+        "window": _jsonable(res.window),
+        "cv_source": config.cv.partition(":")[0],
         "critical_value": float(cv),
         "p_value": p_value,
         "level": config.level,
         "reject": bool(reject),
         "n_degenerate": int(n_degenerate),
-        "sequence": None if seq is None else _sequence_dict(seq, series, cv=float(cv)),
+        "sequence": (
+            None if res.sequence is None else _sequence_dict(res.sequence, series, cv=float(cv))
+        ),
     }
 
 
@@ -449,6 +397,7 @@ def _run_monitor(config: RunConfig) -> dict:
 def _run_simulate_cv(config: RunConfig) -> dict:
     if config.sizes is None:
         raise UsageError("--sizes is required for 'simulate-cv' (e.g. --sizes 100,200)")
+    _check_stat_options(config)
     tau0 = None if config.tau0 == "auto" else float(config.tau0)
     table = tabulate_critical_values(
         config.stat,
@@ -484,6 +433,7 @@ def _build_vol(raw: dict | None, which: str) -> VolPath | None:
 
 
 def _run_study(config: RunConfig) -> dict:
+    _check_stat_options(config)
     null_spec = _build_spec(config.null_spec, "null-spec")
     alt_spec = _build_spec(config.alt_spec, "alt-spec") if config.alt_spec else null_spec
     cv = None
@@ -717,8 +667,10 @@ def _build_parser() -> _Parser:
     data.add_argument("--column", help="value column name or index")
     data.add_argument("--label-column", help="label column name or index")
 
+    stat = _Parser(add_help=False)
+    stat.add_argument("--stat", choices=STATISTICS, help="statistic (default gsadf)")
+
     statopts = _Parser(add_help=False)
-    statopts.add_argument("--stat", choices=STATISTICS, help="statistic (default gsadf)")
     statopts.add_argument("--tau0", type=_tau0_arg, help="minimum window fraction or 'auto'")
     statopts.add_argument("--det", choices=DET_CHOICES, help="deterministic terms (default const)")
     statopts.add_argument("--k", type=int, help="ADF lag order (default 0)")
@@ -728,7 +680,7 @@ def _build_parser() -> _Parser:
     boot.add_argument("--multiplier", choices=MULTIPLIERS, help="wild multiplier (default gaussian)")
     boot.add_argument("--level", type=float, help="confidence level (default 0.95)")
 
-    p = sub.add_parser("test", parents=[common, data, statopts, boot],
+    p = sub.add_parser("test", parents=[common, data, stat, statopts, boot],
                        help="one right-tailed test with a cv or bootstrap decision")
     p.add_argument("--cv", help="rule | table:<path> | bootstrap (default rule)")
 
@@ -742,14 +694,14 @@ def _build_parser() -> _Parser:
                        help="composite sequential monitoring over a control window")
     p.add_argument("--Tb", type=int, help="monitoring window length (default 24)")
 
-    p = sub.add_parser("simulate-cv", parents=[common, statopts],
+    p = sub.add_parser("simulate-cv", parents=[common, stat, statopts],
                        help="tabulate Monte Carlo critical values")
     p.add_argument("--sizes", type=_int_list, help="sample sizes, e.g. 100,200,400")
     p.add_argument("--levels", type=_float_list, help="quantile levels (default 0.9,0.95,0.99)")
     p.add_argument("--replications", type=int, help="Monte Carlo draws (default 2000)")
     p.add_argument("--table-out", help="also write the table alone to this path")
 
-    p = sub.add_parser("study", parents=[common, statopts],
+    p = sub.add_parser("study", parents=[common, stat, statopts],
                        help="size/power study under configurable generators")
     p.add_argument("--level", type=float, help="confidence level (default 0.95)")
     p.add_argument("--replications", type=int, help="study replications (default 1000)")

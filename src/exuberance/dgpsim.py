@@ -469,7 +469,7 @@ def tabulate_critical_values(
         Base seed; replicate streams are keyed by (seed, T, r) so the
         table does not depend on the order of ``sample_sizes``.
     """
-    name, fn = _statistic_fn(statistic)
+    name, fn, _ = _statistic_fn(statistic)
     sizes = tuple(int(T) for T in sample_sizes)
     _require(len(sizes) > 0, "need at least one sample size")
     _require(all(T >= 20 for T in sizes), "sample sizes must be >= 20")
@@ -579,7 +579,7 @@ def size_power_study(
     with ``cv_replications`` draws (degenerate replications count as
     non-rejections).  Standard errors are binomial.
     """
-    name, fn = _statistic_fn(statistic)
+    name, fn, _ = _statistic_fn(statistic)
     _require(0.0 < level < 1.0, f"significance level must lie in (0, 1), got {level}")
     _require(replications >= 20, f"need replications >= 20, got {replications}")
     quantile = 1.0 - level

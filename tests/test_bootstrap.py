@@ -95,6 +95,24 @@ class TestWildBootstrapPvalue:
         ystar = _replicate_path(v, 5, 0)
         assert rep.replicates[0] == pytest.approx(oracles.sadf(ystar, 12)[0], abs=1e-9)
 
+    def test_sign_statistics_read_no_lag_order(self):
+        # k is an ADF lag order; a sign statistic takes none, so its observed
+        # value and its replicates are both unfiltered whatever k is
+        v = _walk(65, 80)
+        at0 = bt.wild_bootstrap_pvalue(v, "sign_gsadf", B=99, seed=3)
+        at2 = bt.wild_bootstrap_pvalue(v, "sign_gsadf", B=99, seed=3, k=2)
+        assert at2.observed == at0.observed == robust.sign_statistics(v).sgsadf.value
+        assert at2.p_value == at0.p_value
+        np.testing.assert_array_equal(at2.replicates, at0.replicates)
+
+    def test_observed_result_reported(self):
+        v = _walk(66, 40)
+        rep = bt.wild_bootstrap_pvalue(v, "gsadf", tau0=0.3, B=99, seed=2, k=1)
+        want = recursive.gsadf(v, tau0=0.3, k=1)
+        assert (rep.result.value, rep.result.window) == (want.value, want.window)
+        assert rep.observed == want.value
+        assert bt.wild_bootstrap_pvalue(v, lambda x: float(x[-1]), B=99, seed=2).result is None
+
     def test_serial_order_irrelevant(self):
         v = _walk(3, 30)
         rep = bt.wild_bootstrap_pvalue(v, "sadf", tau0=0.4, B=99, seed=8)

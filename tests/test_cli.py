@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
+from exuberance import bootstrap as bt
 from exuberance.cli import (
     SCHEMA_VERSION,
     SEED_ENV_VAR,
@@ -174,6 +175,13 @@ class TestTestCommand:
                      "--stat", "sadf_gls", "--k", "2"]) == 1
         assert main(["test", "--input", flat_csv, "--column", "price",
                      "--stat", "hb_chow", "--det", "trend"]) == 1
+        # every subcommand that takes --stat applies the same rule
+        assert main(["simulate-cv", "--stat", "hb_chow", "--det", "trend",
+                     "--sizes", "40", "--replications", "100"]) == 1
+        assert "sup-Chow statistic fixes its own deterministic terms" in capsys.readouterr().err
+        assert main(["study", "--stat", "sign_sadf", "--k", "1",
+                     "--null-spec", '{"kind": "rw_drift", "T": 60}']) == 1
+        assert "sign statistics are rank-based" in capsys.readouterr().err
 
     def test_usage_and_data_exit_codes(self, tmp_path):
         assert main(["test"]) == 1
@@ -189,6 +197,43 @@ class TestTestCommand:
         rep = _read(out)["result"]
         assert np.isfinite(rep["observed"])
         assert rep["sequence"] is None or rep["sequence"]["kind"].startswith("sign")
+
+
+def _stat_choices(subcommand, capsys):
+    with pytest.raises(SystemExit):
+        main([subcommand, "--help"])
+    found = re.search(r"--stat \{([^}]*)\}", capsys.readouterr().out)
+    return None if found is None else tuple(found.group(1).split(","))
+
+
+@pytest.mark.parametrize("stat", bt.STATISTICS)
+def test_statistic_registry_contract(stat, tmp_path, capsys):
+    # one registry describes each statistic to the CLI, the bootstrap and
+    # the panel scans, so all three must agree on it
+    for subcommand in ("test", "simulate-cv", "study"):
+        assert _stat_choices(subcommand, capsys) == tuple(sorted(bt._REGISTRY))
+    for subcommand in ("datestamp", "monitor"):
+        assert _stat_choices(subcommand, capsys) is None
+
+    values = _flat_values(T=60, seed=8)
+    path = _write_csv(tmp_path / "walk.csv", values)
+    reports = {}
+    for cv in ("rule", "bootstrap"):
+        out = tmp_path / f"{cv}.json"
+        assert main(["test", "--input", path, "--column", "price", "--stat", stat,
+                     "--cv", cv, "--B", "99", "--seed", "3", "--out", str(out)]) == 0
+        reports[cv] = _read(out)["result"]
+    rule, boot = reports["rule"], reports["bootstrap"]
+    for key in ("observed", "argmax", "window"):
+        assert rule[key] == boot[key]
+    assert rule["sequence"]["values"] == boot["sequence"]["values"]
+
+    entry = bt._REGISTRY[stat]
+    tau0 = default_min_window(60)
+    result = entry.observe(values, tau0, "const", 0)
+    assert result.value == rule["observed"]
+    panel = np.stack([values[::-1], values, values + np.linspace(0.0, 3.0, 60)])
+    assert entry.scores(panel, tau0, "const", 0)[1] == result.value
 
 
 class TestDatestampCommand:

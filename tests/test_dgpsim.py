@@ -431,6 +431,15 @@ class TestTabulate:
             )
         assert tab.lookup(40, 0.9) > tab.lookup(40, 0.5) > 0.0
 
+    def test_statistic_receives_only_its_options(self):
+        # sign statistics read neither det nor k; sadf_gls reads det only
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            for stat, kwargs in (("sign_sadf", {"k": 1, "det": "trend"}), ("sadf_gls", {"k": 2})):
+                plain = tabulate_critical_values(stat, [40], replications=100, seed=6)
+                given = tabulate_critical_values(stat, [40], replications=100, seed=6, **kwargs)
+                assert given.values == plain.values
+
     def test_argument_validation(self):
         with pytest.raises(ValueError):
             tabulate_critical_values("sadf", [], replications=2000)
