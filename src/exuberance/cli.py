@@ -18,7 +18,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 
 import numpy as np
@@ -32,7 +32,6 @@ from .bootstrap import (
     wild_bootstrap_pvalue,
 )
 from .datestamp import (
-    episodes_to_json,
     psy_stamp,
     pwy_stamp,
     rule_critical_value,
@@ -50,7 +49,7 @@ from .inference import (
     rolling_ar_coefficients,
 )
 from .recursive import gsadf, sadf
-from .series import default_min_window, frac_to_index, load_series
+from .series import _JsonFields, _jsonable, default_min_window, frac_to_index, load_series
 
 __all__ = [
     "RunConfig",
@@ -79,7 +78,7 @@ class UsageError(ExuberanceError):
 
 
 @dataclass(frozen=True)
-class RunConfig:
+class RunConfig(_JsonFields):
     """Complete, serializable description of one CLI run.
 
     A report's ``config`` block is exactly this dataclass as a dict, so
@@ -129,9 +128,6 @@ class RunConfig:
         if not 0.0 < self.level < 1.0:
             raise UsageError(f"level must lie in (0, 1), got {self.level}")
 
-    def to_dict(self) -> dict:
-        return _jsonable(asdict(self))
-
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
         data = dict(raw)
@@ -145,24 +141,6 @@ class RunConfig:
             if data.get(name) is not None:
                 data[name] = tuple(data[name])
         return cls(**data)
-
-
-def _jsonable(obj):
-    """Recursively convert numpy scalars/arrays and non-finite floats."""
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating, float)):
-        v = float(obj)
-        return v if np.isfinite(v) else None
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
 
 
 def _resolve_tau0(tau0, T: int) -> float:
@@ -342,7 +320,7 @@ def _run_datestamp(config: RunConfig) -> dict:
         "method": method,
         "tau0": tau0,
         "critical_value": cv if method in ("pwy", "psy", "two-step") else None,
-        "episodes": json.loads(episodes_to_json(episodes)),
+        "episodes": [ep.to_dict() for ep in episodes],
         "n_episodes": len(episodes),
         "sequence": None if seq is None else _sequence_dict(seq, series, cv=cv),
         **extra,
@@ -476,7 +454,7 @@ def _run_relate(config: RunConfig) -> dict:
             first, second, delay=config.delay, B=config.B,
             seed=config.seed, multiplier=config.multiplier,
         )
-        return {"method": method, **json.loads(res.to_json())}
+        return {"method": method, **res.to_dict()}
     tau0 = _resolve_tau0(config.tau0, len(first))
     if method == "contagion":
         if config.d_max < 0:
@@ -489,7 +467,7 @@ def _run_relate(config: RunConfig) -> dict:
             rolling_ar_coefficients(second, window),
             range(0, config.d_max + 1),
         )
-        return {"method": method, **json.loads(res.to_json())}
+        return {"method": method, **res.to_dict()}
     # migration
     if config.origin_x is None or config.origin_y is None:
         raise UsageError(
@@ -501,7 +479,7 @@ def _run_relate(config: RunConfig) -> dict:
         recursive_ar_coefficients(second, tau0=tau0),
         config.origin_x, config.origin_y, scale=config.scale,
     )
-    return {"method": method, **json.loads(res.to_json())}
+    return {"method": method, **res.to_dict()}
 
 
 def _run_plot_data(config: RunConfig) -> dict:

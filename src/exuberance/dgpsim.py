@@ -24,9 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bootstrap import _replicate_values, _statistic_fn
+from .bootstrap import _REGISTRY, _replicate_values, _statistic_fn
 from .exceptions import DataError, DegenerateFitError
-from .series import Series, frac_to_index
+from .series import Series, _JsonFields, frac_to_index
 
 __all__ = [
     "DGP_KINDS",
@@ -438,6 +438,15 @@ def _replication_rng(seed: int, T: int, r: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(T, r)))
 
 
+def _read_options(statistic, det, k) -> tuple[str, int]:
+    """The (det, k) that a statistic reads, with the defaults in place of
+    the options it ignores; a custom callable keeps the caller's."""
+    if callable(statistic):
+        return det, k
+    read = _REGISTRY[str(statistic).strip().lower()]._read(det, k)
+    return read.get("det", "const"), read.get("k", 0)
+
+
 def tabulate_critical_values(
     statistic,
     sample_sizes,
@@ -460,6 +469,9 @@ def tabulate_critical_values(
     tau0 : float, optional
         Minimum-window fraction; None applies each statistic's per-T
         default rule.
+    det, k : str, int
+        Regression options.  The table records those the statistic reads,
+        and the defaults for the others (a custom callable: as given).
     levels : iterable of float
         Probability levels for the empirical quantiles.
     replications : int
@@ -498,6 +510,7 @@ def tabulate_critical_values(
             )
         for p in levels:
             values[(T, p)] = float(np.quantile(good, p))
+    det, k = _read_options(statistic, det, k)
     return CvTable(
         statistic=name,
         tau0=tau0,
@@ -512,7 +525,7 @@ def tabulate_critical_values(
 
 
 @dataclass(frozen=True)
-class SizePowerStudy:
+class SizePowerStudy(_JsonFields):
     """Rejection frequencies of one test under a null and an alternative."""
 
     statistic: str
@@ -526,24 +539,6 @@ class SizePowerStudy:
     seed: int
     n_degenerate_null: int
     n_degenerate_alt: int
-
-    def to_dict(self) -> dict:
-        return {
-            "statistic": self.statistic,
-            "level": self.level,
-            "critical_value": self.critical_value,
-            "size": self.size,
-            "power": self.power,
-            "size_se": self.size_se,
-            "power_se": self.power_se,
-            "replications": self.replications,
-            "seed": self.seed,
-            "n_degenerate_null": self.n_degenerate_null,
-            "n_degenerate_alt": self.n_degenerate_alt,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 def _rejection_arm(spec, vol, fn, tau0, det, k, cv, seed, arm, replications):
@@ -593,10 +588,11 @@ def size_power_study(
             )
         cv_value = table.lookup(null_spec.T, quantile)
     elif isinstance(cv, CvTable):
-        if cv.statistic != name or cv.det != det or cv.k != k or cv.tau0 != tau0:
+        read = _read_options(statistic, det, k)
+        if cv.statistic != name or (cv.det, cv.k) != read or cv.tau0 != tau0:
             raise DataError(
                 f"table tabulates {cv.statistic!r} (tau0={cv.tau0}, det={cv.det!r}, "
-                f"k={cv.k}); the study runs {name!r} (tau0={tau0}, det={det!r}, k={k})"
+                f"k={cv.k}); the study runs {name!r} (tau0={tau0}, det={read[0]!r}, k={read[1]})"
             )
         cv_value = cv.lookup(null_spec.T, quantile)
     else:

@@ -12,7 +12,6 @@ only through explicit seeds.
 
 from __future__ import annotations
 
-import json
 import math
 import statistics
 from dataclasses import dataclass, field
@@ -23,7 +22,7 @@ from .bootstrap import MIN_REPLICATIONS, _resolve_seed, multiplier_draws, replic
 from .exceptions import DataError, DegenerateFitError
 from .ols import fit_adf_window
 from .recursive import StatSequence, _resolve_tau0
-from .series import as_values, normalize_det
+from .series import _JsonFields, as_values, normalize_det
 
 __all__ = [
     "CAUCHY_PERCENTILES",
@@ -66,7 +65,7 @@ def cauchy_critical_value(level: float) -> float:
 
 
 @dataclass
-class MildlyExplosiveCI:
+class MildlyExplosiveCI(_JsonFields):
     """Confidence interval for the root of an explosive segment.
 
     ``method`` records how the half-width was formed: ``cauchy`` for the
@@ -95,19 +94,6 @@ class MildlyExplosiveCI:
     @property
     def half_width(self) -> float:
         return (self.upper - self.lower) / 2.0
-
-    def to_dict(self) -> dict:
-        return {
-            "rho_hat": self.rho_hat,
-            "lower": self.lower,
-            "upper": self.upper,
-            "level": self.level,
-            "method": self.method,
-            "nobs": self.nobs,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 def cauchy_ci(segment, level: float = 0.95) -> MildlyExplosiveCI:
@@ -199,7 +185,7 @@ def t_ci(segment, det: str = "const", level: float = 0.95) -> MildlyExplosiveCI:
 
 
 @dataclass
-class DriftExponent:
+class DriftExponent(_JsonFields):
     """Estimated decay exponent of a shrinking drift.
 
     For a drift of the form mu * T^{-eta}, both point estimates recover
@@ -212,18 +198,6 @@ class DriftExponent:
     mu_hat: float
     mu_tilde: float
     nobs: int
-
-    def to_dict(self) -> dict:
-        return {
-            "eta_hat": self.eta_hat,
-            "eta_tilde": self.eta_tilde,
-            "mu_hat": self.mu_hat,
-            "mu_tilde": self.mu_tilde,
-            "nobs": self.nobs,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 def drift_exponent(series) -> DriftExponent:
@@ -320,7 +294,7 @@ def _sequence_ends(seq: StatSequence) -> np.ndarray:
 
 
 @dataclass
-class MigrationTest:
+class MigrationTest(_JsonFields):
     """Result of the explosiveness-migration regression.
 
     ``z_beta`` is oriented so that evidence of migration (a negative
@@ -337,22 +311,6 @@ class MigrationTest:
     m: int
     scale: float
     nobs: int
-
-    def to_dict(self) -> dict:
-        return {
-            "beta0_hat": self.beta0_hat,
-            "beta1_hat": self.beta1_hat,
-            "z_beta": self.z_beta,
-            "p_value": self.p_value,
-            "origin_x": self.origin_x,
-            "origin_y": self.origin_y,
-            "m": self.m,
-            "scale": self.scale,
-            "nobs": self.nobs,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 def migration_test(
@@ -429,7 +387,7 @@ def migration_test(
 
 
 @dataclass
-class ContagionFit:
+class ContagionFit(_JsonFields):
     """Estimated transmission delay between two rolling coefficient paths.
 
     ``r2_by_delay`` keeps the full profile so callers can judge how
@@ -442,19 +400,6 @@ class ContagionFit:
     r2: float
     nobs: int
     r2_by_delay: dict[int, float] = field(repr=False)
-
-    def to_dict(self) -> dict:
-        return {
-            "delay": self.delay,
-            "theta1_hat": self.theta1_hat,
-            "theta2_hat": self.theta2_hat,
-            "r2": self.r2,
-            "nobs": self.nobs,
-            "r2_by_delay": {str(d): r for d, r in self.r2_by_delay.items()},
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 def contagion_delay(
@@ -538,7 +483,7 @@ def contagion_delay(
 
 
 @dataclass
-class CobubbleTest:
+class CobubbleTest(_JsonFields):
     """Residual-based co-movement test between two bubbling series.
 
     ``stat`` is a KPSS-type statistic on the residuals from regressing
@@ -559,21 +504,7 @@ class CobubbleTest:
     multiplier: str
     replicates: np.ndarray = field(repr=False)
 
-    def to_dict(self) -> dict:
-        return {
-            "stat": self.stat,
-            "p_value": self.p_value,
-            "delay": self.delay,
-            "intercept": self.intercept,
-            "slope": self.slope,
-            "n_overlap": self.n_overlap,
-            "B": self.B,
-            "seed": self.seed,
-            "multiplier": self.multiplier,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
+    _omit = ("replicates",)
 
 
 def _cusum_ratio(resid: np.ndarray, T: int) -> float:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import ols
 from .exceptions import DegenerateFitError
-from .series import as_values, default_min_window, frac_to_index, normalize_det
+from .series import _jsonable, as_values, default_min_window, frac_to_index, normalize_det
 
 __all__ = [
     "StatSequence",
@@ -73,13 +73,9 @@ class StatSequence:
                 fh.write(f"{format(t2, '.17g')},{sval}\n")
 
     def to_json(self) -> str:
-        entries = [
-            [t2, None if np.isnan(v) else v]
-            for t2, v in zip(self.tau2.tolist(), self.values.tolist())
-        ]
-        return json.dumps(
-            {"kind": self.kind, "tau0": self.tau0, "nobs": self.nobs, "entries": entries}
-        )
+        return json.dumps(_jsonable(
+            {"kind": self.kind, "tau0": self.tau0, "nobs": self.nobs, "entries": self.entries}
+        ))
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Core series container, fraction/index mapping, and CSV IO.
+"""Core series container, fraction/index mapping, CSV IO and JSON reports.
 
 Conventions used across the package
 -----------------------------------
@@ -13,8 +13,9 @@ observations.
 from __future__ import annotations
 
 import csv
+import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -274,3 +275,38 @@ def as_values(data: "Series | np.ndarray | list") -> np.ndarray:
     if isinstance(data, Series):
         return data.values
     return Series(values=np.asarray(data, dtype=np.float64)).values
+
+
+def _jsonable(obj):
+    """Recursively convert numpy scalars/arrays to JSON types, non-finite floats to None."""
+    if isinstance(obj, dict):
+        return {str(k): _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [_jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, (np.floating, float)):
+        v = float(obj)
+        return v if np.isfinite(v) else None
+    if isinstance(obj, np.bool_):
+        return bool(obj)
+    return obj
+
+
+class _JsonFields:
+    """Mixin giving a result dataclass its JSON report: ``to_dict`` lists the
+    fields in order, minus those named in ``_omit``, through ``_jsonable``."""
+
+    _omit: tuple[str, ...] = ()
+
+    def to_dict(self) -> dict:
+        return {
+            f.name: _jsonable(getattr(self, f.name))
+            for f in fields(self)
+            if f.name not in self._omit
+        }
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict())

@@ -436,6 +436,17 @@ class TestRelateCommand:
         assert main(["relate", "--method", "migration", "--input", core,
                      "--input2", target, "--origin-x", "31", "--origin-y", "34"]) == 2
 
+    def test_non_finite_result_written_as_null(self, tmp_path):
+        # a tiny scale overflows the migration statistic to -inf
+        core, target = self._pair(tmp_path)
+        out = tmp_path / "r.json"
+        assert main(["relate", "--method", "migration", "--input", core,
+                     "--input2", target, "--origin-x", "31", "--origin-y", "45",
+                     "--scale", "1e-320", "--out", str(out)]) == 0
+        rep = _read(out)["result"]
+        assert rep["z_beta"] is None
+        assert rep["p_value"] == 1.0
+
     def test_method_required(self, tmp_path):
         core, target = self._pair(tmp_path)
         assert main(["relate", "--input", core, "--input2", target]) == 1

@@ -440,6 +440,27 @@ class TestTabulate:
                 given = tabulate_critical_values(stat, [40], replications=100, seed=6, **kwargs)
                 assert given.values == plain.values
 
+    def test_table_records_the_options_the_statistic_reads(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            sign = tabulate_critical_values("sign_sadf", [40], k=1, det="trend", replications=100, seed=6)
+            gls = tabulate_critical_values("sadf_gls", [40], k=2, det="trend", replications=100, seed=6)
+            custom = tabulate_critical_values(
+                lambda v: float(v[-1] - v[0]), [40], k=1, det="trend", replications=100, seed=6
+            )
+        assert (sign.det, sign.k) == ("const", 0)
+        assert (gls.det, gls.k) == ("trend", 0)
+        assert (custom.det, custom.k) == ("trend", 1)
+        # the table is right for a study at the defaults and at ignored options
+        null = DgpSpec(kind="rw_drift", T=40, seed=0)
+        for k in (0, 1):
+            study = size_power_study("sign_sadf", null, null, replications=20, seed=1, k=k, cv=sign)
+            assert study.critical_value == sign.lookup(40, 0.95)
+        study = size_power_study("sadf_gls", null, null, replications=20, seed=1, det="trend", k=2, cv=gls)
+        assert study.critical_value == gls.lookup(40, 0.95)
+        with pytest.raises(DataError, match="det='trend'"):
+            size_power_study("sadf_gls", null, null, replications=20, seed=1, cv=gls)
+
     def test_argument_validation(self):
         with pytest.raises(ValueError):
             tabulate_critical_values("sadf", [], replications=2000)

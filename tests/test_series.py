@@ -1,4 +1,7 @@
-"""Series container, window arithmetic, and CSV round-trips."""
+"""Series container, window arithmetic, CSV round-trips and JSON reports."""
+
+import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -12,7 +15,17 @@ from exuberance import (
     load_series,
     save_series,
 )
-from exuberance.series import normalize_det
+from exuberance.cli import RunConfig
+from exuberance.dgpsim import SizePowerStudy
+from exuberance.inference import (
+    CobubbleTest,
+    ContagionFit,
+    DriftExponent,
+    MigrationTest,
+    MildlyExplosiveCI,
+)
+from exuberance.recursive import StatSequence
+from exuberance.series import _JsonFields, normalize_det
 
 
 class TestFracToIndex:
@@ -201,3 +214,61 @@ class TestCsvIo:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
             load_series(tmp_path / "absent.csv")
+
+
+def _strict_loads(text):
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+# one hand-built instance per class on the shared serializer, with the
+# key path of a field set to a non-finite value
+_REPORTS = [
+    (MildlyExplosiveCI(rho_hat=1.02, lower=1.0, upper=np.inf, level=0.9, method="cauchy", nobs=12),
+     ("upper",)),
+    (DriftExponent(eta_hat=np.nan, eta_tilde=0.4, mu_hat=1.5, mu_tilde=1.4, nobs=np.int64(80)),
+     ("eta_hat",)),
+    (MigrationTest(beta0_hat=0.2, beta1_hat=0.1, z_beta=-np.inf, p_value=1.0, origin_x=60,
+                   origin_y=72, m=12, scale=1e-320, nobs=12),
+     ("z_beta",)),
+    (ContagionFit(delay=2, theta1_hat=0.3, theta2_hat=0.9, r2=0.5, nobs=40,
+                  r2_by_delay={0: np.float64(np.nan), 1: 0.2, 2: 0.5}),
+     ("r2_by_delay", "0")),
+    (CobubbleTest(stat=np.float64(np.inf), p_value=0.0, delay=0, intercept=0.1, slope=2.0,
+                  n_overlap=90, B=99, seed=5, multiplier="gaussian", replicates=np.arange(3.0)),
+     ("stat",)),
+    (SizePowerStudy(statistic="sadf", level=0.05, critical_value=np.nan, size=0.05, power=0.5,
+                    size_se=0.01, power_se=0.02, replications=100, seed=1,
+                    n_degenerate_null=0, n_degenerate_alt=0),
+     ("critical_value",)),
+    (RunConfig(subcommand="relate", method="migration", scale=-np.inf, sizes=(40, 60)),
+     ("scale",)),
+]
+
+
+class TestJsonReports:
+    def test_every_class_on_the_shared_serializer_is_covered(self):
+        assert {type(obj) for obj, _ in _REPORTS} == set(_JsonFields.__subclasses__())
+
+    @pytest.mark.parametrize("obj, path", _REPORTS, ids=[type(obj).__name__ for obj, _ in _REPORTS])
+    def test_contract(self, obj, path):
+        d = obj.to_dict()
+        omitted = type(obj)._omit
+        assert list(d) == [f.name for f in fields(obj) if f.name not in omitted]
+        assert _strict_loads(obj.to_json()) == d
+        value = d
+        for key in path:
+            value = value[key]
+        assert value is None
+
+    def test_omitted_fields_are_left_out(self):
+        obj = next(obj for obj, _ in _REPORTS if isinstance(obj, CobubbleTest))
+        assert "replicates" not in obj.to_dict()
+
+    def test_sequence_writes_non_finite_values_as_null(self):
+        seq = StatSequence(kind="bsadf", tau0=0.2, tau2=[0.5, 0.75, 1.0],
+                           values=[np.nan, np.inf, 1.5], nobs=4)
+        data = _strict_loads(seq.to_json())
+        assert data["entries"] == [[0.5, None], [0.75, None], [1.0, 1.5]]
