@@ -9,9 +9,9 @@ running replicates serially, in any order, or in parallel produces
 bitwise-identical draws.
 
 Replicate paths are built one by one from those streams and scored in
-panel chunks of rows: sadf and gsadf scan a whole chunk at once, every
-other statistic loops over its rows.  Chunking changes no draw and no
-value; a replicate's statistic is the same at any chunk position.
+panel chunks: sadf, gsadf and the sign and time-transformed statistics
+scan a chunk at once; sbz, hb_chow, sadf_gls and custom callables go row
+by row.  Chunking changes no draw and no value at any chunk position.
 """
 
 from __future__ import annotations
@@ -115,11 +115,12 @@ class _Statistic:
     """One registered statistic.
 
     ``result(values, tau0, **options)`` gives its SupResult.  ``panel(Y,
-    tau0, **options)``, where given, scores a (rows, T) panel in one scan,
-    NaN where degenerate; otherwise rows are scored one by one through
-    ``result``.  ``options`` names the regression options, of ``det`` and
-    ``k``, that the statistic reads: it receives only those, and
-    ``reason`` says why it takes no others.
+    tau0, **options)`` scores a (rows, T) panel in one scan, NaN where
+    degenerate: sadf, gsadf and the sign and time-transformed statistics
+    have one.  Without it (sbz, hb_chow, sadf_gls) rows are scored one by
+    one through ``result``.  ``options`` names the regression options, of
+    ``det`` and ``k``, that the statistic reads: it receives only those,
+    and ``reason`` says why it takes no others.
     """
 
     result: Callable
@@ -137,6 +138,23 @@ class _Statistic:
         if self.panel is None:
             return _by_row(lambda v, *args: self.observe(v, *args).value)(Y, tau0, det, k)
         return self.panel(Y, tau0, **self._read(det, k))
+
+
+def _robust(window, kind, double, reason) -> _Statistic:
+    """A sign or time-transformed statistic: the prefix sup, or the double
+    sup when ``double``, of the panel closed form that ``window`` builds."""
+
+    def result(values, tau0):
+        v = as_values(values)
+        tau0, m0 = _resolve_tau0(v.size, tau0)
+        return robust._sup(kind, double, window(v[None], strict=True), m0, v.size, tau0)
+
+    def panel(Y, tau0):
+        m0 = _resolve_tau0(Y.shape[1], tau0)[1]
+        curve = robust._sup_curve(window(Y), len(Y), m0, Y.shape[1], double)[0]
+        return recursive._row_sup(curve[:, m0:])
+
+    return _Statistic(result, (), reason, panel)
 
 
 _SIGN = "sign statistics are rank-based and ignore regression options"
@@ -157,10 +175,10 @@ _REGISTRY = {
         robust.sbz, (),
         "the variance-profile statistic is tuned by bandwidth, not regression options",
     ),
-    "sign_sadf": _Statistic(lambda v, tau0: robust.sign_statistics(v, tau0).ssadf, (), _SIGN),
-    "sign_gsadf": _Statistic(lambda v, tau0: robust.sign_statistics(v, tau0).sgsadf, (), _SIGN),
-    "stadf": _Statistic(lambda v, tau0: robust.time_transformed_tests(v, tau0).stadf, (), _TIME),
-    "gstadf": _Statistic(lambda v, tau0: robust.time_transformed_tests(v, tau0).gstadf, (), _TIME),
+    "sign_sadf": _robust(robust._sign_rows, "sign_sadf", False, _SIGN),
+    "sign_gsadf": _robust(robust._sign_rows, "sign_bsadf", True, _SIGN),
+    "stadf": _robust(robust._tt_rows, "stadf", False, _TIME),
+    "gstadf": _robust(robust._tt_rows, "gstadf", True, _TIME),
 }
 
 #: Statistic names accepted by the bootstrap entry points (and the CLI).

@@ -18,6 +18,7 @@ import csv
 import json
 import os
 import sys
+import warnings
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 
@@ -781,7 +782,9 @@ def _summary_line(report: dict) -> str:
 
 
 def main(argv=None) -> int:
-    """Console entry point; returns the process exit code."""
+    """Console entry point; returns the process exit code.  A warning
+    still reaches callers but prints as one line, without its source."""
+    fmt, warnings.formatwarning = warnings.formatwarning, lambda msg, *_: f"warning: {msg}\n"
     try:
         args = _build_parser().parse_args(argv)
         config = _merge_config(args)
@@ -808,6 +811,8 @@ def main(argv=None) -> int:
     except (ExuberanceError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        warnings.formatwarning = fmt
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -22,7 +22,7 @@ import numpy as np
 from . import recursive
 from .exceptions import DegenerateFitError
 from .recursive import StatSequence, _resolve_tau0
-from .robust import sign_path
+from .robust import _sign_moments, _sup_curve, sign_path
 from .series import Series, as_values, frac_to_index
 
 __all__ = [
@@ -713,49 +713,28 @@ def sign_stamp(
     if not 0 < epsilon <= 1:
         raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
     C = sign_path(v, mode=mode, filter_lags=filter_lags)
-    if not np.any(C != 0):
-        raise DegenerateFitError("all increment signs are zero (flat series)")
-    x = C[:-1].astype(float)
-    d = np.diff(C).astype(float)
-    z = np.zeros(1)
-    PA = np.concatenate([z, np.cumsum(x * x)])
-    PB = np.concatenate([z, np.cumsum(x * d)])
-    PC = np.concatenate([z, np.cumsum(d * d)])
-
+    sxy, sxx, sdd = _sign_moments(C[None], strict=True)
     # prefix variances of the sign regression, defined from window (0, e]
     e_all = np.arange(T + 1)
     with np.errstate(invalid="ignore", divide="ignore"):
-        s2_prefix = (PC - PB * PB / PA) / (e_all - 1)
-    s2_prefix[PA <= 0] = np.nan
-    s2_prefix[e_all < 2] = np.nan
+        s2 = (sdd - sxy * sxy / sxx) / (e_all - 1)
+    s2[(sxx <= 0) | (e_all < 2)] = np.nan
 
-    best = -np.inf
-    best_dates = None
-    for e in range(m0, T + 1):
-        if np.isnan(s2_prefix[e]):
-            continue
-        s = np.arange(0, e - m0 + 1)
-        sxx = PA[e] - PA[s]
-        sxy = PB[e] - PB[s]
-        num = e * s2_prefix[e] - np.where(s > 0, s * s2_prefix[s], 0.0)
+    def stat(e, s):
+        num = e * s2[:, e] - np.where(s > 0, s * s2[:, s], 0.0)
         with np.errstate(invalid="ignore", divide="ignore"):
             s2c = num / (e - s - 1)
-            stat = (sxy / sxx) / np.sqrt(s2c**epsilon / sxx)
-        ok = (sxx > 0) & (s2c > 0)
-        ok &= ~((s > 0) & np.isnan(s2_prefix[s]))
-        stat = np.where(ok, stat, -np.inf)
-        i = int(np.argmax(stat))
-        if stat[i] > best:
-            best = float(stat[i])
-            best_dates = (int(s[i]), e)
-    if best_dates is None:
+            b = sxx[:, e] - sxx[:, s]
+            st = ((sxy[:, e] - sxy[:, s]) / b) / np.sqrt(s2c**epsilon / b)
+        return np.where((b > 0) & (s2c > 0), st, np.nan)
+
+    curve, starts = _sup_curve(stat, 1, m0, T)
+    if np.isnan(curve).all():
         raise DegenerateFitError("no admissible window for sign-based dating")
-    s_star, e_star = best_dates
+    e_star = int(np.nanargmax(curve[0]))  # ties: the earliest endpoint
+    s_star = int(starts[0, e_star])
     return Episode(
-        origin=s_star / T,
-        collapse=e_star / T,
-        origin_index=s_star,
-        collapse_index=e_star,
+        origin=s_star / T, collapse=e_star / T, origin_index=s_star, collapse_index=e_star
     )
 
 

@@ -106,27 +106,6 @@ def _resolve_tau0(T: int, tau0: float | None) -> tuple[float, int]:
     return float(tau0), m0
 
 
-def _prefix_supresult(kind, stats, m0, T, tau0) -> SupResult:
-    seq = StatSequence(
-        kind=kind,
-        tau0=tau0,
-        tau2=np.arange(m0, T + 1) / T,
-        values=stats[m0:],
-        nobs=T,
-    )
-    if np.isnan(stats[m0:]).all():
-        raise DegenerateFitError(f"every window degenerate in {kind} scan")
-    e_star = m0 + int(np.nanargmax(stats[m0:]))
-    return SupResult(
-        kind=kind,
-        value=float(stats[e_star]),
-        argmax=(0.0, e_star / T),
-        window=(0, e_star),
-        tau0=tau0,
-        sequence=seq,
-    )
-
-
 def _double_supresult(kind, maxvals, argmax_s, m0, T, tau0) -> SupResult:
     if np.isnan(maxvals[m0:]).all():
         raise DegenerateFitError(f"every window degenerate in {kind} scan")
@@ -152,6 +131,11 @@ def _double_supresult(kind, maxvals, argmax_s, m0, T, tau0) -> SupResult:
         tau0=tau0,
         sequence=seq,
     )
+
+
+def _prefix_supresult(kind, stats, m0, T, tau0) -> SupResult:
+    """Sup of a prefix curve: the double sup with every window starting at 0."""
+    return _double_supresult(kind, stats, np.zeros(T + 1, dtype=np.int64), m0, T, tau0)
 
 
 def _prefix_curves(Y: np.ndarray, m0: int, det: str, k: int) -> np.ndarray:

@@ -16,6 +16,7 @@ and reuse its result containers.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -156,55 +157,62 @@ def _normalize_sign_mode(mode: str) -> str:
     raise ValueError(f"unknown sign mode {mode!r}")
 
 
-def _sign_scan(C: np.ndarray, m0: int):
-    """Prefix stats, per-endpoint sups, and smallest maximizing starts.
-
-    Window (s, e] regresses the sign-path increments on the lagged path
-    with no intercept; the variance estimate divides by e - s - 1.  Rows
-    with t <= 1 contribute zero to every accumulated moment, so plain
-    prefix sums cover all starts uniformly.
-    """
-    T = C.size - 1
-    dC = np.diff(C)
-    x = C[:-1]
-    PA = np.zeros(T + 1)
-    PB = np.zeros(T + 1)
-    PC = np.zeros(T + 1)
-    PA[1:] = np.cumsum(x * dC)
-    PB[1:] = np.cumsum(x * x)
-    PC[1:] = np.cumsum(dC * dC)
-    prefix = np.full(T + 1, np.nan)
-    maxvals = np.full(T + 1, np.nan)
-    argmax_s = np.full(T + 1, -1, dtype=np.int64)
+def _sup_curve(stat, rows: int, m0: int, T: int, double: bool = True):
+    """The one per-endpoint window loop of the sign and time-transformed
+    statistics: for e = m0..T, the sup over starts s of ``stat(e, s)``,
+    per row, and the smallest start attaining it ((rows, T+1) arrays).
+    ``stat`` is a closed form on windows (s, e]: for integer arrays e and
+    s that broadcast it gives a (rows, n) array, NaN where undefined.  A
+    prefix curve (``double`` False) takes only s = 0, in one O(T) call."""
+    curve = np.full((rows, T + 1), np.nan)
+    starts = np.zeros((rows, T + 1), dtype=np.int64)
+    if not double:
+        curve[:, m0:] = stat(np.arange(m0, T + 1), np.zeros(1, dtype=np.int64))
+        return curve, starts
     for e in range(m0, T + 1):
-        s_arr = np.arange(0, e - m0 + 1)
-        A = PA[e] - PA[s_arr]
-        Bq = PB[e] - PB[s_arr]
-        Cq = PC[e] - PC[s_arr]
-        dof = (e - s_arr - 1).astype(float)
-        valid = Bq > 0
-        st = np.full(s_arr.size, np.nan)
+        st = stat(np.array([e]), np.arange(e - m0 + 1))
+        curve[:, e] = np.fmax.reduce(st, axis=1)
+        starts[:, e] = np.argmax(st == curve[:, e, None], axis=1)
+    return curve, starts
+
+
+def _sup(kind, double, stat, m0, T, tau0) -> SupResult:
+    curve, starts = _sup_curve(stat, 1, m0, T, double)
+    return _double_supresult(kind, curve[0], starts[0], m0, T, tau0)
+
+
+def _sign_moments(C: np.ndarray, strict: bool = False) -> np.ndarray:
+    """Prefix sums over t = 1..e of x dC, x x and dC dC (x = C_{t-1}, dC =
+    C_t - C_{t-1}) of (rows, T+1) sign paths; rows t <= 1 add zero, so
+    differences cover any start.  ``strict`` refuses a flat row."""
+    if strict and not C.any(axis=1).all():
+        raise DegenerateFitError("all increment signs are zero (flat series)")
+    dC, x = np.diff(C, axis=1), C[:, :-1]
+    return np.cumsum(np.pad(np.stack([x * dC, x * x, dC * dC]), ((0, 0), (0, 0), (1, 0))), axis=2)
+
+
+def _sign_window(C: np.ndarray, strict: bool = False):
+    """Closed form of the sign statistic on windows (s, e] of sign paths:
+    the path increments regressed on the lagged path with no intercept,
+    the residual variance divided by e - s - 1.  An exact fit gives +-inf
+    by the sign of the slope (NaN for a zero slope); a flat row is NaN."""
+    A, B, D = _sign_moments(C, strict)
+
+    def stat(e, s):
+        a, b, d = A[:, e] - A[:, s], B[:, e] - B[:, s], D[:, e] - D[:, s]
         with np.errstate(divide="ignore", invalid="ignore"):
-            delta = np.where(valid, A / np.where(valid, Bq, 1.0), np.nan)
-            sse = Cq - np.where(valid, A * A / np.where(valid, Bq, 1.0), 0.0)
-            exact = valid & (sse <= 0)
-            ok = valid & (sse > 0)
-            st[ok] = delta[ok] * np.sqrt(Bq[ok] * dof[ok] / sse[ok])
-        st[exact & (delta > 0)] = np.inf
-        st[exact & (delta < 0)] = -np.inf
-        st[exact & (delta == 0)] = np.nan
-        valid = ~np.isnan(st)
-        if not valid.any():
-            continue
-        prefix[e] = st[0]
-        filled = np.where(valid, st, -np.inf)
-        m = filled.max()
-        maxvals[e] = m
-        if m == -np.inf:
-            argmax_s[e] = int(np.flatnonzero(valid)[0])
-        else:
-            argmax_s[e] = int(np.flatnonzero(filled == m)[0])
-    return prefix, maxvals, argmax_s
+            delta = a / b
+            sse = d - a * a / b
+            st = np.where(sse > 0, delta * np.sqrt(b * (e - s - 1) / sse), np.sign(delta) * np.inf)
+        return np.where(b > 0, st, np.nan)
+
+    return stat
+
+
+def _sign_rows(Y: np.ndarray, strict: bool = False):
+    """Sign closed form of a (rows, T) panel, on the raw sign paths."""
+    C = np.pad(np.cumsum(np.sign(np.diff(Y, axis=1)), axis=1), ((0, 0), (2, 0)))
+    return _sign_window(C, strict)
 
 
 @dataclass
@@ -229,15 +237,10 @@ def sign_statistics(
     adding a constant to the series.
     """
     v = as_values(series)
-    T = v.size
-    tau0, m0 = _resolve_tau0(T, tau0)
+    tau0, m0 = _resolve_tau0(v.size, tau0)
     C = sign_path(v, mode=mode, filter_lags=filter_lags)
-    if not np.any(C != 0):
-        raise DegenerateFitError("all increment signs are zero (flat series)")
-    prefix, maxvals, argmax_s = _sign_scan(C, m0)
-    ssadf = _prefix_supresult("sign_sadf", prefix, m0, T, tau0)
-    sgsadf = _double_supresult("sign_bsadf", maxvals, argmax_s, m0, T, tau0)
-    return SignStatistics(ssadf=ssadf, sgsadf=sgsadf, path=C)
+    args = _sign_window(C[None], strict=True), m0, v.size, tau0
+    return SignStatistics(_sup("sign_sadf", False, *args), _sup("sign_bsadf", True, *args), C)
 
 
 @dataclass
@@ -317,6 +320,43 @@ class TimeTransformedTests:
     profile: VarianceProfile
 
 
+def _transformed(v: np.ndarray, bandwidth: float | None):
+    """(path, variance profile): the series resampled at the floor-mapped
+    inverse of its variance profile, shifted by its first value."""
+    prof = variance_profile(v, bandwidth=bandwidth)
+    ytil = v[prof.transform_indices() - 1]
+    return ytil - ytil[0], prof
+
+
+def _tt_window(ytil: np.ndarray, om2: np.ndarray):
+    """Closed form of the time-transformed statistic on windows (s, e] of
+    (rows, T+1) paths with average innovation variances ``om2`` (rows, 1).
+    Endpoint levels are squared by libm's pow (``float_power``), start
+    levels by multiplication, as this scan always has: the two differ in
+    the last bit for about one value in a thousand."""
+    sq, sq_end = ytil**2, np.float_power(ytil, 2.0)
+    Q = np.cumsum(np.pad(sq[:, :-1], ((0, 0), (1, 0))), axis=1)
+    scale = 2.0 * np.sqrt(om2)
+
+    def stat(e, s):
+        den = Q[:, e] - Q[:, s]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            st = (sq_end[:, e] - sq[:, s] - om2 * (e - s)) / (scale * np.sqrt(den))
+        return np.where(den > 0, st, np.nan)
+
+    return stat
+
+
+def _tt_rows(Y: np.ndarray, strict: bool = False):
+    """Time-transformed closed form of a panel; a degenerate row is NaN (strict: raises)."""
+    ytil, om2 = np.full((len(Y), Y.shape[1] + 1), np.nan), np.full((len(Y), 1), np.nan)
+    for i, v in enumerate(Y):
+        with suppress(() if strict else DegenerateFitError):
+            ytil[i], prof = _transformed(v, None)
+            om2[i] = prof.omega_bar2
+    return _tt_window(ytil, om2)
+
+
 def time_transformed_tests(
     series,
     tau0: float | None = None,
@@ -324,40 +364,12 @@ def time_transformed_tests(
 ) -> TimeTransformedTests:
     """Prefix-sup and double-sup statistics on the time-transformed series.
 
-    The series is resampled at the floor-mapped inverse of the variance
-    profile and shifted by its first transformed value; the window
-    statistic compares the growth of the squared path against the average
-    innovation variance, studentised by the cumulated squared path.
+    The window statistic compares the growth of the squared transformed
+    path against the average innovation variance, studentised by the
+    cumulated squared path.
     """
     v = as_values(series)
-    T = v.size
-    tau0, m0 = _resolve_tau0(T, tau0)
-    prof = variance_profile(v, bandwidth=bandwidth)
-    idx = prof.transform_indices()
-    ytil = v[idx - 1]
-    ytil = ytil - ytil[0]
-    om2 = prof.omega_bar2
-    om = np.sqrt(om2)
-    Q = np.cumsum(ytil**2)
-
-    prefix = np.full(T + 1, np.nan)
-    maxvals = np.full(T + 1, np.nan)
-    argmax_s = np.full(T + 1, -1, dtype=np.int64)
-    for e in range(m0, T + 1):
-        s_arr = np.arange(0, e - m0 + 1)
-        den = Q[e - 1] - np.where(s_arr > 0, Q[s_arr - 1], 0.0)
-        num = ytil[e] ** 2 - ytil[s_arr] ** 2 - om2 * (e - s_arr)
-        valid = den > 0
-        st = np.full(s_arr.size, np.nan)
-        st[valid] = num[valid] / (2.0 * om * np.sqrt(den[valid]))
-        if not valid.any():
-            continue
-        if valid[0]:
-            prefix[e] = st[0]
-        filled = np.where(valid, st, -np.inf)
-        m = filled.max()
-        maxvals[e] = m
-        argmax_s[e] = int(np.flatnonzero(filled == m)[0])
-    stadf = _prefix_supresult("stadf", prefix, m0, T, tau0)
-    gstadf = _double_supresult("gstadf", maxvals, argmax_s, m0, T, tau0)
-    return TimeTransformedTests(stadf=stadf, gstadf=gstadf, profile=prof)
+    tau0, m0 = _resolve_tau0(v.size, tau0)
+    ytil, prof = _transformed(v, bandwidth)
+    args = _tt_window(ytil[None], np.array([[prof.omega_bar2]])), m0, v.size, tau0
+    return TimeTransformedTests(_sup("stadf", False, *args), _sup("gstadf", True, *args), prof)

@@ -7,6 +7,7 @@ import oracles
 from exuberance import DegenerateFitError
 from exuberance import bootstrap as bt
 from exuberance import recursive, robust
+from exuberance.series import default_min_window, frac_to_index
 
 
 def _walk(seed, T, scale=None):
@@ -252,10 +253,19 @@ class TestReplicateBatching:
 
     def test_chunking_keeps_replicates_bit_for_bit(self):
         v = _walk(62, self.T)
-        for stat in ("gsadf", "sadf"):
+        for stat in ("gsadf", "sadf", "sign_sadf", "sign_gsadf", "stadf", "gstadf"):
             long = bt.wild_bootstrap_pvalue(v, stat, B=199, seed=23)
             short = bt.wild_bootstrap_pvalue(v, stat, B=99, seed=23)
             np.testing.assert_array_equal(long.replicates[:99], short.replicates)
+
+    def test_robust_panel_replicates_match_oracles(self):
+        v = _walk(64, 40)
+        m0 = frac_to_index(default_min_window(40), 40)
+        for stat, oracle in (("sign_gsadf", oracles.sign_sups),
+                             ("gstadf", oracles.time_transformed)):
+            rep = bt.wild_bootstrap_pvalue(v, stat, B=99, seed=11)
+            want = [oracle(_replicate_path(v, 11, r), m0)[1] for r in range(99)]
+            np.testing.assert_allclose(rep.replicates, want, rtol=0, atol=1e-9)
 
     def test_row_loop_statistics_match_their_scalar_form(self):
         v = _walk(63, 40)

@@ -329,6 +329,19 @@ class TestSimulateCvCommand:
         assert main(["simulate-cv", "--stat", "sadf"]) == 1
         assert main(["simulate-cv", "--stat", "sadf", "--sizes", "forty"]) == 1
 
+    def test_below_grade_warning_prints_one_line(self, tmp_path):
+        # the console shows the message alone, not the package's file and code
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+        env.pop("PYTHONWARNINGS", None)
+        argv = ["simulate-cv", "--stat", "sadf", "--sizes", "40", "--replications", "100",
+                "--seed", "1", "--out", str(tmp_path / "r.json")]
+        run = subprocess.run([sys.executable, "-m", "exuberance.cli", *argv],
+                             env=env, capture_output=True, text=True)
+        assert run.returncode == 0
+        assert run.stderr == (
+            "warning: 100 replications is below table grade (1000); quantiles will be noisy\n"
+        )
+
 
 class TestStudyCommand:
     NULL = '{"kind": "rw_drift", "T": 60}'

@@ -5,6 +5,8 @@ import pytest
 
 import oracles
 from exuberance import DegenerateFitError
+from exuberance import bootstrap as bt
+from exuberance.datestamp import sign_stamp
 from exuberance.robust import (
     kernel_variance,
     sbz,
@@ -13,6 +15,7 @@ from exuberance.robust import (
     time_transformed_tests,
     variance_profile,
 )
+from exuberance.series import frac_to_index
 
 
 def _walk(seed, T):
@@ -247,3 +250,84 @@ class TestTimeTransformed:
         v = _walk(59, 40)
         r = time_transformed_tests(v, tau0=0.3)
         assert np.isfinite(r.gstadf.value)
+
+
+class TestPanels:
+    """Registry panel forms: one scan of a panel equals each row alone."""
+
+    T, TAU0 = 48, 0.25
+    ONE = {
+        "sign_sadf": lambda v, tau0: sign_statistics(v, tau0).ssadf.value,
+        "sign_gsadf": lambda v, tau0: sign_statistics(v, tau0).sgsadf.value,
+        "stadf": lambda v, tau0: time_transformed_tests(v, tau0).stadf.value,
+        "gstadf": lambda v, tau0: time_transformed_tests(v, tau0).gstadf.value,
+    }
+    ORACLE = {
+        "sign_sadf": lambda v, m0: oracles.sign_sups(v, m0)[0],
+        "sign_gsadf": lambda v, m0: oracles.sign_sups(v, m0)[1],
+        "stadf": lambda v, m0: oracles.time_transformed(v, m0)[0],
+        "gstadf": lambda v, m0: oracles.time_transformed(v, m0)[1],
+    }
+
+    def _panel(self):
+        # a walk; an integer-step walk with zero increments and exact ties;
+        # rises then a flat stretch of 20 > m0 (the sign scan's sse = 0
+        # windows); a flat start before a drift, which the variance
+        # profile stretches over many grid points (the time-transformed
+        # den <= 0 windows); and a constant row
+        rng = np.random.default_rng(71)
+        T = self.T
+        walk = np.cumsum(rng.standard_normal(T))
+        ties = np.cumsum(np.random.default_rng(87).integers(-1, 2, size=T)).astype(float)
+        stretch = np.concatenate([np.arange(10.0), np.full(20, 9.0),
+                                  9.0 + np.cumsum(rng.standard_normal(T - 30))])
+        start = np.concatenate([np.zeros(20), np.cumsum(1.0 + 0.1 * rng.standard_normal(T - 20))])
+        return np.stack([walk, ties, stretch, start, np.full(T, 3.0)])
+
+    def test_rows_reach_the_degenerate_window_branches(self):
+        _, ties, stretch, start, _ = self._panel()
+        m0 = frac_to_index(self.TAU0, self.T)
+        assert np.any(np.diff(ties) == 0)
+        # lagged sign path constant and nonzero, increments zero: the
+        # windows inside the stretch fit exactly, sse = 0
+        C = sign_path(stretch)
+        assert C[10] != 0 and np.all(C[10:31] == C[10]) and 20 > m0
+        # the transformed path stays at zero over more than m0 grid points,
+        # so the first endpoints have no defined window at all
+        idx = variance_profile(start).transform_indices()
+        assert np.sum(idx <= 20) > m0
+        assert np.isnan(time_transformed_tests(start, self.TAU0).gstadf.sequence.values[0])
+
+    def test_ties_take_the_smallest_window(self):
+        # integer steps repeat window statistics exactly: the double sup
+        # keeps the smallest start among its maximizers, sign dating the
+        # earliest endpoint and then the smallest start
+        ties = self._panel()[1]
+        m0 = frac_to_index(self.TAU0, self.T)
+        C = sign_path(ties)
+        grid = {(s, e): oracles.sign_stat_window(C, s, e)
+                for e in range(m0, self.T + 1) for s in range(e - m0 + 1)}
+        best = np.nanmax(list(grid.values()))
+        tied = sorted(w for w, t in grid.items() if t >= best - 1e-12)
+        assert len({e for _, e in tied}) < len(tied)  # starts tie at one endpoint
+        assert sign_statistics(ties, self.TAU0).sgsadf.window == tied[0]
+        ep = sign_stamp(ties, tau0=self.TAU0)
+        _, want = oracles.sign_argmax(ties, m0)
+        assert (ep.origin_index, ep.collapse_index) == want
+
+    def test_panel_rows_equal_one_series_and_oracles(self):
+        Y = self._panel()
+        m0 = frac_to_index(self.TAU0, self.T)
+        for name, one in self.ONE.items():
+            entry = bt._REGISTRY[name]
+            got = entry.scores(Y, self.TAU0, "const", 0)
+            for value, v in zip(got[:-1], Y[:-1]):
+                assert value == one(v, self.TAU0)
+                assert value == entry.observe(v, self.TAU0, "const", 0).value
+                assert value == pytest.approx(self.ORACLE[name](v, m0), abs=1e-9)
+            assert np.isnan(got[-1])
+            message = "signs are zero" if name.startswith("sign") else "proxies are zero"
+            with pytest.raises(DegenerateFitError, match=message):
+                one(Y[-1], self.TAU0)
+            with pytest.raises(DegenerateFitError, match=message):
+                entry.observe(Y[-1], self.TAU0, "const", 0)
