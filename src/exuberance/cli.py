@@ -40,7 +40,14 @@ from .datestamp import (
     sign_stamp,
     two_step_stamp,
 )
-from .dgpsim import CvTable, DgpSpec, VolPath, size_power_study, tabulate_critical_values
+from .dgpsim import (
+    CvTable,
+    DgpSpec,
+    VolPath,
+    _table_value,
+    size_power_study,
+    tabulate_critical_values,
+)
 from .exceptions import DataError, DegenerateFitError, ExuberanceError
 from .inference import (
     cobubble_test,
@@ -197,33 +204,6 @@ def _sequence_dict(seq, series=None, cv=None) -> dict:
     return out
 
 
-def _table_critical_value(config: RunConfig, path: str, T: int, tau0: float) -> float:
-    table = CvTable.from_json(path)
-    if table.statistic != config.stat:
-        raise DataError(
-            f"table at {path} tabulates {table.statistic!r}, not {config.stat!r}"
-        )
-    if table.det != config.det or table.k != config.k:
-        raise DataError(
-            f"table at {path} was simulated with det={table.det!r}, k={table.k}; "
-            f"this run uses det={config.det!r}, k={config.k}"
-        )
-    if table.tau0 is None:
-        if config.tau0 != "auto" and abs(tau0 - default_min_window(T)) > 1e-12:
-            raise DataError(
-                f"table at {path} uses the default minimum-window rule but this "
-                f"run fixes tau0={tau0}"
-            )
-    elif abs(float(table.tau0) - tau0) > 1e-12:
-        raise DataError(
-            f"table at {path} was simulated at tau0={table.tau0}, not {tau0}"
-        )
-    try:
-        return table.lookup(T, config.level)
-    except KeyError as exc:
-        raise DataError(exc.args[0]) from exc
-
-
 def _run_test(config: RunConfig) -> dict:
     series = _load_input(config)
     T = len(series)
@@ -245,7 +225,8 @@ def _run_test(config: RunConfig) -> dict:
         if config.cv == "rule":
             cv = rule_critical_value(T)
         elif config.cv.startswith("table:"):
-            cv = _table_critical_value(config, config.cv[len("table:"):], T, tau0)
+            table = CvTable.from_json(config.cv[len("table:"):])
+            cv = _table_value(table, config.stat, T, config.level, tau0, config.det, config.k)
         else:
             raise UsageError(
                 f"--cv must be 'rule', 'bootstrap', or 'table:<path>', got {config.cv!r}"

@@ -52,6 +52,9 @@ CV_SOURCES = ("asymptotic-rule", "simulated", "bootstrap")
 #: estimated break dates (2+1, 2+2, 4+2, 4+3).
 BIC_PENALTY = {1: 3, 2: 4, 3: 6, 4: 7}
 
+#: Dates each model estimates: the first 1, 2, 2 or 3 of (a, b, c).
+_N_DATES = {1: 1, 2: 2, 3: 2, 4: 3}
+
 DEFAULT_MIN_SEGMENT = 3
 
 
@@ -277,10 +280,7 @@ def psy_stamp(
     window end looks back over all admissible starts, later bubbles are
     found even when shorter than earlier ones.
     """
-    T = bsadf.nobs
-    if min_duration is None:
-        min_duration = default_min_duration(T, delta)
-    return _scan_crossings(bsadf, _resolve_cv(bsadf, cv), min_duration)
+    return pwy_stamp(bsadf, cv, min_duration, delta)
 
 
 def bic_init(series, origin_index: int, n_min: int | None = None) -> int:
@@ -383,9 +383,7 @@ def _check_segments(model: int, a: int, b: int, c: int, T: int, min_seg: int) ->
     spans = [("pre-break regime", a), ("explosive regime", b - a)]
     if model in (3, 4):
         spans.append(("collapse regime", c - b))
-    if model == 2:
-        spans.append(("post-break regime", T - b))
-    if model == 4:
+    if model in (2, 4):
         spans.append(("post-break regime", T - c))
     for name, length in spans:
         if length < min_seg:
@@ -411,14 +409,13 @@ def fit_bubble_model(
     v = as_values(series)
     T = v.size
     a, b, c = _model_dates_to_indices(model, dates, T)
-    if model == 1:
-        b = c = T
-    elif model == 2:
-        c = b
-    elif model == 3:
-        c = T
     _check_segments(model, a, b, c, T, min_seg)
+    return _fit_regimes(v, model, a, b, c)
 
+
+def _fit_regimes(v: np.ndarray, model: int, a: int, b: int, c: int) -> BubbleModelFit:
+    """The regression of :func:`fit_bubble_model` at checked indices (a, b, c)."""
+    T = v.size
     t = np.arange(2, T + 1)
     dep = v[t - 1] - v[t - 2]
     lag = v[t - 2]
@@ -437,14 +434,13 @@ def fit_bubble_model(
     valid = v[b - 1] > v[a - 1]
     if model in (3, 4):
         valid = valid and v[b - 1] > v[c - 1]
-    fr = (a / T, b / T, c / T)
     return BubbleModelFit(
         model=model,
         ssr=float(resid @ resid),
         coeffs=beta,
         valid=bool(valid),
         dates=(a, b, c),
-        fractions=fr,
+        fractions=(a / T, b / T, c / T),
     )
 
 
@@ -494,7 +490,13 @@ def _segment_ssr_engine(v: np.ndarray):
 
 @dataclass
 class ModelSelection:
-    """Winning regime model with its dates and the per-model comparison."""
+    """Winning regime model with its dates and the per-model comparison.
+
+    A model's dates are the index triple (a, b, c) of origin, collapse
+    and recovery, with b = c = T in model 1, c = b in model 2 and c = T
+    in model 3.  ``dates[m]`` lists the first 1, 2, 2 or 3 entries, the
+    ones model m estimates; ``fit.dates`` is the winner's whole triple.
+    """
 
     model: int
     episode: Episode
@@ -515,7 +517,9 @@ def _search_models(v, min_seg, seg, Pdd):
     v_b > v_T (model 3), or g(b) = min over c in [b+ms, T-ms] with
     v_c < v_b of seg(b, c) + tail(c) (model 4).  One loop over b builds f
     and g in O(T) memory.  Ties go to the smallest (a, b, c).  Returns
-    {model: (ssr, dates)} for the models with an admissible candidate.
+    {model: (ssr, (a, b, c))} for the models with an admissible
+    candidate, in the layout of :class:`ModelSelection`: b = c = T in
+    model 1, c = b in model 2, c = T in model 3.
     """
     T = v.size
     ms = min_seg
@@ -550,37 +554,18 @@ def _search_models(v, min_seg, seg, Pdd):
             continue
         tied = np.flatnonzero(ssr == best)
         j = int(tied[np.argmin(fa[tied])])
-        a, b, c = int(fa[j]), int(bs[j]), int(gc[j])
-        found[m] = (float(best), {1: (a,), 2: (a, b), 3: (a, b), 4: (a, b, c)}[m])
+        a, b = int(fa[j]), int(bs[j])
+        c = {1: T, 2: b, 3: T, 4: int(gc[j])}[m]
+        found[m] = (float(best), (a, b, c))
     return found
 
 
-def _dates_to_fractions(model: int, dates: tuple[int, ...], T: int):
-    if model == 1:
-        (a,) = dates
-        return (a / T, 1.0, 1.0)
-    if model == 2:
-        a, b = dates
-        return (a / T, b / T, b / T)
-    if model == 3:
-        a, b = dates
-        return (a / T, b / T, 1.0)
-    a, b, c = dates
-    return (a / T, b / T, c / T)
-
-
-def _selection_episode(model: int, dates: tuple[int, ...], T: int) -> Episode:
-    if model == 1:
-        (a,) = dates
-        return Episode(a / T, 1.0, a, T, model=model)
-    if model == 2:
-        a, b = dates
-        return Episode(a / T, b / T, a, b, model=model)
-    if model == 3:
-        a, b = dates
-        return Episode(a / T, b / T, a, b, recovery=1.0, recovery_index=T, model=model)
-    a, b, c = dates
-    return Episode(a / T, b / T, a, b, recovery=c / T, recovery_index=c, model=model)
+def _regime_episode(model: int, a: int, b: int, c: int, T: int) -> Episode:
+    """The episode of regime model ``model`` at dates (a, b, c): a
+    recovery at c only for the models with a collapse regime (3, 4)."""
+    if model in (3, 4):
+        return Episode(a / T, b / T, a, b, recovery=c / T, recovery_index=c, model=model)
+    return Episode(a / T, b / T, a, b, model=model)
 
 
 def select_model_bic(
@@ -594,7 +579,9 @@ def select_model_bic(
     admissible grid, then models are compared by T·log(SSR/T) plus a
     penalty of 3, 4, 6, or 7 times log T counting coefficients and
     estimated dates.  Ties prefer the smaller model.  Intended to run
-    after a detection pass has already flagged an episode.
+    after a detection pass has already flagged an episode.  Each model
+    carries the date triple (a, b, c) of :class:`ModelSelection`;
+    ``dates[m]`` keeps its first 1, 2, 2 or 3 entries.
     """
     v = as_values(series)
     T = v.size
@@ -610,7 +597,7 @@ def select_model_bic(
     for m in models:
         if m not in found:
             continue
-        ssr, ds = found[m]
+        ssr, abc = found[m]
         if not ssr > 0:
             # an exact fit: the penalty comparison degenerates, keep it as
             # a perfect candidate with formally infinite preference
@@ -618,21 +605,21 @@ def select_model_bic(
         else:
             bics[m] = T * math.log(ssr / T) + BIC_PENALTY[m] * math.log(T)
         ssrs[m] = ssr
-        dates[m] = ds
+        dates[m] = abc[: _N_DATES[m]]
     if not bics:
         raise DegenerateFitError(
             "no admissible regime candidate in any model; the sample is too "
             "short or too degenerate for date fitting"
         )
     winner = min(bics, key=lambda m: (bics[m], m))
-    fit = fit_bubble_model(v, winner, _dates_to_fractions(winner, dates[winner], T), min_seg)
+    a, b, c = found[winner][1]
     return ModelSelection(
         model=winner,
-        episode=_selection_episode(winner, dates[winner], T),
+        episode=_regime_episode(winner, a, b, c, T),
         bic=bics,
         ssr=ssrs,
         dates=dates,
-        fit=fit,
+        fit=_fit_regimes(v, winner, a, b, c),
     )
 
 
@@ -659,8 +646,6 @@ def two_step_stamp(
     T = v.size
     sup = recursive.gsadf(v, tau0=tau0, det=det, k=k)
     rough = psy_stamp(sup.sequence, cv=cv, min_duration=min_duration, delta=delta)
-    if not rough:
-        return []
     refined: list[Episode] = []
     for i, ep in enumerate(rough):
         lo = 1 if i == 0 else (rough[i - 1].collapse_index + ep.origin_index) // 2
@@ -672,23 +657,8 @@ def two_step_stamp(
         except DegenerateFitError:
             refined.append(ep)
             continue
-        sub = sel.episode
-        origin_index = lo - 1 + sub.origin_index
-        collapse_index = lo - 1 + sub.collapse_index
-        recovery_index = (
-            None if sub.recovery_index is None else lo - 1 + sub.recovery_index
-        )
-        refined.append(
-            Episode(
-                origin=origin_index / T,
-                collapse=collapse_index / T,
-                origin_index=origin_index,
-                collapse_index=collapse_index,
-                recovery=None if recovery_index is None else recovery_index / T,
-                recovery_index=recovery_index,
-                model=sel.model,
-            )
-        )
+        a, b, c = (lo - 1 + d for d in sel.fit.dates)
+        refined.append(_regime_episode(sel.model, a, b, c, T))
     return refined
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .bootstrap import _REGISTRY, _replicate_values, _statistic_fn
 from .exceptions import DataError, DegenerateFitError
-from .series import Series, _JsonFields, frac_to_index
+from .series import Series, _JsonFields, default_min_window, frac_to_index
 
 __all__ = [
     "DGP_KINDS",
@@ -392,27 +392,33 @@ class CvTable:
 
     @classmethod
     def from_json(cls, path) -> "CvTable":
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        if raw.get("kind") != "cv-table":
+        try:
+            with open(path, encoding="utf-8") as fh:
+                raw = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise DataError(f"{path} is not a critical-value table: {exc}") from exc
+        if not isinstance(raw, dict) or raw.get("kind") != "cv-table":
             raise DataError(f"{path} is not a critical-value table")
-        records = raw["records"]
-        sizes = tuple(dict.fromkeys(int(r["T"]) for r in records))
-        levels = tuple(sorted({float(r["level"]) for r in records}))
-        values = {(int(r["T"]), float(r["level"])): float(r["value"]) for r in records}
-        return cls(
-            statistic=raw["statistic"],
-            tau0=raw["tau0"],
-            det=raw["det"],
-            k=int(raw["k"]),
-            sample_sizes=sizes,
-            levels=levels,
-            values=values,
-            replications=int(raw["replications"]),
-            seed=int(raw["seed"]),
-            generator=raw.get("generator", "rw-null-gaussian"),
-            schema=int(raw.get("schema", 1)),
-        )
+        try:
+            records = raw["records"]
+            sizes = tuple(dict.fromkeys(int(r["T"]) for r in records))
+            levels = tuple(sorted({float(r["level"]) for r in records}))
+            values = {(int(r["T"]), float(r["level"])): float(r["value"]) for r in records}
+            return cls(
+                statistic=raw["statistic"],
+                tau0=None if raw["tau0"] is None else float(raw["tau0"]),
+                det=raw["det"],
+                k=int(raw["k"]),
+                sample_sizes=sizes,
+                levels=levels,
+                values=values,
+                replications=int(raw["replications"]),
+                seed=int(raw["seed"]),
+                generator=raw.get("generator", "rw-null-gaussian"),
+                schema=int(raw.get("schema", 1)),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"{path} is a malformed critical-value table: {exc!r}") from exc
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -426,6 +432,30 @@ class CvTable:
                         self.det, self.k, format(p, ".17g"),
                         format(self.values[(T, p)], ".17g"),
                     ])
+
+
+def _table_value(table: CvTable, statistic, T: int, level: float, tau0, det, k) -> float:
+    """The table's (T, level) quantile, once the table is checked against
+    the run: the statistic, the det and k it reads, tau0 at T (None is
+    the per-T default rule) and the entry itself.  DataError on any
+    mismatch."""
+    name = _statistic_fn(statistic)[0]
+    if table.statistic != name:
+        raise DataError(f"table tabulates {table.statistic!r}; this run uses {name!r}")
+    det, k = _read_options(statistic, det, k)
+    if (table.det, table.k) != (det, k):
+        raise DataError(
+            f"table was simulated with det={table.det!r}, k={table.k}; "
+            f"this run uses det={det!r}, k={k}"
+        )
+    have = default_min_window(T) if table.tau0 is None else float(table.tau0)
+    want = default_min_window(T) if tau0 is None else float(tau0)
+    if abs(have - want) > 1e-12:
+        raise DataError(f"table was simulated at tau0={have} at T={T}; this run uses {want}")
+    try:
+        return table.lookup(T, level)
+    except KeyError as exc:
+        raise DataError(exc.args[0]) from exc
 
 
 def _null_walk(T: int, rng: np.random.Generator) -> np.ndarray:
@@ -588,13 +618,7 @@ def size_power_study(
             )
         cv_value = table.lookup(null_spec.T, quantile)
     elif isinstance(cv, CvTable):
-        read = _read_options(statistic, det, k)
-        if cv.statistic != name or (cv.det, cv.k) != read or cv.tau0 != tau0:
-            raise DataError(
-                f"table tabulates {cv.statistic!r} (tau0={cv.tau0}, det={cv.det!r}, "
-                f"k={cv.k}); the study runs {name!r} (tau0={tau0}, det={read[0]!r}, k={read[1]})"
-            )
-        cv_value = cv.lookup(null_spec.T, quantile)
+        cv_value = _table_value(cv, statistic, null_spec.T, quantile, tau0, det, k)
     else:
         cv_value = float(cv)
     rej_null, bad_null = _rejection_arm(

@@ -242,19 +242,7 @@ def recursive_ar_coefficients(series, tau0: float | None = None) -> StatSequence
     v = as_values(series)
     T = v.size
     tau0, m0 = _resolve_tau0(T, tau0)
-    vals = np.full(T + 1, np.nan)
-    for e in range(m0, T + 1):
-        try:
-            vals[e] = 1.0 + fit_adf_window(v, 0, e, det="const", k=0).delta
-        except DegenerateFitError:
-            continue
-    return StatSequence(
-        kind="ar1_recursive",
-        tau0=tau0,
-        tau2=np.arange(m0, T + 1) / T,
-        values=vals[m0:],
-        nobs=T,
-    )
+    return _ar_coefficients(v, "ar1_recursive", tau0, m0, lambda e: 0)
 
 
 def rolling_ar_coefficients(series, window: int) -> StatSequence:
@@ -273,17 +261,24 @@ def rolling_ar_coefficients(series, window: int) -> StatSequence:
         raise ValueError(f"rolling window must be >= 4 observations, got {window}")
     if window > T:
         raise DataError(f"rolling window {window} exceeds sample length {T}")
+    return _ar_coefficients(v, "ar1_rolling", window / T, window, lambda e: e - window)
+
+
+def _ar_coefficients(v, kind: str, tau0: float, m0: int, start) -> StatSequence:
+    """1 + delta_hat of the autoregression with intercept on the window
+    (start(e), e] for every end point e = m0..T; NaN where degenerate."""
+    T = v.size
     vals = np.full(T + 1, np.nan)
-    for e in range(window, T + 1):
+    for e in range(m0, T + 1):
         try:
-            vals[e] = 1.0 + fit_adf_window(v, e - window, e, det="const", k=0).delta
+            vals[e] = 1.0 + fit_adf_window(v, start(e), e, det="const", k=0).delta
         except DegenerateFitError:
             continue
     return StatSequence(
-        kind="ar1_rolling",
-        tau0=window / T,
-        tau2=np.arange(window, T + 1) / T,
-        values=vals[window:],
+        kind=kind,
+        tau0=tau0,
+        tau2=np.arange(m0, T + 1) / T,
+        values=vals[m0:],
         nobs=T,
     )
 

@@ -379,6 +379,62 @@ class TestStudyCommand:
         assert 0.0 <= rep["result"]["size"] <= 0.3
 
 
+class TestCvTableFiles:
+    """`test` and `study` read a --cv table: file by one rule."""
+
+    NULL = '{"kind": "rw_drift", "T": 60}'
+
+    @staticmethod
+    def _table(tmp_path, T):
+        table = CvTable(
+            statistic="sadf", tau0=None, det="const", k=0,
+            sample_sizes=(T,), levels=(0.95,), values={(T, 0.95): 1.5},
+            replications=2000, seed=0,
+        )
+        path = tmp_path / f"table{T}.json"
+        table.to_json(path)
+        return str(path)
+
+    def test_default_rule_table_fits_test_and_study_alike(self, tmp_path):
+        # a table at the per-T default tau0 fits a run that spells that tau0 out
+        path = self._table(tmp_path, 60)
+        tau0 = repr(default_min_window(60))
+        csv = _write_csv(tmp_path / "flat.csv", _flat_values(T=60))
+        out = tmp_path / "r.json"
+        assert main(["test", "--input", csv, "--column", "price", "--stat", "sadf",
+                     "--tau0", tau0, "--cv", f"table:{path}", "--out", str(out)]) == 0
+        assert _read(out)["result"]["critical_value"] == 1.5
+        assert main(["study", "--stat", "sadf", "--replications", "20",
+                     "--null-spec", self.NULL, "--tau0", tau0,
+                     "--cv", f"table:{path}", "--out", str(out)]) == 0
+        assert _read(out)["result"]["critical_value"] == 1.5
+
+    @pytest.mark.parametrize("case", ["missing-T", "fieldless", "not-json", "text-tau0"])
+    @pytest.mark.parametrize("subcommand", ["test", "study"])
+    def test_unusable_table_exits_2_without_traceback(self, case, subcommand, bubble_csv, tmp_path):
+        if case == "missing-T":
+            path = self._table(tmp_path, 40)
+        elif case == "text-tau0":
+            path = tmp_path / "table.json"
+            path.write_text(json.dumps(dict(_read(self._table(tmp_path, 100)), tau0="auto")))
+        else:
+            path = tmp_path / "table.json"
+            path.write_text('{"kind": "cv-table"}' if case == "fieldless" else "T,level,value\n")
+        if subcommand == "test":
+            argv = ["test", "--input", bubble_csv, "--column", "price", "--stat", "sadf"]
+        else:
+            argv = ["study", "--stat", "sadf", "--replications", "20", "--null-spec", self.NULL]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+        run = subprocess.run([sys.executable, "-m", "exuberance.cli", *argv, "--cv", f"table:{path}"],
+                             env=env, capture_output=True, text=True)
+        assert run.returncode == 2
+        assert run.stderr.startswith("data error:")
+        assert "Traceback" not in run.stderr
+        if case == "missing-T":
+            want = "no entry for T=100" if subcommand == "test" else "no entry for T=60"
+            assert want in run.stderr
+
+
 class TestRelateCommand:
     def _pair(self, tmp_path):
         rng = np.random.default_rng(11)

@@ -533,6 +533,33 @@ class TestFitBubbleModel:
         assert fit.dates == (29, 58, 58)
 
 
+def _model_search_cases():
+    """The (series, min_seg) cases of the regime-model oracle test:
+    noisy bubbles, integer steps with exact SSR ties, samples too short
+    for some models, and a recovery level just above the peak."""
+    cases = []
+    for seed in (11, 12, 13):
+        rng = np.random.default_rng(seed)
+        v = np.cumsum(rng.standard_normal(40))
+        v[12:24] += np.linspace(0, 6, 12)
+        cases.append((v, 3))
+        if seed == 11:
+            cases += [(v, 2), (v, 5)]
+    for seed, T, ms in ((14, 20, 2), (116, 24, 3), (181, 24, 3), (186, 24, 3),
+                        (191, 24, 3)):
+        rng = np.random.default_rng(seed)
+        cases.append((np.cumsum(rng.integers(-1, 2, T)).astype(float), ms))
+    cases += [(_walk(3, 8), 3), (_walk(4, 10), 3)]
+    rng = np.random.default_rng(3)
+    level = np.cumsum(0.3 * rng.standard_normal(36))
+    level[10:20] += np.linspace(0, 5, 10)
+    for t in range(20, 36):
+        gap = level[t - 1] - level[19] - 0.2
+        level[t] = level[19] + 0.2 - 0.6 * gap + 0.3 * rng.standard_normal()
+    cases.append((level, 3))
+    return cases
+
+
 class TestSelectModelBic:
     def test_penalty_constants(self):
         assert BIC_PENALTY == {1: 3, 2: 4, 3: 6, 4: 7}
@@ -581,6 +608,38 @@ class TestSelectModelBic:
             for cc in range(b + 3, level.size - 2)
         )
         assert level[free[1] - 1] >= level[b - 1] > level[c - 1]
+
+    def test_winner_fit_and_episode_follow_its_dates(self):
+        # dates[m] read in model m's layout: b = c = T (1), c = b (2), c = T (3)
+        n = 0
+        for v, ms in _model_search_cases():
+            T = v.size
+            for model in (1, 2, 3, 4):
+                try:
+                    sel = select_model_bic(v, min_seg=ms, models=(model,))
+                except DegenerateFitError:
+                    continue
+                n += 1
+                a, b, c = {
+                    1: lambda a: (a, T, T),
+                    2: lambda a, b: (a, b, b),
+                    3: lambda a, b: (a, b, T),
+                    4: lambda a, b, c: (a, b, c),
+                }[model](*sel.dates[model])
+                want = fit_bubble_model(v, model, (a / T, b / T, c / T), min_seg=ms)
+                got = sel.fit
+                assert (got.model, got.ssr, got.valid) == (want.model, want.ssr, want.valid)
+                assert (got.dates, got.fractions) == (want.dates, want.fractions)
+                assert np.array_equal(got.coeffs, want.coeffs)
+                assert got.ssr == pytest.approx(sel.ssr[model], rel=1e-9, abs=1e-9)
+                recovery = model in (3, 4)
+                assert sel.episode == Episode(
+                    a / T, b / T, a, b,
+                    recovery=c / T if recovery else None,
+                    recovery_index=c if recovery else None,
+                    model=model,
+                )
+        assert n == 39  # 14 cases x 4 models, less those without an admissible candidate
 
     def test_bic_formula(self):
         v = _walk(21, 80)
@@ -694,6 +753,32 @@ class TestTwoStep:
             assert lo <= ep.origin_index <= ep.collapse_index <= hi
             if ep.recovery_index is not None:
                 assert ep.recovery_index <= hi
+
+    def test_refined_episode_is_its_piece_selection_shifted(self):
+        # same two-bubble series as test_refined_dates_inside_their_pieces
+        rng = np.random.default_rng(99)
+        y = _bubble_walk(rng, 300, 1.09, [(0.25, 0.4), (0.65, 0.78)], y0=40.0)
+        rough = psy_stamp(recursive.gsadf(y).sequence)
+        refined = two_step_stamp(y)
+        assert len(refined) == len(rough) == 2
+        T = y.size
+        for i, ep in enumerate(refined):
+            lo = 1 if i == 0 else (rough[i - 1].collapse_index + rough[i].origin_index) // 2
+            hi = T if i == len(rough) - 1 else (
+                (rough[i].collapse_index + rough[i + 1].origin_index) // 2
+            )
+            sub = select_model_bic(y[lo - 1 : hi]).episode
+            shift = lo - 1
+            recovery = None if sub.recovery_index is None else sub.recovery_index + shift
+            assert ep == Episode(
+                (sub.origin_index + shift) / T,
+                (sub.collapse_index + shift) / T,
+                sub.origin_index + shift,
+                sub.collapse_index + shift,
+                recovery=None if recovery is None else recovery / T,
+                recovery_index=recovery,
+                model=sub.model,
+            )
 
     def test_refinement_beats_crossing_dates_on_average(self):
         rng = np.random.default_rng(555)

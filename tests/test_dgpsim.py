@@ -548,7 +548,7 @@ class TestSizePower:
         assert study.critical_value == tab.lookup(100, 0.95)
         with pytest.raises(DataError, match="table tabulates"):
             size_power_study("sadf", null, null, replications=50, level=0.05, seed=1, cv=tab)
-        with pytest.raises(KeyError):
+        with pytest.raises(DataError, match="no entry for T=60"):
             size_power_study(
                 "gsadf", DgpSpec(kind="rw_drift", T=60, seed=0),
                 DgpSpec(kind="rw_drift", T=60, seed=0),
