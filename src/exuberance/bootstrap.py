@@ -151,7 +151,7 @@ def _robust(window, kind, double, reason) -> _Statistic:
 
     def panel(Y, tau0):
         m0 = _resolve_tau0(Y.shape[1], tau0)[1]
-        curve = robust._sup_curve(window(Y), len(Y), m0, Y.shape[1], double)[0]
+        curve = ols._sup_curve(window(Y), len(Y), m0, Y.shape[1], double)[0]
         return recursive._row_sup(curve[:, m0:])
 
     return _Statistic(result, (), reason, panel)
@@ -495,7 +495,7 @@ def bsadf_window_max(
         raise ValueError(
             f"sample of length {n} is too short for a window ending at {end}"
         )
-    maxvals, _, _ = ols.bsadf_backward(v[:end], m0, det=det, k=k)
+    maxvals, _ = ols.bsadf_backward(v[:end], m0, det=det, k=k)
     vals = maxvals[m0:]
     if np.all(np.isnan(vals)):
         raise DegenerateFitError("no window in the monitoring range is estimable")

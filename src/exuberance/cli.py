@@ -56,7 +56,7 @@ from .inference import (
     recursive_ar_coefficients,
     rolling_ar_coefficients,
 )
-from .recursive import gsadf, sadf
+from .recursive import StatSequence, gsadf, sadf
 from .series import _JsonFields, _jsonable, default_min_window, frac_to_index, load_series
 
 __all__ = [
@@ -318,15 +318,14 @@ def _run_monitor(config: RunConfig) -> dict:
         k=config.k, det=config.det, multiplier=config.multiplier, seed=config.seed,
     )
     m0, end = report.window
-    maxvals, _, _ = ols.bsadf_backward(
+    maxvals, _ = ols.bsadf_backward(
         np.asarray(series.values, dtype=float)[:end], m0, det=config.det, k=config.k
     )
-    vals = maxvals[m0:]
-    index = list(range(m0, end + 1))
+    index = np.arange(m0, end + 1)
+    seq = StatSequence("monitor_bsadf", report.tau0, index / T, maxvals[m0:], T)
     cv = report.critical_value
     with np.errstate(invalid="ignore"):
-        flags = np.asarray(vals > cv)
-    alarms = [index[i] for i in np.flatnonzero(flags)]
+        alarms = index[seq.values > cv].tolist()
     return {
         "T": T,
         "name": series.name,
@@ -339,18 +338,11 @@ def _run_monitor(config: RunConfig) -> dict:
         "seed": report.seed,
         "multiplier": report.multiplier,
         "n_degenerate": report.n_degenerate,
-        "observed_max": _jsonable(np.nanmax(vals)) if np.any(~np.isnan(vals)) else None,
+        "observed_max": _jsonable(np.nanmax(seq.values)) if np.any(~np.isnan(seq.values)) else None,
         "alarms": alarms,
         "first_alarm": alarms[0] if alarms else None,
         "reject": bool(alarms),
-        "sequence": {
-            "kind": "monitor_bsadf",
-            "tau0": report.tau0,
-            "nobs": T,
-            "index": index,
-            "values": _jsonable(vals),
-            "cv": cv,
-        },
+        "sequence": _sequence_dict(seq, series, cv=cv),
     }
 
 

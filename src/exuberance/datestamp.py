@@ -15,14 +15,14 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import recursive
+from . import ols, recursive
 from .exceptions import DegenerateFitError
 from .recursive import StatSequence, _resolve_tau0
-from .robust import _sign_moments, _sup_curve, sign_path
+from .robust import _sign_moments, sign_path
 from .series import Series, as_values, frac_to_index
 
 __all__ = [
@@ -635,22 +635,29 @@ def two_step_stamp(
 ) -> list[Episode]:
     """Crossing-based stamping refined by per-episode regime-model fits.
 
-    Step one stamps episodes from the backward sup curve.  Step two
-    splits the sample at midpoints between consecutive episodes and
-    reruns the penalized model search on each piece, replacing the
-    stamped dates with the fitted ones (mapped back to full-sample
-    indices).  Episodes whose piece admits no regime candidate keep
-    their stamped dates.
+    Step one stamps episodes from the backward sup curve and merges
+    consecutive ones less than the duration floor (``min_duration`` * T
+    observations) apart, so a short dip below the critical value does not
+    split a bubble.  Step two splits the sample at midpoints between
+    consecutive episodes and reruns the penalized model search on each
+    piece, replacing the stamped dates with the fitted ones (mapped back
+    to full-sample indices).  Episodes whose piece admits no regime
+    candidate keep their stamped dates.
     """
     v = as_values(series)
     T = v.size
+    if min_duration is None:
+        min_duration = default_min_duration(T, delta)
     sup = recursive.gsadf(v, tau0=tau0, det=det, k=k)
-    rough = psy_stamp(sup.sequence, cv=cv, min_duration=min_duration, delta=delta)
+    rough: list[Episode] = []
+    for ep in psy_stamp(sup.sequence, cv=cv, min_duration=min_duration):
+        if rough and ep.origin_index - rough[-1].collapse_index < min_duration * T:
+            ep = replace(rough.pop(), collapse=ep.collapse, collapse_index=ep.collapse_index)
+        rough.append(ep)
     refined: list[Episode] = []
     for i, ep in enumerate(rough):
         lo = 1 if i == 0 else (rough[i - 1].collapse_index + ep.origin_index) // 2
         hi = T if i == len(rough) - 1 else (ep.collapse_index + rough[i + 1].origin_index) // 2
-        lo = max(lo, 1)
         piece = v[lo - 1 : hi]
         try:
             sel = select_model_bic(piece, min_seg=min_seg)
@@ -698,7 +705,7 @@ def sign_stamp(
             st = ((sxy[:, e] - sxy[:, s]) / b) / np.sqrt(s2c**epsilon / b)
         return np.where((b > 0) & (s2c > 0), st, np.nan)
 
-    curve, starts = _sup_curve(stat, 1, m0, T)
+    curve, starts = ols._sup_curve(stat, 1, m0, T)
     if np.isnan(curve).all():
         raise DegenerateFitError("no admissible window for sign-based dating")
     e_star = int(np.nanargmax(curve[0]))  # ties: the earliest endpoint

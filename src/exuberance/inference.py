@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bootstrap import MIN_REPLICATIONS, _resolve_seed, multiplier_draws, replicate_rng
+from .bootstrap import MIN_REPLICATIONS, MULTIPLIERS, _resolve_seed, multiplier_draws, replicate_rng
 from .exceptions import DataError, DegenerateFitError
 from .ols import fit_adf_window
 from .recursive import StatSequence, _resolve_tau0
@@ -561,6 +561,8 @@ def cobubble_test(
         raise DegenerateFitError("x is constant over the overlap")
     if B < MIN_REPLICATIONS:
         raise ValueError(f"B must be >= {MIN_REPLICATIONS}, got {B}")
+    if multiplier not in MULTIPLIERS:
+        raise ValueError(f"unknown multiplier kind {multiplier!r}; choose from {MULTIPLIERS}")
     base_seed = _resolve_seed(seed)
 
     X = np.column_stack([np.ones(n), xs])

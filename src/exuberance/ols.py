@@ -20,9 +20,11 @@ coefficient's t-ratio follows without forming the inverse.
 
 The moment route is guarded.  A window whose equilibrated Gram has
 condition number above ``COND_LIMIT`` (1e12) or is not numerically
-positive definite, or whose residual sum of squares shows cancellation,
-is refit densely; a window that cannot support the fit (too short, or a
-column with no variation from the anchor) yields NaN.
+positive definite, whose residual sum of squares is within cancellation
+error of zero, or whose t-ratio is not finite is refit densely, and only
+the dense fit reads a window as exact (t-ratio +-inf); a window that
+cannot support the fit (too short, or a column with no variation from
+the anchor) yields NaN.  ``_sup_curve`` is the one per-endpoint loop.
 
 Re-anchoring changes nothing for an intercept regression, but it keeps
 cancellation error in the running sums small; for integer-valued data
@@ -52,6 +54,9 @@ __all__ = [
 ]
 
 COND_LIMIT = 1.0e12
+
+# a dense fit whose ssr is at most this share of dy'dy fits exactly
+_EXACT_FIT = 1.0e-20
 
 # Quasi-differencing constants for the right-tailed GLS variant.
 GLS_CBAR = {"const": 1.6, "trend": 2.4}
@@ -160,7 +165,7 @@ def fit_adf_window(
     dof = nobs - p
     sigma2 = ssr / dof
     dpos = names.index("level")
-    if sigma2 > 0:
+    if ssr > _EXACT_FIT * float(dep @ dep):
         xtx_inv = np.linalg.inv(X.T @ X)
         se = float(np.sqrt(sigma2 * xtx_inv[dpos, dpos]))
         tstat = float(beta[dpos] / se)
@@ -273,7 +278,8 @@ def _tstats(C: np.ndarray, slots: dict, nobs: np.ndarray, p: int):
     refit)``: t is NaN where the window cannot support the fit or needs
     a dense refit, and ``refit`` marks windows whose equilibrated Gram is
     not numerically positive definite or has condition number above
-    ``COND_LIMIT``, or whose residual sum of squares shows cancellation.
+    ``COND_LIMIT``, whose residual sum of squares is within cancellation
+    error of zero (ssr <= 1e-8 dy'dy) or whose ratio is not finite.
     """
     nobs = nobs[:, None]
 
@@ -320,18 +326,10 @@ def _tstats(C: np.ndarray, slots: dict, nobs: np.ndarray, p: int):
             np.put(illcond, suspect[~(lam[:, 0] > 0) | (lam[:, -1] > COND_LIMIT * lam[:, 0])], True)
         sdd = C[:, slots["dd"]]
         ssr = sdd - sum(zi * zi for zi in z)
-        refit = illcond | (pd & (ssr < -1e-8 * np.maximum(sdd, 1e-300)))
-        t = z[-1] / np.sqrt(np.maximum(ssr, 0.0) / (nobs - p))
+        # the dense fit alone decides what counts as an exact fit
+        t = z[-1] / np.sqrt(ssr / (nobs - p))
+        refit = illcond | (pd & ~((ssr > 1e-8 * np.maximum(sdd, 1e-300)) & np.isfinite(t)))
         t[~pd | refit] = np.nan
-        # a zero residual variance gives +-inf (NaN with a zero slope);
-        # any other non-finite ratio is refit densely
-        odd = np.flatnonzero(pd & ~refit & ~np.isfinite(t))
-        if odd.size:
-            zp = z[-1].ravel()[odd]
-            exact = (ssr <= 0).ravel()[odd]
-            np.put(t, odd, np.where(zp == 0, np.nan, np.sign(zp) * np.inf))
-            np.put(refit, odd[~exact], True)
-            np.put(t, odd[~exact], np.nan)
     return t, refit
 
 
@@ -403,50 +401,66 @@ def sadf_prefix_stats(values, m0: int, det: str = "const", k: int = 0) -> np.nda
     return out[:, 0].copy() if single else np.ascontiguousarray(out.T)
 
 
-def bsadf_backward(
-    values,
-    m0: int,
-    det: str = "const",
-    k: int = 0,
-    want_matrix: bool = False,
-):
+def _sup_curve(stat, rows: int, m0: int, T: int, double: bool = True):
+    """The package's one per-endpoint window loop: for e = m0..T, the sup
+    over starts s = 0..e-m0 of ``stat(e, s)`` per row, and the smallest
+    start attaining it ((rows, T+1) arrays; NaN and start -1 where no
+    window is defined).  ``stat`` maps integer arrays e and s that
+    broadcast to a (rows, n) array, NaN where undefined.  A prefix curve
+    (``double`` False) takes only s = 0, in one call."""
+    curve = np.full((rows, T + 1), np.nan)
+    starts = np.full((rows, T + 1), -1, dtype=np.int64)
+    if double:
+        for e in range(m0, T + 1):
+            st = stat(np.array([e]), np.arange(e - m0 + 1))
+            curve[:, e] = np.fmax.reduce(st, axis=1)
+            starts[:, e] = np.argmax(st == curve[:, e, None], axis=1)
+    else:
+        curve[:, m0:] = stat(np.arange(m0, T + 1), np.zeros(1, dtype=np.int64))
+        starts[:, m0:] = 0
+    starts[np.isnan(curve)] = -1
+    return curve, starts
+
+
+def _adf_window(Y: np.ndarray, det: str, k: int):
+    """ADF window statistic of a time-major (T, rows) panel for
+    :func:`_sup_curve`: for one endpoint e and consecutive starts s, the
+    (rows, starts) t-ratios of the windows (s, e], NaN where too short for
+    the fit, from the backward moments of e read as a reversed slice."""
+    d = np.diff(Y, axis=0)
+    p = _nparams(det, k)
+    # the last moments stay referenced until the next exist, as in a plain loop:
+    # freed first, their pages are returned and faulted in at every endpoint
+    held = []
+
+    def stat(e, s):
+        e = int(e[0])
+        n = e - k - 1  # observations in the (0, e] window
+        t = np.full((s.size, Y.shape[1]), np.nan)
+        fit = s[: max(0, n - p - s[0])]  # starts whose moments sit at n-1-s >= p
+        if fit.size:
+            C, slots = _moments(Y, d, e, det, k)
+            held[:] = [C]
+            i = n - 1 - fit
+            C = C[i[-1] : i[0] + 1][::-1]
+            t[: fit.size] = _window_tstats(Y, C, slots, i + 1, fit, np.full_like(fit, e), det, k)
+        return t.T
+
+    return stat
+
+
+def bsadf_backward(values, m0: int, det: str = "const", k: int = 0):
     """Backward sup scan: for each e in [m0, T], sup over s in [0, e-m0].
 
     ``values`` is one series or a (rows, T) panel; a panel is scanned for
     all rows at once, endpoint by endpoint.  Returns ``(maxvals,
-    argmax_s, tmat)``: ``maxvals[..., e]`` is the sup of the window
-    statistic over admissible starts (NaN when every window is
-    degenerate), ``argmax_s[..., e]`` the smallest attaining start (-1
-    when none), and ``tmat`` the (T+1, T+1) statistic matrix of a single
-    series if requested, else None.
+    argmax_s)``: ``maxvals[..., e]`` is the sup of the window statistic
+    over admissible starts (NaN when every window is degenerate) and
+    ``argmax_s[..., e]`` the smallest attaining start (-1 when none).
     """
     Y, single, det, m0 = _check_scan(values, m0, det, k)
-    if want_matrix and not single:
-        raise ValueError("want_matrix needs a single series, not a panel")
-    T, R = Y.shape
-    d = np.diff(Y, axis=0)
-    maxvals = np.full((T + 1, R), np.nan)
-    argmax_s = np.full((T + 1, R), -1, dtype=np.int64)
-    tmat = np.full((T + 1, T + 1), np.nan) if want_matrix else None
-    lo = max(m0 - k - 2, _nparams(det, k))
-    for e in range(m0, T + 1):
-        n = e - k - 1  # observations in the (0, e] window
-        if n <= lo:
-            continue
-        C, slots = _moments(Y, d, e, det, k)
-        s = np.arange(n - lo)  # starts 0, 1, ... have moments at n-1, n-2, ...
-        vals = _window_tstats(Y, C[lo:][::-1], slots, n - s, s, np.full_like(s, e), det, k)
-        valid = ~np.isnan(vals)
-        filled = np.where(valid, vals, -np.inf)
-        best = filled.max(axis=0)
-        has = valid.any(axis=0)
-        maxvals[e] = np.where(has, best, np.nan)
-        argmax_s[e] = np.where(has, np.argmax(valid & (filled == best), axis=0), -1)
-        if tmat is not None:
-            tmat[e, : s.size] = vals[:, 0]
-    if single:
-        return maxvals[:, 0].copy(), argmax_s[:, 0].copy(), tmat
-    return np.ascontiguousarray(maxvals.T), np.ascontiguousarray(argmax_s.T), None
+    maxvals, argmax_s = _sup_curve(_adf_window(Y, det, k), Y.shape[1], m0, Y.shape[0])
+    return (maxvals[0], argmax_s[0]) if single else (maxvals, argmax_s)
 
 
 def gls_adjust(values, det: str = "const", c_bar: float | None = None) -> np.ndarray:

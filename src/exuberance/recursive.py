@@ -161,7 +161,7 @@ def _backward_curves(Y: np.ndarray, m0: int, det: str, k: int):
     from the same arithmetic that scan uses, so the double sup dominates
     the forward sup exactly, not just up to rounding.
     """
-    maxvals, argmax_s, _ = ols.bsadf_backward(Y, m0, det=det, k=k)
+    maxvals, argmax_s = ols.bsadf_backward(Y, m0, det=det, k=k)
     prefix = _prefix_curves(Y, m0, det, k)
     upd = ~np.isnan(prefix) & (np.isnan(maxvals) | (prefix >= maxvals))
     maxvals[upd] = prefix[upd]

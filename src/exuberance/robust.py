@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import DegenerateFitError
+from .ols import _sup_curve
 from .recursive import (
     SupResult,
     _double_supresult,
@@ -155,25 +156,6 @@ def _normalize_sign_mode(mode: str) -> str:
     if m in ("demeaned", "recursively-demeaned", "recursive-demeaned"):
         return "demeaned"
     raise ValueError(f"unknown sign mode {mode!r}")
-
-
-def _sup_curve(stat, rows: int, m0: int, T: int, double: bool = True):
-    """The one per-endpoint window loop of the sign and time-transformed
-    statistics: for e = m0..T, the sup over starts s of ``stat(e, s)``,
-    per row, and the smallest start attaining it ((rows, T+1) arrays).
-    ``stat`` is a closed form on windows (s, e]: for integer arrays e and
-    s that broadcast it gives a (rows, n) array, NaN where undefined.  A
-    prefix curve (``double`` False) takes only s = 0, in one O(T) call."""
-    curve = np.full((rows, T + 1), np.nan)
-    starts = np.zeros((rows, T + 1), dtype=np.int64)
-    if not double:
-        curve[:, m0:] = stat(np.arange(m0, T + 1), np.zeros(1, dtype=np.int64))
-        return curve, starts
-    for e in range(m0, T + 1):
-        st = stat(np.array([e]), np.arange(e - m0 + 1))
-        curve[:, e] = np.fmax.reduce(st, axis=1)
-        starts[:, e] = np.argmax(st == curve[:, e, None], axis=1)
-    return curve, starts
 
 
 def _sup(kind, double, stat, m0, T, tau0) -> SupResult:

@@ -570,6 +570,23 @@ class TestPlotData:
         assert main(["plot-data", "--out", "x.csv"]) == 1
 
 
+class TestLabels:
+    """A CSV read with --label-column gives its labels to the report's
+    sequence, and plot-data writes them."""
+
+    @pytest.mark.parametrize("command", [["test"], ["monitor", "--B", "99", "--seed", "2"]])
+    def test_sequence_labels_reach_plot_data(self, bubble_csv, tmp_path, command):
+        out = tmp_path / "r.json"
+        assert main([*command, "--input", bubble_csv, "--column", "price",
+                     "--label-column", "date", "--out", str(out)]) == 0
+        seq = _read(out)["result"]["sequence"]
+        assert seq["labels"] == [f"d{i - 1:03d}" for i in seq["index"]]
+        csv_path = tmp_path / "plot.csv"
+        assert main(["plot-data", "--input", str(out), "--out", str(csv_path)]) == 0
+        rows = [r.split(",") for r in csv_path.read_text().strip().splitlines()[1:]]
+        assert [(int(r[0]), r[1]) for r in rows] == list(zip(seq["index"], seq["labels"]))
+
+
 class TestDeterminism:
     def _strip_created(self, text: str) -> str:
         return re.sub(r'"created": "[^"]*"', '"created": null', text)

@@ -27,6 +27,7 @@ from exuberance.datestamp import (
     training_max_monitor,
     two_step_stamp,
 )
+from exuberance.dgpsim import DgpSpec, simulate
 from exuberance.exceptions import DegenerateFitError
 from exuberance.recursive import StatSequence
 from exuberance.series import Series, frac_to_index
@@ -779,6 +780,27 @@ class TestTwoStep:
                 recovery_index=recovery,
                 model=sub.model,
             )
+
+    def test_simulated_bubbles_come_back_whole(self):
+        # 40 collapsing bubbles, no seed dropped: 3% growth for 0.15T from
+        # an origin in [0.35T, 0.45T), then 4% decay for 0.05T.  A dip of
+        # the backward sup curve below the critical value split four of
+        # them into fragments before close episodes were merged
+        T = 300
+        floor = default_min_duration(T) * T
+        for seed in range(40):
+            tau_e = float(np.random.default_rng(seed).uniform(0.35, 0.45))
+            spec = DgpSpec(
+                kind="collapse_bubble", T=T, tau_e=tau_e, tau_c=tau_e + 0.15,
+                tau_r=tau_e + 0.2, delta1=0.03, delta2=0.04, y0=100.0, seed=seed,
+            )
+            origin, collapse, _ = spec.dates()
+            episodes = two_step_stamp(simulate(spec), k=2)
+            near = min(episodes, key=lambda ep: abs(ep.origin_index - origin))
+            assert abs(near.origin_index - origin) <= 5, seed
+            assert abs(near.collapse_index - collapse) <= 5, seed
+            for prev, ep in zip(episodes, episodes[1:]):
+                assert ep.origin_index - prev.collapse_index >= floor, seed
 
     def test_refinement_beats_crossing_dates_on_average(self):
         rng = np.random.default_rng(555)

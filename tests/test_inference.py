@@ -697,6 +697,16 @@ class TestCobubble:
         with pytest.raises(ValueError):
             cobubble_test(y, x, B=99, seed=6, multiplier="uniform")
 
+    def test_unknown_multiplier_rejected_on_every_path(self):
+        # the exact-fit return skips the bootstrap, and with it the check
+        # inside the multiplier draws
+        rng = np.random.default_rng(79)
+        x = _bubble_path(rng, 60, 20, 40)
+        noisy = 1.0 + 0.8 * x + rng.standard_normal(60)
+        for y in (2.0 * x + 1.0, noisy):
+            with pytest.raises(ValueError, match="unknown multiplier kind 'bogus'"):
+                cobubble_test(y, x, B=99, seed=1, multiplier="bogus")
+
     def test_json_round_trip(self):
         rng = np.random.default_rng(78)
         x = _bubble_path(rng, 60, 20, 40)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -183,7 +183,7 @@ class TestScans:
         rng = np.random.default_rng(43)
         v = np.cumsum(rng.standard_normal(40))
         for det, k in (("const", 0), ("trend", 0), ("const", 1)):
-            maxvals, argmax_s, _ = bsadf_backward(v, 8, det=det, k=k)
+            maxvals, argmax_s = bsadf_backward(v, 8, det=det, k=k)
             stats, starts = oracles.bsadf_curve(v, 8, det, k)
             for e in range(8, 41):
                 assert maxvals[e] == pytest.approx(stats[e], abs=1e-8)
@@ -192,13 +192,12 @@ class TestScans:
     def test_backward_scan_matrix(self):
         rng = np.random.default_rng(47)
         v = np.cumsum(rng.standard_normal(25))
-        maxvals, argmax_s, tmat = bsadf_backward(v, 6, want_matrix=True)
-        assert tmat.shape == (26, 26)
+        maxvals, argmax_s = bsadf_backward(v, 6)
         for e in range(6, 26):
+            row = adf_tstat_pairs(v, np.arange(e - 6 + 1), np.full(e - 6 + 1, e))
             for s in range(0, e - 6 + 1):
                 want = oracles.adf_fit(v, s, e, "const", 0).tstat
-                assert tmat[e, s] == pytest.approx(want, abs=1e-8)
-            row = tmat[e, : e - 6 + 1]
+                assert row[s] == pytest.approx(want, abs=1e-8)
             assert maxvals[e] == pytest.approx(np.nanmax(row), abs=0)
 
     def test_panel_rows_match_single_series(self):
@@ -209,11 +208,11 @@ class TestScans:
         panel[1] += 40.0
         starts, ends = _grid(60, 12)
         for det, k in (("const", 0), ("none", 1), ("trend", 2)):
-            maxvals, argmax_s, tmat = bsadf_backward(panel, 12, det=det, k=k)
-            assert tmat is None and maxvals.shape == argmax_s.shape == (4, 61)
+            maxvals, argmax_s = bsadf_backward(panel, 12, det=det, k=k)
+            assert maxvals.shape == argmax_s.shape == (4, 61)
             prefix = sadf_prefix_stats(panel, 12, det=det, k=k)
             for r, v in enumerate(panel):
-                one, one_arg, _ = bsadf_backward(v, 12, det=det, k=k)
+                one, one_arg = bsadf_backward(v, 12, det=det, k=k)
                 np.testing.assert_array_equal(maxvals[r], one)
                 np.testing.assert_array_equal(argmax_s[r], one_arg)
                 np.testing.assert_array_equal(prefix[r], sadf_prefix_stats(v, 12, det=det, k=k))
@@ -244,7 +243,7 @@ class TestScans:
             return tm[:, ends, starts].T
 
         monkeypatch.setattr(ols, "_window_tstats", served)
-        maxvals, argmax_s, _ = bsadf_backward(np.zeros((2, 7)), 4)
+        maxvals, argmax_s = bsadf_backward(np.zeros((2, 7)), 4)
         assert np.isnan(maxvals[:, 4]).all() and (argmax_s[:, 4] == -1).all()
         assert maxvals[0, 6] == 2.0 and argmax_s[0, 6] == 1
         assert maxvals[0, 7] == -1.0 and argmax_s[0, 7] == 0
@@ -261,7 +260,7 @@ class TestScans:
             v = np.cumsum(rng.integers(-2, 3, size=24)).astype(float)
             if np.ptp(v) == 0:
                 continue
-            maxvals, argmax_s, _ = bsadf_backward(v, 5)
+            maxvals, argmax_s = bsadf_backward(v, 5)
             stats, _starts = oracles.bsadf_curve(v, 5, "const", 0)
             for e in range(5, 25):
                 if np.isnan(stats[e]):
@@ -309,7 +308,7 @@ class TestPanelGuards:
         monkeypatch.setattr(ols, "_dense_or_nan", counted)
         panel, _ = _guard_panel()
         for det, k in (("const", 0), ("const", 2), ("trend", 1)):
-            maxvals, argmax_s, _ = bsadf_backward(panel, self.M0, det=det, k=k)
+            maxvals, argmax_s = bsadf_backward(panel, self.M0, det=det, k=k)
             prefix = sadf_prefix_stats(panel, self.M0, det=det, k=k)
             for r, offset in enumerate(_OFFSETS):
                 frame = panel[r] - offset
@@ -343,8 +342,6 @@ class TestPanelGuards:
                 fn(panel[4], tau0=0.2)
 
     def test_panel_input_validation(self):
-        with pytest.raises(ValueError):
-            bsadf_backward(np.zeros((2, 20)), 5, want_matrix=True)
         bad = np.zeros((2, 20))
         bad[1, 3] = np.nan
         with pytest.raises(ValueError):
@@ -422,6 +419,9 @@ def test_property_integer_shift_invariance(data, shift):
 
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.floats(-50, 50, allow_nan=False), min_size=16, max_size=40))
+# the window (5, 15] fits exactly (slope -1, zero residual); both routes
+# once read its rounding noise as a finite t-ratio of order -1e8 or -1e15
+@example(data=[0.0] * 6 + [1.5] + [0.0] * 9)
 def test_property_vectorized_matches_dense(data):
     v = np.cumsum(np.asarray(data))
     starts = np.array([0, 2, 5])
@@ -433,5 +433,7 @@ def test_property_vectorized_matches_dense(data):
         except DegenerateFitError:
             assert np.isnan(fast[i])
             continue
-        if np.isfinite(dense) and np.isfinite(fast[i]):
+        if np.isinf(dense) or np.isinf(fast[i]):
+            assert fast[i] == dense
+        else:
             assert fast[i] == pytest.approx(dense, abs=1e-7)
