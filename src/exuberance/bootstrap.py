@@ -9,15 +9,17 @@ running replicates serially, in any order, or in parallel produces
 bitwise-identical draws.
 
 Replicate paths are built one by one from those streams and scored in
-panel chunks: sadf, gsadf and the sign and time-transformed statistics
-scan a chunk at once; sbz, hb_chow, sadf_gls and custom callables go row
-by row.  Chunking changes no draw and no value at any chunk position.
+panel chunks: every registered sup statistic reads its per-endpoint
+curves from one builder and scores a chunk in one scan; only hb_chow and
+custom callables go row by row.  Chunking changes no draw and no value
+at any chunk position.
 """
 
 from __future__ import annotations
 
 import csv
 from collections.abc import Callable
+from contextlib import suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,10 +103,8 @@ def _by_row(stat):
     def fn(panel, tau0, det, k):
         out = np.full(len(panel), np.nan)
         for i, y in enumerate(panel):
-            try:
+            with suppress(DegenerateFitError):
                 out[i] = stat(y, tau0, det, k)
-            except DegenerateFitError:
-                pass
         return out
 
     return fn
@@ -112,49 +112,47 @@ def _by_row(stat):
 
 @dataclass(frozen=True)
 class _Statistic:
-    """One registered statistic.
+    """One registered sup statistic, read from its curve builder.
 
-    ``result(values, tau0, **options)`` gives its SupResult.  ``panel(Y,
-    tau0, **options)`` scores a (rows, T) panel in one scan, NaN where
-    degenerate: sadf, gsadf and the sign and time-transformed statistics
-    have one.  Without it (sbz, hb_chow, sadf_gls) rows are scored one by
-    one through ``result``.  ``options`` names the regression options, of
-    ``det`` and ``k``, that the statistic reads: it receives only those,
-    and ``reason`` says why it takes no others.
+    ``curves(Y, m0, strict=False, **options)`` gives the (rows, T+1)
+    per-endpoint curves of a (rows, T) panel and their attaining starts,
+    NaN where degenerate (``strict``: a degenerate series raises its own
+    message).  The SupResult of one series and the score of every row of
+    a panel, in one scan, are both read from it.  ``options`` names the
+    regression options, of ``det`` and ``k``, that the statistic reads:
+    it receives only those, and ``reason`` says why it takes no others.
     """
 
-    result: Callable
+    kind: str
+    curves: Callable
     options: tuple[str, ...] = ()
     reason: str = ""
-    panel: Callable | None = None
 
     def _read(self, det, k) -> dict:
         return {name: val for name, val in (("det", det), ("k", k)) if name in self.options}
 
     def observe(self, values, tau0, det, k) -> SupResult:
+        return recursive._curve_result(self.kind, self.curves, values, tau0, **self._read(det, k))
+
+    def scores(self, Y, tau0, det, k) -> np.ndarray:
+        return recursive._curve_scores(self.curves, Y, tau0, **self._read(det, k))
+
+
+@dataclass(frozen=True)
+class _RowStatistic:
+    """The sup-Chow statistic, whose grid is break dates from 0, not endpoints
+    from m0: ``result`` gives its SupResult, and a panel goes row by row."""
+
+    result: Callable
+    options: tuple[str, ...]
+    reason: str
+    _read = _Statistic._read
+
+    def observe(self, values, tau0, det, k) -> SupResult:
         return self.result(values, tau0, **self._read(det, k))
 
     def scores(self, Y, tau0, det, k) -> np.ndarray:
-        if self.panel is None:
-            return _by_row(lambda v, *args: self.observe(v, *args).value)(Y, tau0, det, k)
-        return self.panel(Y, tau0, **self._read(det, k))
-
-
-def _robust(window, kind, double, reason) -> _Statistic:
-    """A sign or time-transformed statistic: the prefix sup, or the double
-    sup when ``double``, of the panel closed form that ``window`` builds."""
-
-    def result(values, tau0):
-        v = as_values(values)
-        tau0, m0 = _resolve_tau0(v.size, tau0)
-        return robust._sup(kind, double, window(v[None], strict=True), m0, v.size, tau0)
-
-    def panel(Y, tau0):
-        m0 = _resolve_tau0(Y.shape[1], tau0)[1]
-        curve = ols._sup_curve(window(Y), len(Y), m0, Y.shape[1], double)[0]
-        return recursive._row_sup(curve[:, m0:])
-
-    return _Statistic(result, (), reason, panel)
+        return _by_row(lambda v, *args: self.observe(v, *args).value)(Y, tau0, det, k)
 
 
 _SIGN = "sign statistics are rank-based and ignore regression options"
@@ -163,22 +161,23 @@ _TIME = "time-transformed statistics are tuned by bandwidth, not regression opti
 #: name -> the one description of a statistic used by the CLI, the
 #: bootstrap, tabulation and studies.
 _REGISTRY = {
-    "sadf": _Statistic(recursive.sadf, ("det", "k"), panel=recursive.sadf_panel),
-    "gsadf": _Statistic(recursive.gsadf, ("det", "k"), panel=recursive.gsadf_panel),
-    "hb_chow": _Statistic(
+    "sadf": _Statistic("sadf", recursive._prefix_curves, ("det", "k")),
+    "gsadf": _Statistic("bsadf", recursive._backward_curves, ("det", "k")),
+    "hb_chow": _RowStatistic(
         recursive.hb_sup_chow, ("k",), "the sup-Chow statistic fixes its own deterministic terms"
     ),
     "sadf_gls": _Statistic(
-        recursive.sadf_gls, ("det",), "the GLS-demeaned statistic does not take lag augmentation"
+        "sadf_gls", recursive._gls_curves, ("det",),
+        "the GLS-demeaned statistic does not take lag augmentation",
     ),
     "sbz": _Statistic(
-        robust.sbz, (),
+        "sbz", robust._sbz_curves, (),
         "the variance-profile statistic is tuned by bandwidth, not regression options",
     ),
-    "sign_sadf": _robust(robust._sign_rows, "sign_sadf", False, _SIGN),
-    "sign_gsadf": _robust(robust._sign_rows, "sign_bsadf", True, _SIGN),
-    "stadf": _robust(robust._tt_rows, "stadf", False, _TIME),
-    "gstadf": _robust(robust._tt_rows, "gstadf", True, _TIME),
+    "sign_sadf": _Statistic("sign_sadf", robust._window_curves(robust._sign_rows, False), (), _SIGN),
+    "sign_gsadf": _Statistic("sign_bsadf", robust._window_curves(robust._sign_rows, True), (), _SIGN),
+    "stadf": _Statistic("stadf", robust._window_curves(robust._tt_rows, False), (), _TIME),
+    "gstadf": _Statistic("gstadf", robust._window_curves(robust._tt_rows, True), (), _TIME),
 }
 
 #: Statistic names accepted by the bootstrap entry points (and the CLI).

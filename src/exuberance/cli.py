@@ -198,7 +198,8 @@ def _sequence_dict(seq, series=None, cv=None) -> dict:
     }
     labels = getattr(series, "labels", None)
     if labels is not None:
-        out["labels"] = [str(labels[i - 1]) for i in ends]
+        # grid point i is observation i (1-based); hb_chow's break index 0 has none
+        out["labels"] = [str(labels[i - 1]) if i > 0 else None for i in ends]
     if cv is not None:
         out["cv"] = _jsonable(cv)
     return out

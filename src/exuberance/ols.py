@@ -156,6 +156,13 @@ def fit_adf_window(
     X = np.column_stack(cols)
     p = X.shape[1]
     beta, _, rank, _ = np.linalg.lstsq(X, dep, rcond=None)
+    scale = np.linalg.norm(X, axis=0) if rank < p else np.ones(p)
+    if rank < p and scale.all():
+        # lstsq cuts singular values relative to the largest, so tiny-valued
+        # columns look deficient beside the intercept: judge unit-norm ones,
+        # by the Gram matrix that the t-ratio inverts
+        X = X / scale
+        beta, rank = np.linalg.lstsq(X, dep, rcond=None)[0], np.linalg.matrix_rank(X.T @ X)
     if rank < p:
         raise DegenerateFitError(
             f"rank-deficient design on window ({start}, {end}] (rank {rank} < {p})"
@@ -179,12 +186,13 @@ def fit_adf_window(
             raise DegenerateFitError(
                 f"zero-variance fit on window ({start}, {end}]"
             )
-    coeffs = beta.copy()
+    # back to the data's units (a no-op unless the columns were rescaled)
+    coeffs, se = beta / scale, float(se / scale[dpos])
     if det != "none":
         # map the intercept back to the un-anchored scale
-        coeffs[0] = beta[0] - beta[dpos] * anchor
+        coeffs[0] = coeffs[0] - coeffs[dpos] * anchor
     return AdfFit(
-        delta=float(beta[dpos]),
+        delta=float(coeffs[dpos]),
         tstat=tstat,
         se=se,
         sigma2=float(sigma2),

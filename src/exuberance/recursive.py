@@ -10,6 +10,7 @@ the smallest start fraction wins, then the smallest end fraction.
 from __future__ import annotations
 
 import json
+from contextlib import suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,8 +24,6 @@ __all__ = [
     "SupResult",
     "sadf",
     "gsadf",
-    "sadf_panel",
-    "gsadf_panel",
     "hb_sup_chow",
     "sadf_gls",
     "end_of_sample_stats",
@@ -133,12 +132,7 @@ def _double_supresult(kind, maxvals, argmax_s, m0, T, tau0) -> SupResult:
     )
 
 
-def _prefix_supresult(kind, stats, m0, T, tau0) -> SupResult:
-    """Sup of a prefix curve: the double sup with every window starting at 0."""
-    return _double_supresult(kind, stats, np.zeros(T + 1, dtype=np.int64), m0, T, tau0)
-
-
-def _prefix_curves(Y: np.ndarray, m0: int, det: str, k: int) -> np.ndarray:
+def _prefix_curves(Y: np.ndarray, m0: int, strict: bool = False, det: str = "const", k: int = 0):
     """Prefix-window curves of a (rows, T) panel, e = T pinned from below.
 
     The scan engine and the dense single-window fit agree to rounding
@@ -151,10 +145,10 @@ def _prefix_curves(Y: np.ndarray, m0: int, det: str, k: int) -> np.ndarray:
         dense_T = ols._dense_or_nan(y, 0, T, det, k)
         if not np.isnan(dense_T) and not dense_T <= stats[r, T]:
             stats[r, T] = dense_T
-    return stats
+    return stats, np.where(np.isnan(stats), -1, 0)
 
 
-def _backward_curves(Y: np.ndarray, m0: int, det: str, k: int):
+def _backward_curves(Y: np.ndarray, m0: int, strict: bool = False, det: str = "const", k: int = 0):
     """Backward sup curves of a (rows, T) panel and their attaining starts.
 
     The prefix windows they share with the forward scan are folded in
@@ -162,11 +156,23 @@ def _backward_curves(Y: np.ndarray, m0: int, det: str, k: int):
     the forward sup exactly, not just up to rounding.
     """
     maxvals, argmax_s = ols.bsadf_backward(Y, m0, det=det, k=k)
-    prefix = _prefix_curves(Y, m0, det, k)
+    prefix = _prefix_curves(Y, m0, det=det, k=k)[0]
     upd = ~np.isnan(prefix) & (np.isnan(maxvals) | (prefix >= maxvals))
     maxvals[upd] = prefix[upd]
     argmax_s[upd] = 0
     return maxvals, argmax_s
+
+
+def _gls_curves(Y: np.ndarray, m0: int, strict: bool = False, det: str = "const", c_bar: float | None = None):
+    """GLS prefix curves of a (rows, T) panel: each prefix (0, e] of each
+    row detrended on its own, NaN where the fit is degenerate."""
+    det = normalize_det(det)
+    stats = np.full((len(Y), Y.shape[1] + 1), np.nan)
+    for r, y in enumerate(Y):
+        for e in range(m0, Y.shape[1] + 1):
+            with suppress(DegenerateFitError):
+                stats[r, e] = ols.tstat_ar_noconst(ols.gls_adjust(y[:e], det=det, c_bar=c_bar))
+    return stats, np.where(np.isnan(stats), -1, 0)
 
 
 def _row_sup(curves: np.ndarray) -> np.ndarray:
@@ -176,17 +182,31 @@ def _row_sup(curves: np.ndarray) -> np.ndarray:
     return np.where(valid.any(axis=1), best, np.nan)
 
 
+def _curve_result(kind: str, curves, series, tau0, **options) -> SupResult:
+    """SupResult of one series from a curve builder ``curves(Y, m0,
+    strict, **options) -> (curve, starts)``, (rows, T+1) arrays.  The
+    builder runs strictly, so a degenerate series raises its own message."""
+    v = as_values(series)
+    tau0, m0 = _resolve_tau0(v.size, tau0)
+    curve, starts = curves(v[None, :], m0, strict=True, **options)
+    return _double_supresult(kind, curve[0], starts[0], m0, v.size, tau0)
+
+
+def _curve_scores(curves, panel, tau0, **options) -> np.ndarray:
+    """Sup of each row's curve of a (rows, T) panel, in one scan; NaN for
+    a row whose windows are all degenerate."""
+    Y = np.asarray(panel, dtype=np.float64)
+    m0 = _resolve_tau0(Y.shape[1], tau0)[1]
+    return _row_sup(curves(Y, m0, **options)[0][:, m0:])
+
+
 def sadf(series, tau0: float | None = None, det: str = "const", k: int = 0) -> SupResult:
     """Sup of forward-recursive ADF statistics on windows (0, e].
 
     The endpoint runs over e = m0..T with m0 the floor-mapped minimum
     window.  The emitted sequence is reusable for origination dating.
     """
-    v = as_values(series)
-    T = v.size
-    tau0, m0 = _resolve_tau0(T, tau0)
-    stats = _prefix_curves(v[None, :], m0, det, k)[0]
-    return _prefix_supresult("sadf", stats, m0, T, tau0)
+    return _curve_result("sadf", _prefix_curves, series, tau0, det=det, k=k)
 
 
 def gsadf(series, tau0: float | None = None, det: str = "const", k: int = 0) -> SupResult:
@@ -198,31 +218,7 @@ def gsadf(series, tau0: float | None = None, det: str = "const", k: int = 0) -> 
     from the same arithmetic that scan uses, so the double sup dominates
     the forward sup exactly, not just up to rounding.
     """
-    v = as_values(series)
-    T = v.size
-    tau0, m0 = _resolve_tau0(T, tau0)
-    maxvals, argmax_s = _backward_curves(v[None, :], m0, det, k)
-    return _double_supresult("bsadf", maxvals[0], argmax_s[0], m0, T, tau0)
-
-
-def sadf_panel(panel, tau0: float | None = None, det: str = "const", k: int = 0) -> np.ndarray:
-    """:func:`sadf` value of every row of a (rows, T) panel, in one scan.
-
-    A row whose windows are all degenerate gets NaN.
-    """
-    Y = np.asarray(panel, dtype=np.float64)
-    tau0, m0 = _resolve_tau0(Y.shape[1], tau0)
-    return _row_sup(_prefix_curves(Y, m0, det, k)[:, m0:])
-
-
-def gsadf_panel(panel, tau0: float | None = None, det: str = "const", k: int = 0) -> np.ndarray:
-    """:func:`gsadf` value of every row of a (rows, T) panel, in one scan.
-
-    A row whose windows are all degenerate gets NaN.
-    """
-    Y = np.asarray(panel, dtype=np.float64)
-    tau0, m0 = _resolve_tau0(Y.shape[1], tau0)
-    return _row_sup(_backward_curves(Y, m0, det, k)[0][:, m0:])
+    return _curve_result("bsadf", _backward_curves, series, tau0, det=det, k=k)
 
 
 def hb_sup_chow(series, tau0: float | None = None, k: int = 0) -> SupResult:
@@ -301,18 +297,7 @@ def sadf_gls(
     quasi-differencing constant rescaled by the prefix length) and the
     no-deterministics t-ratio is computed on the residuals.
     """
-    v = as_values(series)
-    T = v.size
-    det = normalize_det(det)
-    tau0, m0 = _resolve_tau0(T, tau0)
-    stats = np.full(T + 1, np.nan)
-    for e in range(m0, T + 1):
-        try:
-            u = ols.gls_adjust(v[:e], det=det, c_bar=c_bar)
-            stats[e] = ols.tstat_ar_noconst(u)
-        except DegenerateFitError:
-            continue
-    return _prefix_supresult("sadf_gls", stats, m0, T, tau0)
+    return _curve_result("sadf_gls", _gls_curves, series, tau0, det=det, c_bar=c_bar)
 
 
 @dataclass

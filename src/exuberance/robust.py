@@ -23,12 +23,7 @@ import numpy as np
 
 from .exceptions import DegenerateFitError
 from .ols import _sup_curve
-from .recursive import (
-    SupResult,
-    _double_supresult,
-    _prefix_supresult,
-    _resolve_tau0,
-)
+from .recursive import SupResult, _curve_result, _double_supresult, _resolve_tau0
 from .series import as_values
 
 __all__ = [
@@ -92,24 +87,28 @@ def sbz(series, tau0: float | None = None, bandwidth: float | None = None) -> Su
     of squared lagged levels.  Weighting makes the statistic insensitive
     to smooth volatility changes; the shift removes the starting level.
     """
-    v = as_values(series)
-    T = v.size
+    return _curve_result("sbz", _sbz_curves, series, tau0, bandwidth=bandwidth)
+
+
+def _sbz_curves(Y: np.ndarray, m0: int, strict: bool = False, bandwidth: float | None = None):
+    """:func:`sbz` prefix curves of a (rows, T) panel: each row's kernel
+    variance, then one cumsum over the panel.  A row whose local variance
+    vanishes is NaN (strict: raises)."""
+    T = Y.shape[1]
     if T < _MIN_KERNEL_SAMPLE:
         raise ValueError(f"this statistic needs T >= {_MIN_KERNEL_SAMPLE}, got {T}")
     h = _check_bandwidth(T, bandwidth)
-    tau0, m0 = _resolve_tau0(T, tau0)
-    sig2 = _gaussian_smooth(np.diff(v) ** 2, T, h)
-    if not np.all(sig2 > 0):
+    sig2 = np.stack([_gaussian_smooth(d**2, T, h) for d in np.diff(Y, axis=1)])
+    ok = (sig2 > 0).all(axis=1)
+    if strict and not ok.all():
         raise DegenerateFitError("local variance estimate vanished")
-    yt = v - v[0]
-    num = np.cumsum(np.diff(yt) * yt[:-1] / sig2)
-    den = np.cumsum(yt[:-1] ** 2 / sig2)
-    stats = np.full(T + 1, np.nan)
-    e_grid = np.arange(m0, T + 1)
-    d = den[e_grid - 2]
+    yt = Y - Y[:, :1]
+    stats = np.full((len(Y), T + 1), np.nan)
     with np.errstate(divide="ignore", invalid="ignore"):
-        stats[e_grid] = np.where(d > 0, num[e_grid - 2] / np.sqrt(d), np.nan)
-    return _prefix_supresult("sbz", stats, m0, T, tau0)
+        num = np.cumsum(np.diff(yt, axis=1) * yt[:, :-1] / sig2, axis=1)[:, m0 - 2 :]
+        den = np.cumsum(yt[:, :-1] ** 2 / sig2, axis=1)[:, m0 - 2 :]
+        stats[:, m0:] = np.where(ok[:, None] & (den > 0), num / np.sqrt(den), np.nan)
+    return stats, np.where(np.isnan(stats), -1, 0)
 
 
 def sign_path(series, mode: str = "raw", filter_lags: int = 0) -> np.ndarray:
@@ -161,6 +160,12 @@ def _normalize_sign_mode(mode: str) -> str:
 def _sup(kind, double, stat, m0, T, tau0) -> SupResult:
     curve, starts = _sup_curve(stat, 1, m0, T, double)
     return _double_supresult(kind, curve[0], starts[0], m0, T, tau0)
+
+
+def _window_curves(window, double: bool):
+    """Curve builder of a panel closed form ``window(Y, strict)``: its
+    prefix curve, or its backward sup curve when ``double``."""
+    return lambda Y, m0, strict=False: _sup_curve(window(Y, strict), len(Y), m0, Y.shape[1], double)
 
 
 def _sign_moments(C: np.ndarray, strict: bool = False) -> np.ndarray:

@@ -253,7 +253,7 @@ class TestReplicateBatching:
 
     def test_chunking_keeps_replicates_bit_for_bit(self):
         v = _walk(62, self.T)
-        for stat in ("gsadf", "sadf", "sign_sadf", "sign_gsadf", "stadf", "gstadf"):
+        for stat in ("gsadf", "sadf", "sign_sadf", "sign_gsadf", "stadf", "gstadf", "sbz", "sadf_gls"):
             long = bt.wild_bootstrap_pvalue(v, stat, B=199, seed=23)
             short = bt.wild_bootstrap_pvalue(v, stat, B=99, seed=23)
             np.testing.assert_array_equal(long.replicates[:99], short.replicates)

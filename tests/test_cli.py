@@ -586,6 +586,19 @@ class TestLabels:
         rows = [r.split(",") for r in csv_path.read_text().strip().splitlines()[1:]]
         assert [(int(r[0]), r[1]) for r in rows] == list(zip(seq["index"], seq["labels"]))
 
+    def test_hb_chow_break_index_zero_has_no_label(self, bubble_csv, tmp_path):
+        # the sup-Chow grid starts at break index 0, before any observation
+        out = tmp_path / "r.json"
+        assert main(["test", "--stat", "hb_chow", "--input", bubble_csv, "--column", "price",
+                     "--label-column", "date", "--out", str(out)]) == 0
+        seq = _read(out)["result"]["sequence"]
+        assert seq["index"][0] == 0 and seq["labels"][0] is None
+        assert seq["labels"][1:] == [f"d{i - 1:03d}" for i in seq["index"][1:]]
+        csv_path = tmp_path / "plot.csv"
+        assert main(["plot-data", "--input", str(out), "--out", str(csv_path)]) == 0
+        first = csv_path.read_text().splitlines()[1].split(",")
+        assert first[:2] == ["0", ""]
+
 
 class TestDeterminism:
     def _strip_created(self, text: str) -> str:

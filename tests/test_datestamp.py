@@ -33,6 +33,20 @@ from exuberance.recursive import StatSequence
 from exuberance.series import Series, frac_to_index
 
 
+def _collapse_bubbles():
+    """40 collapsing bubbles at T = 300, no seed dropped: 3% growth for
+    0.15T from an origin in [0.35T, 0.45T), then 4% decay for 0.05T.
+    Yields (seed, series, (origin, collapse, recovery) indices)."""
+    T = 300
+    for seed in range(40):
+        tau_e = float(np.random.default_rng(seed).uniform(0.35, 0.45))
+        spec = DgpSpec(
+            kind="collapse_bubble", T=T, tau_e=tau_e, tau_c=tau_e + 0.15,
+            tau_r=tau_e + 0.2, delta1=0.03, delta2=0.04, y0=100.0, seed=seed,
+        )
+        yield seed, simulate(spec), spec.dates()
+
+
 def _walk(seed, T, scale=1.0):
     rng = np.random.default_rng(seed)
     return np.cumsum(scale * rng.standard_normal(T))
@@ -782,20 +796,12 @@ class TestTwoStep:
             )
 
     def test_simulated_bubbles_come_back_whole(self):
-        # 40 collapsing bubbles, no seed dropped: 3% growth for 0.15T from
-        # an origin in [0.35T, 0.45T), then 4% decay for 0.05T.  A dip of
-        # the backward sup curve below the critical value split four of
-        # them into fragments before close episodes were merged
+        # a dip of the backward sup curve below the critical value split
+        # four of the draws into fragments before close episodes were merged
         T = 300
         floor = default_min_duration(T) * T
-        for seed in range(40):
-            tau_e = float(np.random.default_rng(seed).uniform(0.35, 0.45))
-            spec = DgpSpec(
-                kind="collapse_bubble", T=T, tau_e=tau_e, tau_c=tau_e + 0.15,
-                tau_r=tau_e + 0.2, delta1=0.03, delta2=0.04, y0=100.0, seed=seed,
-            )
-            origin, collapse, _ = spec.dates()
-            episodes = two_step_stamp(simulate(spec), k=2)
+        for seed, y, (origin, collapse, _) in _collapse_bubbles():
+            episodes = two_step_stamp(y, k=2)
             near = min(episodes, key=lambda ep: abs(ep.origin_index - origin))
             assert abs(near.origin_index - origin) <= 5, seed
             assert abs(near.collapse_index - collapse) <= 5, seed
@@ -911,3 +917,46 @@ class TestTrainingMaxMonitor:
         mo = self._seq([1.0])
         with pytest.raises(ValueError):
             training_max_monitor(tr, mo)
+
+
+class TestDatingAccuracy:
+    """Dates of the 40 simulated collapsing bubbles of
+    :func:`_collapse_bubbles`, every seed kept.  The bounds are the
+    measured behaviour of each method, so a change that dates any draw
+    worse fails."""
+
+    def test_psy_origin_late_and_collapse_close(self):
+        # PSY detects an origin only once the backward sup curve has risen
+        # past the critical value, so it is late, never early.  Seeds 5, 18,
+        # 30 and 35 split into two episodes at a dip of the curve; seeds 10
+        # and 31 add a short false detection far from the bubble
+        extra = []
+        for seed, y, (origin, collapse, _) in _collapse_bubbles():
+            episodes = psy_stamp(recursive.gsadf(y, k=2).sequence)
+            near = min(episodes, key=lambda ep: abs(ep.origin_index - origin))
+            assert 0 <= near.origin_index - origin <= 31, seed
+            last = min(episodes, key=lambda ep: abs(ep.collapse_index - collapse))
+            assert 1 <= last.collapse_index - collapse <= 2, seed
+            assert len(episodes) <= 2, seed
+            if len(episodes) > 1:
+                extra.append(seed)
+        assert set(extra) <= {5, 10, 18, 30, 31, 35}
+
+    def test_ssr_bic_picks_model_4_with_close_dates(self):
+        for seed, y, (origin, collapse, recovery) in _collapse_bubbles():
+            sel = select_model_bic(y)
+            ep = sel.episode
+            assert sel.model == 4, seed
+            assert -2 <= ep.origin_index - origin <= 0, seed
+            assert (ep.collapse_index, ep.recovery_index) == (collapse, recovery), seed
+
+    def test_sign_dating_collapse_exact_on_most_draws(self):
+        # seeds 5, 10 and 24 date a window far from the bubble
+        wild = []
+        for seed, y, (origin, collapse, _) in _collapse_bubbles():
+            ep = sign_stamp(y)
+            if ep.collapse_index != collapse:
+                wild.append(seed)
+                continue
+            assert -41 <= ep.origin_index - origin <= 11, seed
+        assert set(wild) <= {5, 10, 24}

@@ -14,9 +14,20 @@ from exuberance.ols import (
     sadf_prefix_stats,
     tstat_ar_noconst,
 )
-from exuberance.recursive import gsadf, gsadf_panel, sadf, sadf_panel
+from exuberance.bootstrap import _REGISTRY
+from exuberance.recursive import gsadf, sadf
 
 DETS = ("none", "const", "trend")
+
+
+def sadf_panel(panel, tau0=None, det="const", k=0):
+    """The registry's panel form of sadf: one value per row, NaN if degenerate."""
+    return _REGISTRY["sadf"].scores(panel, tau0, det, k)
+
+
+def gsadf_panel(panel, tau0=None, det="const", k=0):
+    """The registry's panel form of gsadf: one value per row, NaN if degenerate."""
+    return _REGISTRY["gsadf"].scores(panel, tau0, det, k)
 
 
 def _grid(T, m0):
@@ -95,6 +106,27 @@ class TestDenseFit:
         v = np.full(12, 3.0)
         with pytest.raises(DegenerateFitError):
             fit_adf_window(v, 0, 12, det="const", k=0)
+
+    def test_rank_does_not_depend_on_the_data_scale(self):
+        # a tiny-valued window is full rank: the ADF t-ratio has no units,
+        # so it equals the t-ratio of the data scaled up and the scan's one
+        v = np.array([0.0] * 14 + [2.2e-21, 0.0])
+        for det in DETS:
+            fit = fit_adf_window(v, 0, 16, det=det, k=0)
+            big = fit_adf_window(v * 1e21, 0, 16, det=det, k=0)
+            assert fit.tstat == pytest.approx(big.tstat, rel=1e-12)
+            assert fit.delta == pytest.approx(big.delta, rel=1e-12)
+            assert fit.se == pytest.approx(big.se, rel=1e-12)
+            np.testing.assert_allclose(fit.coeffs[:-1], big.coeffs[:-1] * 1e-21, rtol=1e-12, atol=0)
+            assert fit.tstat == pytest.approx(adf_tstat_pairs(v, [0], [16], det=det)[0], rel=1e-9)
+        assert fit_adf_window(v, 0, 16).tstat == pytest.approx(-3.872983346207417, rel=1e-12)
+        # a truly deficient design still raises, and so does one whose
+        # unit-norm Gram matrix is singular to working precision
+        with pytest.raises(DegenerateFitError, match="rank-deficient"):
+            fit_adf_window(np.full(16, 2.2e-21), 0, 16, det="const", k=0)
+        near = 1e9 + np.array([-1.0, 0.0, 1.0, 2.0, 2.0])
+        with pytest.raises(DegenerateFitError, match="rank-deficient"):
+            fit_adf_window(near, 0, 5, det="none", k=1)
 
     def test_exact_explosive_fit_diverges(self):
         # doubling sequence: delta = 1 with a residual at rounding level,

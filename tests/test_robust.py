@@ -6,7 +6,9 @@ import pytest
 import oracles
 from exuberance import DegenerateFitError
 from exuberance import bootstrap as bt
+from exuberance import robust
 from exuberance.datestamp import sign_stamp
+from exuberance.recursive import _gls_curves, sadf_gls
 from exuberance.robust import (
     kernel_variance,
     sbz,
@@ -331,3 +333,47 @@ class TestPanels:
                 one(Y[-1], self.TAU0)
             with pytest.raises(DegenerateFitError, match=message):
                 entry.observe(Y[-1], self.TAU0, "const", 0)
+
+
+class TestCurvePanels:
+    """sbz and sadf_gls scored as panels: one curve build for every row
+    equals each row alone, on the rows of :class:`TestPanels`."""
+
+    T, TAU0 = TestPanels.T, TestPanels.TAU0
+    ONE = {
+        "sbz": lambda v, tau0: sbz(v, tau0).value,
+        "sadf_gls": lambda v, tau0: sadf_gls(v, tau0).value,
+    }
+    ORACLE = {
+        "sbz": lambda v, m0: oracles.sbz(v, m0)[0],
+        "sadf_gls": lambda v, m0: oracles.sadf_gls(v, m0)[0],
+    }
+    MESSAGE = {"sbz": "local variance estimate vanished", "sadf_gls": "every window degenerate"}
+
+    def test_panel_rows_equal_one_series_and_oracles(self):
+        Y = TestPanels()._panel()
+        m0 = frac_to_index(self.TAU0, self.T)
+        for name, one in self.ONE.items():
+            entry = bt._REGISTRY[name]
+            got = entry.scores(Y, self.TAU0, "const", 0)
+            for value, v in zip(got[:-1], Y[:-1]):
+                assert value == one(v, self.TAU0)
+                assert value == entry.observe(v, self.TAU0, "const", 0).value
+                assert value == pytest.approx(self.ORACLE[name](v, m0), abs=1e-9)
+            assert np.isnan(got[-1])
+            with pytest.raises(DegenerateFitError, match=self.MESSAGE[name]):
+                one(Y[-1], self.TAU0)
+            with pytest.raises(DegenerateFitError, match=self.MESSAGE[name]):
+                entry.observe(Y[-1], self.TAU0, "const", 0)
+
+    def test_curves_are_the_one_series_sequences(self):
+        # the SupResult's sequence is the panel curve's row, bit for bit
+        Y = TestPanels()._panel()[:-1]
+        m0 = frac_to_index(self.TAU0, self.T)
+        for name, curves in (("sbz", robust._sbz_curves), ("sadf_gls", _gls_curves)):
+            curve, starts = curves(Y, m0)
+            assert curve.shape == starts.shape == (len(Y), self.T + 1)
+            for r, v in enumerate(Y):
+                seq = bt._REGISTRY[name].observe(v, self.TAU0, "const", 0).sequence
+                np.testing.assert_array_equal(curve[r, m0:], seq.values)
+            np.testing.assert_array_equal(starts, np.where(np.isnan(curve), -1, 0))
