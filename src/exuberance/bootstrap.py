@@ -421,9 +421,7 @@ def composite_monitor_cv(
     X = np.ones((rows.size, k + 1))
     for j in range(1, k + 1):
         X[:, j] = dy[rows - j]
-    beta, _, rank, _ = np.linalg.lstsq(X, dy[rows], rcond=None)
-    if rank < k + 1:
-        raise DegenerateFitError("null lag regression is rank deficient")
+    beta = ols._least_squares(X, dy[rows], "null lag regression is rank deficient")[0]
     phi = beta[1:]
     resid = dy[rows] - X @ beta
     # resid[i] belongs to time index t = k + 2 + i; the recursion consumes

@@ -57,6 +57,9 @@ _N_DATES = {1: 1, 2: 2, 3: 2, 4: 3}
 
 DEFAULT_MIN_SEGMENT = 3
 
+# cells of one block of the regime search's (dates x peaks) grid
+_SEARCH_CELLS = 1 << 13
+
 
 def rule_critical_value(T: int) -> float:
     """Slowly diverging critical value (2/3)·log(log² T) for date stamping.
@@ -311,26 +314,19 @@ def bic_init(series, origin_index: int, n_min: int | None = None) -> int:
     dy = np.diff(v)
     while True:
         # regression rows t = start+1 .. origin_index on the sample that
-        # begins at the current initial condition
+        # begins at the current initial condition, the level anchored there
         d = dy[start - 1 : origin_index - 1]
-        lag = v[start - 1 : origin_index - 1]
+        lag = v[start - 1 : origin_index - 1] - v[start - 1]
         n = d.size
         ur_resid = d - d.mean()
         ssr_ur = float(ur_resid @ ur_resid)
         X = np.column_stack([np.ones(n), lag])
-        beta, _, rank, _ = np.linalg.lstsq(X, d + lag, rcond=None)
-        if rank < 2:
-            raise DegenerateFitError(
-                f"autoregression is rank deficient on window starting at {start}"
-            )
-        ar_resid = (d + lag) - X @ beta
-        ssr_ar = float(ar_resid @ ar_resid)
-        if ssr_ur <= 0 or ssr_ar <= 0:
-            raise DegenerateFitError(
-                f"zero residual variance on window starting at {start}"
-            )
-        bic_ur = math.log(ssr_ur / n) + math.log(n) / n
-        bic_ar = math.log(ssr_ar / n) + 2.0 * math.log(n) / n
+        beta, ssr_ar, _ = ols._least_squares(
+            X, d + lag, f"autoregression is rank deficient on window starting at {start}"
+        )
+        # an exact fit (ssr 0) is preferred to any other
+        bic_ur = math.log(ssr_ur / n) + math.log(n) / n if ssr_ur > 0 else -math.inf
+        bic_ar = math.log(ssr_ar / n) + 2.0 * math.log(n) / n if ssr_ar > 0 else -math.inf
         delta_hat = beta[1]
         if bic_ur > bic_ar and delta_hat > 1.0 and start > 1:
             start -= 1
@@ -418,25 +414,24 @@ def _fit_regimes(v: np.ndarray, model: int, a: int, b: int, c: int) -> BubbleMod
     T = v.size
     t = np.arange(2, T + 1)
     dep = v[t - 1] - v[t - 2]
-    lag = v[t - 2]
+    # the level anchored at the origin, inside the sample
+    lag = v[t - 2] - v[a - 1]
     reg1 = (t > a) & (t <= b)
     cols = [reg1.astype(float), reg1 * lag]
     if model in (3, 4):
         reg2 = (t > b) & (t <= c)
         cols += [reg2.astype(float), reg2 * lag]
-    X = np.column_stack(cols)
-    beta, _, rank, _ = np.linalg.lstsq(X, dep, rcond=None)
-    if rank < X.shape[1]:
-        raise DegenerateFitError(
-            f"model {model} regression singular at dates {(a, b, c)}"
-        )
-    resid = dep - X @ beta
+    beta, ssr, _ = ols._least_squares(
+        np.column_stack(cols), dep, f"model {model} regression singular at dates {(a, b, c)}"
+    )
+    # each regime's intercept back to the un-anchored level
+    beta[0::2] -= beta[1::2] * v[a - 1]
     valid = v[b - 1] > v[a - 1]
     if model in (3, 4):
         valid = valid and v[b - 1] > v[c - 1]
     return BubbleModelFit(
         model=model,
-        ssr=float(resid @ resid),
+        ssr=ssr,
         coeffs=beta,
         valid=bool(valid),
         dates=(a, b, c),
@@ -479,11 +474,10 @@ def _segment_ssr_engine(v: np.ndarray):
             cyd = syd - sy * sd / n
             cdd = sdd - sd * sd / n
             out = cdd - cyd * cyd / cyy
-        scale = np.maximum(np.abs(sdd), 1.0)
-        bad = (n < 2) | ~(cyy > 1e-12 * np.maximum(np.abs(syy), 1.0))
-        out = np.where(bad, np.inf, np.maximum(out, 0.0))
-        # guard catastrophic cancellation: a tiny negative is a zero fit
-        return np.where(out < -1e-8 * scale, np.inf, out)
+        # the level is collinear with the intercept when its centred sum of
+        # squares vanishes beside its raw one; a tiny negative SSR is a zero fit
+        bad = (n < 2) | ~(cyy > 1e-12 * syy)
+        return np.where(bad, np.inf, np.maximum(out, 0.0))
 
     return seg, Pdd
 
@@ -515,8 +509,9 @@ def _search_models(v, min_seg, seg, Pdd):
     The models differ only in the rest after the peak: nothing (model 1,
     b = T), the raw tail (model 2), one collapse regime to T with
     v_b > v_T (model 3), or g(b) = min over c in [b+ms, T-ms] with
-    v_c < v_b of seg(b, c) + tail(c) (model 4).  One loop over b builds f
-    and g in O(T) memory.  Ties go to the smallest (a, b, c).  Returns
+    v_c < v_b of seg(b, c) + tail(c) (model 4).  One loop over blocks of
+    peaks builds f and g, each block a (dates x peaks) grid of at most
+    ``_SEARCH_CELLS`` cells.  Ties go to the smallest (a, b, c).  Returns
     {model: (ssr, (a, b, c))} for the models with an admissible
     candidate, in the layout of :class:`ModelSelection`: b = c = T in
     model 1, c = b in model 2, c = T in model 3.
@@ -525,20 +520,21 @@ def _search_models(v, min_seg, seg, Pdd):
     ms = min_seg
     total = Pdd[T - 1]
     bs = np.arange(2 * ms, T + 1, dtype=np.int64)
-    f = np.full(bs.size, np.inf)
-    fa = np.zeros(bs.size, dtype=np.int64)
-    g = np.full(bs.size, np.inf)
-    gc = np.zeros(bs.size, dtype=np.int64)
-    for j, b in enumerate(bs):
-        a = np.arange(ms, b - ms + 1, dtype=np.int64)
-        ssr = np.where(v[a - 1] < v[b - 1], Pdd[a - 1] + seg(a, b), np.inf)
-        i = int(np.argmin(ssr))
-        f[j], fa[j] = ssr[i], a[i]
-        c = np.arange(b + ms, T - ms + 1, dtype=np.int64)
-        if c.size:
-            ssr = np.where(v[c - 1] < v[b - 1], seg(b, c) + (total - Pdd[c - 1]), np.inf)
-            i = int(np.argmin(ssr))
-            g[j], gc[j] = ssr[i], c[i]
+    f, g = np.empty(bs.size), np.empty(bs.size)
+    fa, gc = np.empty(bs.size, dtype=np.int64), np.empty(bs.size, dtype=np.int64)
+    # every date 1..T as a candidate origin a or recovery c (a column),
+    # scored against a block of peaks b (a row) at once
+    cand = np.arange(1, T + 1, dtype=np.int64)[:, None]
+    below = v[cand - 1]
+    head, tail = Pdd[cand - 1], total - Pdd[cand - 1]
+    step = max(1, _SEARCH_CELLS // T)
+    for j in range(0, bs.size, step):
+        b = bs[None, j : j + step]
+        lower = below < v[b - 1]
+        ssr = np.where((cand >= ms) & (cand <= b - ms) & lower, head + seg(cand, b), np.inf)
+        f[j : j + step], fa[j : j + step] = ssr.min(axis=0), cand[ssr.argmin(axis=0), 0]
+        ssr = np.where((cand >= b + ms) & (cand <= T - ms) & lower, seg(b, cand) + tail, np.inf)
+        g[j : j + step], gc[j : j + step] = ssr.min(axis=0), cand[ssr.argmin(axis=0), 0]
     inner = bs <= T - ms
     rests = {
         1: np.where(bs == T, 0.0, np.inf),

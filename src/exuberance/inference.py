@@ -20,7 +20,7 @@ import numpy as np
 
 from .bootstrap import MIN_REPLICATIONS, MULTIPLIERS, _resolve_seed, multiplier_draws, replicate_rng
 from .exceptions import DataError, DegenerateFitError
-from .ols import fit_adf_window
+from .ols import _least_squares, fit_adf_window
 from .recursive import StatSequence, _resolve_tau0
 from .series import _JsonFields, as_values, normalize_det
 
@@ -359,11 +359,7 @@ def migration_test(
     dep = thy - 1.0
     reg = (thx - 1.0) * (ends - origin_x).astype(np.float64) / m
     X = np.column_stack([np.ones(ends.size), reg])
-    beta, _, rank, _ = np.linalg.lstsq(X, dep, rcond=None)
-    if rank < 2:
-        raise DegenerateFitError(
-            "scaled source coefficient has no variation over the window"
-        )
+    beta = _least_squares(X, dep, "scaled source coefficient has no variation over the window")[0]
     L = math.log(m) if scale is None else float(scale)
     if L <= 0.0:
         raise ValueError(f"normalization scale must be positive, got {L}")
@@ -451,14 +447,13 @@ def contagion_delay(
             continue
         dep_g, reg_g = dep[good], reg[good]
         syy = float(np.sum((dep_g - dep_g.mean()) ** 2))
-        if syy <= 0.0 or np.ptp(reg_g) == 0.0:
+        if syy <= 0.0:
             continue
-        X = np.column_stack([np.ones(rows), reg_g])
-        beta, _, rank, _ = np.linalg.lstsq(X, dep_g, rcond=None)
-        if rank < 2:
+        try:
+            beta, ssr, _ = _least_squares(np.column_stack([np.ones(rows), reg_g]), dep_g)
+        except DegenerateFitError:
             continue
-        resid = dep_g - X @ beta
-        r2 = 1.0 - float(resid @ resid) / syy
+        r2 = 1.0 - ssr / syy
         profile[d] = r2
         if best is None or r2 > best[0]:
             best = (r2, d)
@@ -557,51 +552,36 @@ def cobubble_test(
     n = ys.size
     if n < 10:
         raise DataError(f"overlap after shifting is {n} points; need >= 10")
-    if np.ptp(xs) == 0.0:
-        raise DegenerateFitError("x is constant over the overlap")
     if B < MIN_REPLICATIONS:
         raise ValueError(f"B must be >= {MIN_REPLICATIONS}, got {B}")
     if multiplier not in MULTIPLIERS:
         raise ValueError(f"unknown multiplier kind {multiplier!r}; choose from {MULTIPLIERS}")
     base_seed = _resolve_seed(seed)
 
-    X = np.column_stack([np.ones(n), xs])
-    coef, _, _, _ = np.linalg.lstsq(X, ys, rcond=None)
+    # both levels anchored at the first overlap point, inside the sample
+    X = np.column_stack([np.ones(n), xs - xs[0]])
+    ya = ys - ys[0]
+    coef, sse, xtx_inv = _least_squares(X, ya, "x is constant over the overlap", gram=True)
+    intercept = float(coef[0] + ys[0] - coef[1] * xs[0])
     fitted = X @ coef
-    resid = ys - fitted
-    sse = float(resid @ resid)
-    if sse <= 1e-20 * max(1.0, float(ys @ ys)):
-        # exact linear relation: the residuals carry nothing, the null
-        # of co-movement cannot be rejected
-        return CobubbleTest(
-            stat=0.0,
-            p_value=1.0,
-            delay=d,
-            intercept=float(coef[0]),
-            slope=float(coef[1]),
-            n_overlap=n,
-            B=B,
-            seed=base_seed,
-            multiplier=multiplier,
-            replicates=np.zeros(B),
-        )
-    observed = _cusum_ratio(resid, T)
-
-    xtx_inv = np.linalg.inv(X.T @ X)
-    proj = xtx_inv @ X.T
-    replicates = np.empty(B)
-    for r in range(B):
-        w = multiplier_draws(replicate_rng(base_seed, r), n, multiplier)
-        estar = w * resid
-        ystar = fitted + estar
-        rstar = ystar - X @ (proj @ ystar)
-        replicates[r] = _cusum_ratio(rstar, T)
+    resid = ya - fitted
+    # an exact linear relation leaves residuals that carry nothing: the
+    # statistic is 0 and the null of co-movement cannot be rejected
+    observed, replicates = 0.0, np.zeros(B)
+    if sse > 0:
+        observed = _cusum_ratio(resid, T)
+        proj = xtx_inv @ X.T
+        for r in range(B):
+            w = multiplier_draws(replicate_rng(base_seed, r), n, multiplier)
+            ystar = fitted + w * resid
+            rstar = ystar - X @ (proj @ ystar)
+            replicates[r] = _cusum_ratio(rstar, T)
     p_value = (1.0 + float(np.sum(replicates >= observed))) / (B + 1.0)
     return CobubbleTest(
         stat=observed,
         p_value=p_value,
         delay=d,
-        intercept=float(coef[0]),
+        intercept=intercept,
         slope=float(coef[1]),
         n_overlap=n,
         B=B,

@@ -8,7 +8,9 @@ built from observations inside the window; nobs = end - start - k - 1.
 The test statistic is the t-ratio of the lagged-level coefficient with
 sigma^2 = ssr / (nobs - #params).
 
-``fit_adf_window`` is the dense per-window least-squares reference.  Every
+``fit_adf_window`` is the dense per-window least-squares reference; it and
+every other dense regression of the package run through ``_least_squares``, whose
+rank and exact-fit judgements do not depend on the data's units.  Every
 scan (``bsadf_backward``, ``sadf_prefix_stats``, ``adf_tstat_pairs``) runs
 one moment engine, on a single series or on a (rows, T) panel at once.
 For an endpoint e the rows t = e, e-1, ..., k+2 are re-anchored at y_e
@@ -95,6 +97,47 @@ def _min_window_len(det: str, k: int) -> int:
     return k + 1 + _nparams(det, k) + 1
 
 
+def _least_squares(
+    X: np.ndarray, y: np.ndarray, deficient: str = "rank-deficient design", gram: bool = False
+):
+    """The package's one dense least-squares fit of ``y`` on the columns
+    of ``X``.
+
+    Returns ``(beta, ssr, ginv)``: the coefficients, the residual sum of
+    squares, read as 0 for an exact fit (ssr at most ``_EXACT_FIT`` times
+    y'y), and with ``gram`` the inverse Gram matrix (X'X)^-1 (else None).
+    Plain ``lstsq`` runs first.  Its rank cut is relative to the largest
+    singular value, so a tiny-valued column beside an intercept looks
+    deficient; only then are the columns scaled to unit norm, rank judged
+    again on their Gram matrix and the fit redone there, the results
+    mapped back to the data's units.  Raises ``DegenerateFitError`` with
+    the message ``deficient`` when that design is rank deficient too.
+    Callers anchor a level column beside an intercept inside the sample,
+    so a level offset does not swamp it.
+    """
+    p = X.shape[1]
+    beta, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
+    scale = None
+    if rank < p:
+        scale = np.linalg.norm(X, axis=0)
+        if not scale.all():
+            raise DegenerateFitError(deficient)
+        X = X / scale
+        if np.linalg.matrix_rank(X.T @ X) < p:
+            raise DegenerateFitError(deficient)
+        beta = np.linalg.lstsq(X, y, rcond=None)[0]
+    resid = y - X @ beta
+    ssr = float(resid @ resid)
+    if ssr <= _EXACT_FIT * float(y @ y):
+        ssr = 0.0
+    ginv = np.linalg.inv(X.T @ X) if gram else None
+    if scale is not None:
+        beta = beta / scale
+        if gram:
+            ginv = ginv / np.outer(scale, scale)
+    return beta, ssr, ginv
+
+
 def fit_adf_window(
     values,
     start: int,
@@ -155,50 +198,29 @@ def fit_adf_window(
         names.append(f"dlag{j}")
     X = np.column_stack(cols)
     p = X.shape[1]
-    beta, _, rank, _ = np.linalg.lstsq(X, dep, rcond=None)
-    scale = np.linalg.norm(X, axis=0) if rank < p else np.ones(p)
-    if rank < p and scale.all():
-        # lstsq cuts singular values relative to the largest, so tiny-valued
-        # columns look deficient beside the intercept: judge unit-norm ones,
-        # by the Gram matrix that the t-ratio inverts
-        X = X / scale
-        beta, rank = np.linalg.lstsq(X, dep, rcond=None)[0], np.linalg.matrix_rank(X.T @ X)
-    if rank < p:
-        raise DegenerateFitError(
-            f"rank-deficient design on window ({start}, {end}] (rank {rank} < {p})"
-        )
-    resid = dep - X @ beta
-    ssr = float(resid @ resid)
-    dof = nobs - p
-    sigma2 = ssr / dof
     dpos = names.index("level")
-    if ssr > _EXACT_FIT * float(dep @ dep):
-        xtx_inv = np.linalg.inv(X.T @ X)
-        se = float(np.sqrt(sigma2 * xtx_inv[dpos, dpos]))
+    beta, ssr, ginv = _least_squares(
+        X, dep, f"rank-deficient design on window ({start}, {end}]", gram=True
+    )
+    sigma2 = ssr / (nobs - p)
+    se = float(np.sqrt(sigma2 * ginv[dpos, dpos]))
+    if ssr > 0:
         tstat = float(beta[dpos] / se)
+    elif beta[dpos] != 0:
+        tstat = np.inf if beta[dpos] > 0 else -np.inf
     else:
-        se = 0.0
-        if beta[dpos] > 0:
-            tstat = np.inf
-        elif beta[dpos] < 0:
-            tstat = -np.inf
-        else:
-            raise DegenerateFitError(
-                f"zero-variance fit on window ({start}, {end}]"
-            )
-    # back to the data's units (a no-op unless the columns were rescaled)
-    coeffs, se = beta / scale, float(se / scale[dpos])
+        raise DegenerateFitError(f"zero-variance fit on window ({start}, {end}]")
     if det != "none":
         # map the intercept back to the un-anchored scale
-        coeffs[0] = coeffs[0] - coeffs[dpos] * anchor
+        beta[0] = beta[0] - beta[dpos] * anchor
     return AdfFit(
-        delta=float(coeffs[dpos]),
+        delta=float(beta[dpos]),
         tstat=tstat,
         se=se,
         sigma2=float(sigma2),
         ssr=ssr,
         nobs=nobs,
-        coeffs=coeffs,
+        coeffs=beta,
         columns=tuple(names),
         start=int(start),
         end=int(end),
@@ -287,7 +309,7 @@ def _tstats(C: np.ndarray, slots: dict, nobs: np.ndarray, p: int):
     a dense refit, and ``refit`` marks windows whose equilibrated Gram is
     not numerically positive definite or has condition number above
     ``COND_LIMIT``, whose residual sum of squares is within cancellation
-    error of zero (ssr <= 1e-8 dy'dy) or whose ratio is not finite.
+    error of zero (ssr <= 1e-5 dy'dy) or whose ratio is not finite.
     """
     nobs = nobs[:, None]
 
@@ -336,7 +358,7 @@ def _tstats(C: np.ndarray, slots: dict, nobs: np.ndarray, p: int):
         ssr = sdd - sum(zi * zi for zi in z)
         # the dense fit alone decides what counts as an exact fit
         t = z[-1] / np.sqrt(ssr / (nobs - p))
-        refit = illcond | (pd & ~((ssr > 1e-8 * np.maximum(sdd, 1e-300)) & np.isfinite(t)))
+        refit = illcond | (pd & ~((ssr > 1e-5 * np.maximum(sdd, 1e-300)) & np.isfinite(t)))
         t[~pd | refit] = np.nan
     return t, refit
 
@@ -490,15 +512,13 @@ def gls_adjust(values, det: str = "const", c_bar: float | None = None) -> np.nda
     if c_bar is None:
         c_bar = GLS_CBAR[det]
     rho = 1.0 + c_bar / n
-    if det == "const":
-        Z = np.ones((n, 1))
-    else:
-        Z = np.column_stack([np.ones(n), np.arange(1, n + 1, dtype=float)])
-    ya = np.concatenate([v[:1], v[1:] - rho * v[:-1]])
-    Za = np.vstack([Z[:1], Z[1:] - rho * Z[:-1]])
-    theta, _, rank, _ = np.linalg.lstsq(Za, ya, rcond=None)
-    if rank < Z.shape[1]:
-        raise DegenerateFitError("rank-deficient quasi-differenced deterministics")
+    Z = np.ones((n, p))
+    if det == "trend":
+        Z[:, 1] = np.arange(1, n + 1)
+    ya, Za = v.copy(), Z.copy()
+    ya[1:] -= rho * v[:-1]
+    Za[1:] -= rho * Z[:-1]
+    theta = _least_squares(Za, ya, "rank-deficient quasi-differenced deterministics")[0]
     return v - Z @ theta
 
 

@@ -253,17 +253,14 @@ def hb_sup_chow(series, tau0: float | None = None, k: int = 0) -> SupResult:
     for b in range(b_max + 1):
         x = np.where(rows + 2 > b, lev, 0.0)
         X = np.column_stack([x] + lags) if lags else x[:, None]
-        beta, _, rank, _ = np.linalg.lstsq(X, dep, rcond=None)
-        if rank < p:
+        try:
+            beta, ssr, ginv = ols._least_squares(X, dep, gram=True)
+        except DegenerateFitError:
             continue
-        resid = dep - X @ beta
-        ssr = float(resid @ resid)
-        sigma2 = ssr / (nobs - p)
-        xtx_inv_00 = np.linalg.inv(X.T @ X)[0, 0]
-        var0 = sigma2 * xtx_inv_00
+        var0 = ssr / (nobs - p) * ginv[0, 0]
         if var0 > 0:
             stats[b] = beta[0] / np.sqrt(var0)
-        elif sigma2 == 0 and beta[0] != 0:
+        elif ssr == 0 and beta[0] != 0:
             stats[b] = np.inf if beta[0] > 0 else -np.inf
     if np.isnan(stats).all():
         raise DegenerateFitError("every break regression degenerate")

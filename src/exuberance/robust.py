@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import DegenerateFitError
-from .ols import _sup_curve
+from .ols import _least_squares, _sup_curve
 from .recursive import SupResult, _curve_result, _double_supresult, _resolve_tau0
 from .series import as_values
 
@@ -116,9 +116,11 @@ def sign_path(series, mode: str = "raw", filter_lags: int = 0) -> np.ndarray:
 
     mode 'raw' cumulates sign(dy); 'recursively-demeaned' subtracts from
     each sign the running mean of the signs observed so far.  With
-    filter_lags = k > 0 the sign at time t (for t >= k+5) is taken from
-    the innovation after removing the fitted lagged-difference terms of
-    an expanding autoregression; earlier signs stay unfiltered.
+    filter_lags = k > 0 the sign at time t is taken from the innovation
+    after removing the fitted lagged-difference terms of the expanding
+    autoregression on rows k+5..t.  Its k + 2 coefficients are identified
+    from t = 2k+6 on; earlier signs, and those of a rank-deficient fit,
+    stay unfiltered.
     """
     v = as_values(series)
     T = v.size
@@ -130,15 +132,16 @@ def sign_path(series, mode: str = "raw", filter_lags: int = 0) -> np.ndarray:
     if filter_lags > 0:
         k = filter_lags
         s = s.copy()
-        for t in range(k + 5, T + 1):
+        for t in range(2 * k + 6, T + 1):
             rows = np.arange(k + 5, t + 1)
-            dep = dy[rows - 2]
-            cols = [np.ones(rows.size), v[rows - 2]]
+            # the level anchored at the first row, inside the sample
+            cols = [np.ones(rows.size), v[rows - 2] - v[k + 3]]
             for j in range(1, k + 1):
                 cols.append(dy[rows - 2 - j])
-            X = np.column_stack(cols)
-            coef, _, _, _ = np.linalg.lstsq(X, dep, rcond=None)
-            phi = coef[2:]
+            try:
+                phi = _least_squares(np.column_stack(cols), dy[rows - 2])[0][2:]
+            except DegenerateFitError:
+                continue
             f = dy[t - 2] - phi @ np.array([dy[t - 2 - j] for j in range(1, k + 1)])
             s[t - 2] = np.sign(f)
     if mode == "demeaned":

@@ -1,9 +1,12 @@
 """Episode dating: crossing rules, start refinement, regime models, sign dating."""
 
 import csv
+import functools
 import inspect
 import json
 import math
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -45,6 +48,29 @@ def _collapse_bubbles():
             tau_r=tau_e + 0.2, delta1=0.03, delta2=0.04, y0=100.0, seed=seed,
         )
         yield seed, simulate(spec), spec.dates()
+
+
+@functools.cache
+def _collapse_fits():
+    """``select_model_bic`` and ``two_step_stamp(k=2)`` on each draw of
+    :func:`_collapse_bubbles`, computed once for every test that reads
+    them.  A tuple of (seed, values, dates, selection, episodes)."""
+    return tuple(
+        (seed, y.values, dates, select_model_bic(y), two_step_stamp(y, k=2))
+        for seed, y, dates in _collapse_bubbles()
+    )
+
+
+#: Changes of units and level, (a, b) for a * y + b, that change no date.
+UNITS = ((1e-12, 0.0), (1e-9, 0.0), (1e9, 0.0), (1e12, 0.0), (1.0, 1e8))
+
+
+def _unit_dates(y, a, b, origin):
+    """The dates of the regime model, of two-step dating and of the start
+    behind ``origin`` on ``a * y + b``."""
+    v = a * y + b
+    sel = select_model_bic(v)
+    return (sel.model, sel.fit.dates), two_step_stamp(v, k=2), bic_init(v, origin)
 
 
 def _walk(seed, T, scale=1.0):
@@ -800,8 +826,7 @@ class TestTwoStep:
         # four of the draws into fragments before close episodes were merged
         T = 300
         floor = default_min_duration(T) * T
-        for seed, y, (origin, collapse, _) in _collapse_bubbles():
-            episodes = two_step_stamp(y, k=2)
+        for seed, _, (origin, collapse, _), _, episodes in _collapse_fits():
             near = min(episodes, key=lambda ep: abs(ep.origin_index - origin))
             assert abs(near.origin_index - origin) <= 5, seed
             assert abs(near.collapse_index - collapse) <= 5, seed
@@ -943,8 +968,7 @@ class TestDatingAccuracy:
         assert set(extra) <= {5, 10, 18, 30, 31, 35}
 
     def test_ssr_bic_picks_model_4_with_close_dates(self):
-        for seed, y, (origin, collapse, recovery) in _collapse_bubbles():
-            sel = select_model_bic(y)
+        for seed, _, (origin, collapse, recovery), sel, _ in _collapse_fits():
             ep = sel.episode
             assert sel.model == 4, seed
             assert -2 <= ep.origin_index - origin <= 0, seed
@@ -960,3 +984,21 @@ class TestDatingAccuracy:
                 continue
             assert -41 <= ep.origin_index - origin <= 11, seed
         assert set(wild) <= {5, 10, 24}
+
+    def test_dates_do_not_depend_on_units(self):
+        # a price in other units, or an index at a high level, dates the same
+        # episode: the regime fits once raised, and two-step dating fell back
+        # to its crossing dates, at 1e-12, 1e-9, 1e12 and +1e8
+        fits = _collapse_fits()
+        want = [
+            ((sel.model, sel.fit.dates), episodes, bic_init(y, dates[0]))
+            for _, y, dates, sel, episodes in fits
+        ]
+        jobs = [(y, a, b, dates[0]) for a, b in UNITS for _, y, dates, _, _ in fits]
+        # two processes: 200 two-step datings take about 25 s in one
+        with ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("spawn")) as pool:
+            got = list(pool.map(_unit_dates, *zip(*jobs), timeout=600))
+        assert len(got) == len(jobs)
+        for i, (a, b) in enumerate(UNITS):
+            for (seed, *_), w, g in zip(fits, want, got[i * len(fits) : (i + 1) * len(fits)]):
+                assert g == w, (a, b, seed)

@@ -25,6 +25,22 @@ from exuberance.inference import (
 from exuberance.recursive import StatSequence
 
 
+#: Changes of units and level that leave every answer unchanged.
+UNITS = (
+    lambda v: v * 1e-12,
+    lambda v: v * 1e-9,
+    lambda v: v * 1e9,
+    lambda v: v * 1e12,
+    lambda v: v + 1e8,
+)
+
+
+def _on_grid(v):
+    """``v`` rounded to multiples of 2^-20, so adding 1e8 is exact: off the
+    grid the shift itself rounds each observation by up to 7.5e-9."""
+    return np.round(v * 2.0**20) / 2.0**20
+
+
 def _explosive_segment(seed, n, rho=1.04, sigma=0.5, y0=10.0):
     rng = np.random.default_rng(seed)
     y = np.empty(n)
@@ -430,6 +446,20 @@ class TestMigration:
         assert moved.beta1_hat == pytest.approx(base.beta1_hat, rel=1e-9)
         assert moved.z_beta == pytest.approx(base.z_beta, rel=1e-9)
         assert moved.p_value == pytest.approx(base.p_value, rel=1e-9)
+        # nor do the units or the level of the series behind the coefficients
+        x = _on_grid(_bubble_path(rng, 200, 60, 100, y0=50.0))
+        y = _on_grid(_bubble_path(rng, 200, 75, 115, y0=50.0))
+
+        def migration(f):
+            return migration_test(
+                recursive_ar_coefficients(f(x), 0.1), recursive_ar_coefficients(f(y), 0.1), 60, 75
+            )
+
+        base = migration(lambda v: v)
+        for f in UNITS:
+            moved = migration(f)
+            assert moved.z_beta == pytest.approx(base.z_beta, rel=1e-9)
+            assert moved.p_value == pytest.approx(base.p_value, rel=1e-9)
 
     def test_origin_order_enforced(self):
         rng = np.random.default_rng(56)
@@ -550,6 +580,18 @@ class TestContagion:
         assert moved.delay == base.delay
         assert moved.r2 == pytest.approx(base.r2, rel=1e-12)
         assert moved.theta2_hat == pytest.approx(base.theta2_hat, rel=1e-12)
+        # nor do the units or the level of the series behind the coefficients
+        x = _on_grid(_bubble_path(rng, 200, 60, 100, y0=50.0))
+        y = _on_grid(_bubble_path(rng, 200, 75, 115, y0=50.0))
+        base = contagion_delay(rolling_ar_coefficients(x, 30), rolling_ar_coefficients(y, 30))
+        for f in UNITS:
+            moved = contagion_delay(
+                rolling_ar_coefficients(f(x), 30), rolling_ar_coefficients(f(y), 30)
+            )
+            assert moved.delay == base.delay
+            assert moved.r2 == pytest.approx(base.r2, rel=1e-9)
+            assert moved.theta1_hat == pytest.approx(base.theta1_hat, rel=1e-9)
+            assert moved.theta2_hat == pytest.approx(base.theta2_hat, rel=1e-9)
 
     def test_recursive_coefficients_rejected(self):
         # expanding-window coefficients share the grid and the window
@@ -647,9 +689,10 @@ class TestCobubble:
         x = _bubble_path(rng, T, 30, 70)
         y = _bubble_path(rng, T, 40, 80)
         a = cobubble_test(y, x, B=149, seed=5)
-        b = cobubble_test(250.0 * y, 250.0 * x, B=149, seed=5)
-        assert b.stat == pytest.approx(a.stat, rel=1e-9)
-        assert b.p_value == a.p_value
+        for f in (lambda v: 250.0 * v, *UNITS):
+            b = cobubble_test(f(y), f(x), B=149, seed=5)
+            assert b.stat == pytest.approx(a.stat, rel=1e-9)
+            assert b.p_value == a.p_value
 
     def test_bootstrap_deterministic(self):
         rng = np.random.default_rng(75)

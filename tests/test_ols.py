@@ -454,6 +454,12 @@ def test_property_integer_shift_invariance(data, shift):
 # the window (5, 15] fits exactly (slope -1, zero residual); both routes
 # once read its rounding noise as a finite t-ratio of order -1e8 or -1e15
 @example(data=[0.0] * 6 + [1.5] + [0.0] * 9)
+# the window (2, 16] nearly fits (ssr = 3.6e-7 dy'dy, t about -5278): the
+# moment route's cancellation in ssr once cost it 7e-6 against the dense fit
+@example(
+    data=[36.26398162974816, 36.48633330171816, 0.3617060016995967, -13.158347297820372,
+          -0.3339915542113628] + [0.0] * 11
+)
 def test_property_vectorized_matches_dense(data):
     v = np.cumsum(np.asarray(data))
     starts = np.array([0, 2, 5])

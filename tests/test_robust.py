@@ -99,6 +99,10 @@ class TestSignPath:
                 v, "demeaned" if "demeaned" in mode else "raw", k
             )
             np.testing.assert_allclose(got, want, atol=1e-12)
+        # the filter's fits do not depend on the series' units or level
+        want = sign_path(v, filter_lags=2)
+        for f in (lambda v: v * 1e-21, lambda v: v * 1e-12, lambda v: v * 1e12, lambda v: v + 1e8):
+            np.testing.assert_array_equal(sign_path(f(v), filter_lags=2), want)
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
