@@ -26,6 +26,7 @@ import numpy as np
 
 from . import ols, recursive, robust
 from .exceptions import DegenerateFitError
+from .ols import CHUNK_CELLS
 from .recursive import SupResult, _resolve_tau0
 from .series import as_values
 
@@ -182,10 +183,6 @@ _REGISTRY = {
 
 #: Statistic names accepted by the bootstrap entry points (and the CLI).
 STATISTICS = tuple(sorted(_REGISTRY))
-
-#: Cells (rows x observations) of replicate paths scored per panel chunk;
-#: keeps a chunk's per-endpoint scan temporaries at a few MB.
-CHUNK_CELLS = 1 << 15
 
 
 def _statistic_fn(statistic):

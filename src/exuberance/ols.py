@@ -26,7 +26,8 @@ positive definite, whose residual sum of squares is within cancellation
 error of zero, or whose t-ratio is not finite is refit densely, and only
 the dense fit reads a window as exact (t-ratio +-inf); a window that
 cannot support the fit (too short, or a column with no variation from
-the anchor) yields NaN.  ``_sup_curve`` is the one per-endpoint loop.
+the anchor) yields NaN.  Scans read endpoints in the blocks of ``_blocks``,
+one backward moment scan per block; ``_sup_curve`` is the one sup loop.
 
 Re-anchoring changes nothing for an intercept regression, but it keeps
 cancellation error in the running sums small; for integer-valued data
@@ -56,6 +57,11 @@ __all__ = [
 ]
 
 COND_LIMIT = 1.0e12
+
+#: Cells (rows x observations) of one scan batch: a bootstrap chunk of
+#: replicate paths fills it, and a block of endpoints pads one path per
+#: endpoint into an eighth of it, since its moments hold many such arrays.
+CHUNK_CELLS = 1 << 15
 
 # a dense fit whose ssr is at most this share of dy'dy fits exactly
 _EXACT_FIT = 1.0e-20
@@ -111,7 +117,8 @@ def _least_squares(
     deficient; only then are the columns scaled to unit norm, rank judged
     again on their Gram matrix and the fit redone there, the results
     mapped back to the data's units.  Raises ``DegenerateFitError`` with
-    the message ``deficient`` when that design is rank deficient too.
+    the message ``deficient`` when that design is rank deficient too, or
+    when its Gram matrix is singular.
     Callers anchor a level column beside an intercept inside the sample,
     so a level offset does not swamp it.
     """
@@ -130,7 +137,10 @@ def _least_squares(
     ssr = float(resid @ resid)
     if ssr <= _EXACT_FIT * float(y @ y):
         ssr = 0.0
-    ginv = np.linalg.inv(X.T @ X) if gram else None
+    try:
+        ginv = np.linalg.inv(X.T @ X) if gram else None
+    except np.linalg.LinAlgError:  # full rank to lstsq, singular once squared
+        raise DegenerateFitError(deficient) from None
     if scale is not None:
         beta = beta / scale
         if gram:
@@ -387,8 +397,8 @@ def _check_scan(values, m0, det, k):
 def adf_tstat_pairs(values, starts, ends, det: str = "const", k: int = 0) -> np.ndarray:
     """ADF t-ratios for many windows (starts[i], ends[i]] of one series.
 
-    Windows are grouped by end and served by the backward moment scan
-    of that end; windows that cannot support the fit yield NaN.
+    Windows are grouped by end into blocks, each served by one backward
+    moment scan; windows that cannot support the fit yield NaN.
     """
     v = as_values(values)
     det = normalize_det(det)
@@ -403,13 +413,11 @@ def adf_tstat_pairs(values, starts, ends, det: str = "const", k: int = 0) -> np.
         raise ValueError("window bounds out of range")
     Y = v[:, None]
     d = np.diff(Y, axis=0)
-    idx = ends - starts - k - 2
-    fit = np.flatnonzero(idx >= _nparams(det, k))
+    fit = np.flatnonzero(ends - starts - k - 2 >= _nparams(det, k))
     out = np.full(starts.size, np.nan)
-    for e in np.unique(ends[fit]):
-        sel = fit[ends[fit] == e]
-        C, slots = _moments(Y, d, int(e), det, k)
-        out[sel] = _window_tstats(Y, C[idx[sel]], slots, idx[sel] + 1, starts[sel], ends[sel], det, k)[:, 0]
+    for e in _blocks(np.unique(ends[fit]), 1, T):
+        sel = fit[np.isin(ends[fit], e)]
+        out[sel] = _block_tstats(Y, d, e, np.searchsorted(e, ends[sel]), starts[sel], det, k)[0][:, 0]
     return out
 
 
@@ -431,50 +439,81 @@ def sadf_prefix_stats(values, m0: int, det: str = "const", k: int = 0) -> np.nda
     return out[:, 0].copy() if single else np.ascontiguousarray(out.T)
 
 
+def _blocks(ends: np.ndarray, rows: int, T: int) -> list[np.ndarray]:
+    """Consecutive blocks of the ascending endpoints of a (rows, T) scan,
+    of at most CHUNK_CELLS / 8 cells (rows x endpoints x T) or one endpoint."""
+    nb = max(1, CHUNK_CELLS // (8 * rows * T))
+    return [ends[i : i + nb] for i in range(0, ends.size, nb)]
+
+
 def _sup_curve(stat, rows: int, m0: int, T: int, double: bool = True):
-    """The package's one per-endpoint window loop: for e = m0..T, the sup
-    over starts s = 0..e-m0 of ``stat(e, s)`` per row, and the smallest
-    start attaining it ((rows, T+1) arrays; NaN and start -1 where no
-    window is defined).  ``stat`` maps integer arrays e and s that
-    broadcast to a (rows, n) array, NaN where undefined.  A prefix curve
-    (``double`` False) takes only s = 0, in one call."""
+    """The package's one sup loop: for e = m0..T, the sup over starts
+    s = 0..e-m0 of ``stat(e, s)`` per row, and the smallest start
+    attaining it ((rows, T+1) arrays; NaN and start -1 where no window is
+    defined).  Endpoints run in :func:`_blocks`: ``stat`` maps integer
+    arrays e (nb, 1) and s (1, n) to a (rows, nb, n) array, NaN where
+    undefined, and starts past e - m0 of a block's earlier endpoints are
+    masked here.  A prefix curve (``double`` False) takes only s = 0, in
+    one call."""
     curve = np.full((rows, T + 1), np.nan)
     starts = np.full((rows, T + 1), -1, dtype=np.int64)
     if double:
-        for e in range(m0, T + 1):
-            st = stat(np.array([e]), np.arange(e - m0 + 1))
-            curve[:, e] = np.fmax.reduce(st, axis=1)
-            starts[:, e] = np.argmax(st == curve[:, e, None], axis=1)
+        for e in _blocks(np.arange(m0, T + 1), rows, T):
+            s = np.arange(e[-1] - m0 + 1)
+            st = stat(e[:, None], s[None])
+            if e.size > 1:
+                st[:, s > e[:, None] - m0] = np.nan
+            b = slice(e[0], e[-1] + 1)
+            curve[:, b] = np.fmax.reduce(st, axis=2)
+            starts[:, b] = np.argmax(st == curve[:, b, None], axis=2)
     else:
-        curve[:, m0:] = stat(np.arange(m0, T + 1), np.zeros(1, dtype=np.int64))
+        curve[:, m0:] = stat(np.arange(m0, T + 1)[:, None], np.zeros((1, 1), dtype=np.int64))[..., 0]
         starts[:, m0:] = 0
     starts[np.isnan(curve)] = -1
     return curve, starts
 
 
-def _adf_window(Y: np.ndarray, det: str, k: int):
+def _block_tstats(Y: np.ndarray, d: np.ndarray, ends: np.ndarray, j, s, det: str, k: int):
+    """(t-ratios (windows x series), moments) of the windows (s[w],
+    ends[j[w]]] of a time-major panel ``Y``.  One backward moment scan
+    serves the ascending block ``ends``: each endpoint's y_1..y_e, padded
+    in front with y_1 to length ends[-1], is one column per series, so its
+    sums are its endpoint's own, in the same order; with s >= 0 no padded
+    window is read or refit."""
+    E = int(ends[-1])
+    pad = E - ends
+    Z, dZ = Y, d
+    if pad.any():
+        Z = Y[np.maximum(np.arange(E)[:, None] - pad, 0)].reshape(E, -1)
+        dZ = np.diff(Z, axis=0)
+    C, slots = _moments(Z, dZ, E, det, k)
+    e = ends[j]
+    i = e - k - 2 - s
+    if ends.size == 1 and np.array_equal(s, np.arange(s.size)):
+        C = C[i[-1] : i[0] + 1][::-1]  # one endpoint's starts 0, 1, ...: a reversed slice, no copy
+    else:
+        C = C.reshape(C.shape[0], C.shape[1], ends.size, -1)[i, :, j]
+    return _window_tstats(Y, C, slots, i + 1, s, e, det, k), C
+
+
+def _adf_window(Y: np.ndarray, m0: int, det: str, k: int):
     """ADF window statistic of a time-major (T, rows) panel for
-    :func:`_sup_curve`: for one endpoint e and consecutive starts s, the
-    (rows, starts) t-ratios of the windows (s, e], NaN where too short for
-    the fit, from the backward moments of e read as a reversed slice."""
+    :func:`_sup_curve`: for a block e (nb, 1) and starts s (1, n), the
+    (rows, nb, n) t-ratios of the windows (s, e] of at least m0
+    observations, NaN elsewhere and where too short for the fit."""
     d = np.diff(Y, axis=0)
     p = _nparams(det, k)
     # the last moments stay referenced until the next exist, as in a plain loop:
-    # freed first, their pages are returned and faulted in at every endpoint
+    # freed first, their pages are returned and faulted in at every block
     held = []
 
     def stat(e, s):
-        e = int(e[0])
-        n = e - k - 1  # observations in the (0, e] window
-        t = np.full((s.size, Y.shape[1]), np.nan)
-        fit = s[: max(0, n - p - s[0])]  # starts whose moments sit at n-1-s >= p
-        if fit.size:
-            C, slots = _moments(Y, d, e, det, k)
+        t = np.full((e.size, s.size, Y.shape[1]), np.nan)
+        j, c = np.nonzero((s <= e - m0) & (e - s - k - 2 >= p))
+        if j.size:
+            t[j, c], C = _block_tstats(Y, d, e[:, 0], j, s[0, c], det, k)
             held[:] = [C]
-            i = n - 1 - fit
-            C = C[i[-1] : i[0] + 1][::-1]
-            t[: fit.size] = _window_tstats(Y, C, slots, i + 1, fit, np.full_like(fit, e), det, k)
-        return t.T
+        return t.transpose(2, 0, 1)
 
     return stat
 
@@ -483,13 +522,13 @@ def bsadf_backward(values, m0: int, det: str = "const", k: int = 0):
     """Backward sup scan: for each e in [m0, T], sup over s in [0, e-m0].
 
     ``values`` is one series or a (rows, T) panel; a panel is scanned for
-    all rows at once, endpoint by endpoint.  Returns ``(maxvals,
+    all rows at once, a block of endpoints at a time.  Returns ``(maxvals,
     argmax_s)``: ``maxvals[..., e]`` is the sup of the window statistic
     over admissible starts (NaN when every window is degenerate) and
     ``argmax_s[..., e]`` the smallest attaining start (-1 when none).
     """
     Y, single, det, m0 = _check_scan(values, m0, det, k)
-    maxvals, argmax_s = _sup_curve(_adf_window(Y, det, k), Y.shape[1], m0, Y.shape[0])
+    maxvals, argmax_s = _sup_curve(_adf_window(Y, m0, det, k), Y.shape[1], m0, Y.shape[0])
     return (maxvals[0], argmax_s[0]) if single else (maxvals, argmax_s)
 
 

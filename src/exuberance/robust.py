@@ -320,11 +320,11 @@ def _transformed(v: np.ndarray, bandwidth: float | None):
 
 def _tt_window(ytil: np.ndarray, om2: np.ndarray):
     """Closed form of the time-transformed statistic on windows (s, e] of
-    (rows, T+1) paths with average innovation variances ``om2`` (rows, 1).
+    (rows, T+1) paths with average innovation variances ``om2``, one per row.
     Endpoint levels are squared by libm's pow (``float_power``), start
     levels by multiplication, as this scan always has: the two differ in
     the last bit for about one value in a thousand."""
-    sq, sq_end = ytil**2, np.float_power(ytil, 2.0)
+    sq, sq_end, om2 = ytil**2, np.float_power(ytil, 2.0), om2.reshape(-1, 1, 1)
     Q = np.cumsum(np.pad(sq[:, :-1], ((0, 0), (1, 0))), axis=1)
     scale = 2.0 * np.sqrt(om2)
 

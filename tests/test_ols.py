@@ -1,5 +1,7 @@
 """Windowed ADF engine: dense reference, vectorized scans, GLS helpers."""
 
+from contextlib import suppress
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -134,6 +136,14 @@ class TestDenseFit:
         v = 2.0 ** np.arange(8)
         t = fit_adf_window(v, 0, 8, det="none", k=0).tstat
         assert t == np.inf or t > 1e6
+
+    def test_singular_gram_is_degenerate(self):
+        # lstsq finds this doubling window full rank, but its Gram matrix
+        # is singular in floating point: the fit once raised LinAlgError
+        v = np.concatenate([[-19.0, -20.0, -23.0, -22.0], -23.0 + 2.0 ** np.arange(1, 32)])
+        with suppress(DegenerateFitError):
+            fit_adf_window(v, 0, v.size, det="trend", k=2)
+        assert np.isfinite(bsadf_backward(v, 18, det="trend", k=2)[0][18:]).any()
 
     def test_bad_bounds(self):
         v = np.arange(10.0)
@@ -380,6 +390,86 @@ class TestPanelGuards:
             bsadf_backward(bad, 5)
 
 
+def endpoint_blocks(monkeypatch, nb, rows, T, m0):
+    """Set the scan's cell budget so that a (rows, T) backward scan runs nb
+    endpoints per block, with a partial last block."""
+    monkeypatch.setattr(ols, "CHUNK_CELLS", 8 * nb * rows * T)
+    blocks = ols._blocks(np.arange(m0, T + 1), rows, T)
+    assert blocks[0].size == nb and 0 < blocks[-1].size < nb
+
+
+def _block_panel(T=60):
+    """The guard panel's walk, integer walk + 1e6 (dense refits), flat
+    stretch (NaN windows) and constant row, and an integer walk whose
+    steps double exactly from index 29 on: windows inside the doubling fit
+    exactly, so the last endpoints read +inf."""
+    panel, ints = _guard_panel(T)
+    grow = ints.copy()
+    grow[29:] = grow[28] + 2.0 ** np.arange(1, T - 28) - 1.0
+    return np.vstack([panel[[0, 3, 4]], ints + 1e6, grow])
+
+
+class TestEndpointBlocks:
+    """Blocks of endpoints share one moment scan; every block size gives
+    the curves and starts of one endpoint at a time, bit for bit."""
+
+    T, M0 = 60, 18  # 43 endpoints: a partial last block for nb = 2, 3 and 7
+
+    def _scans(self, monkeypatch, nb, Y, det, k):
+        endpoint_blocks(monkeypatch, nb, len(Y), self.T, self.M0)
+        return bsadf_backward(Y, self.M0, det=det, k=k), gsadf_panel(Y, tau0=self.M0 / self.T, det=det, k=k)
+
+    # the flat stretch's exact fits divide by a zero standard error, and
+    # the doubling row's by a rounded one
+    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_block_sizes_match_single_endpoints(self, monkeypatch):
+        Y = _block_panel(self.T)
+        refits = []
+
+        def counted(*args):
+            refits.append(args[1:3])
+            return dense_or_nan(*args)
+
+        dense_or_nan = ols._dense_or_nan
+        monkeypatch.setattr(ols, "_dense_or_nan", counted)
+        for det, k in (("const", 0), ("none", 1), ("trend", 2)):
+            monkeypatch.setattr(ols, "CHUNK_CELLS", 1)
+            (want, want_s), want_g = bsadf_backward(Y, self.M0, det=det, k=k), gsadf_panel(Y, tau0=self.M0 / self.T, det=det, k=k)
+            for nb in (2, 3, 7):
+                (got, got_s), got_g = self._scans(monkeypatch, nb, Y, det, k)
+                np.testing.assert_array_equal(got, want)
+                np.testing.assert_array_equal(got_s, want_s)
+                np.testing.assert_array_equal(got_g, want_g)
+                for r, v in enumerate(Y):
+                    one, one_s = bsadf_backward(v, self.M0, det=det, k=k)
+                    np.testing.assert_array_equal(one, want[r])
+                    np.testing.assert_array_equal(one_s, want_s[r])
+                    if r != 2:  # the constant row raises alone
+                        assert gsadf(v, tau0=self.M0 / self.T, det=det, k=k).value == want_g[r]
+            assert np.isnan(want[2]).all() and np.isnan(want_g[2])
+        # the exact fits of the doubling row read +inf, also at endpoints
+        # in a block's later columns
+        inf_ends = np.flatnonzero(want[4] == np.inf)
+        assert inf_ends.size and ((inf_ends - self.M0) % 7 != 0).any()
+        assert refits
+
+    # the doubling row's exact fits have a zero, and so a rounded, standard error
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_pairs_match_the_dense_fit_across_blocks(self, monkeypatch):
+        # every window of the grid, read from blocks of 3 endpoints and
+        # blocks of 1, equals the dense fit (NaN where it is degenerate)
+        starts, ends = _grid(self.T, self.M0)
+        for v in _block_panel(self.T)[[1, 3, 4]]:
+            monkeypatch.setattr(ols, "CHUNK_CELLS", 1)
+            one = adf_tstat_pairs(v, starts, ends, det="const", k=1)
+            endpoint_blocks(monkeypatch, 3, 1, self.T, self.M0)
+            block = adf_tstat_pairs(v, starts, ends, det="const", k=1)
+            np.testing.assert_array_equal(block, one)
+            dense = [ols._dense_or_nan(v, s, e, "const", 1) for s, e in zip(starts, ends)]
+            np.testing.assert_allclose(block, dense, rtol=1e-9, atol=1e-9)
+
+
 class TestGls:
     def test_hand_computed_constant_case(self):
         # n = 3, y = (1, 2, 4), intercept only: rho = 1 + 1.6/3,
@@ -475,3 +565,45 @@ def test_property_vectorized_matches_dense(data):
             assert fast[i] == dense
         else:
             assert fast[i] == pytest.approx(dense, abs=1e-7)
+
+
+# exact fits of the dense reference may round their standard error to NaN
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@settings(max_examples=20, deadline=None)
+@given(
+    st.lists(st.floats(-50, 50, allow_nan=False), min_size=16, max_size=60),
+    st.sampled_from(DETS),
+    st.integers(0, 2),
+    st.sampled_from((2, 3, 7)),
+)
+# the window (0, 16] has lagged level and lagged difference nearly
+# collinear (coefficients +-5e4): the moment route reads t = 3.4641051
+# against the dense 3.4641018
+@example(data=[0.0] * 11 + [1e-5, 0.0, 0.0, 1.0, 0.0], det="none", k=1, nb=2)
+def test_property_backward_scan_matches_dense(data, det, k, nb):
+    # each endpoint's sup and start, scanned in blocks of nb endpoints:
+    # bit for bit the scan of one endpoint at a time, and the dense fit of
+    # every window to within the moment route's error, which grows with
+    # the equilibrated Gram's condition number up to COND_LIMIT
+    v = np.cumsum(np.asarray(data))
+    T = v.size
+    m0 = 2 * k + 7
+    tol = ols.COND_LIMIT * np.finfo(float).eps
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ols, "CHUNK_CELLS", 8 * nb * T)
+        maxvals, argmax_s = bsadf_backward(v, m0, det=det, k=k)
+        mp.setattr(ols, "CHUNK_CELLS", 1)
+        one = bsadf_backward(v, m0, det=det, k=k)
+    np.testing.assert_array_equal(maxvals, one[0])
+    np.testing.assert_array_equal(argmax_s, one[1])
+    for e in range(m0, T + 1):
+        dense = np.array([ols._dense_or_nan(v, s, e, det, k) for s in range(e - m0 + 1)])
+        if np.isnan(dense).all():
+            assert np.isnan(maxvals[e]) and argmax_s[e] == -1
+            continue
+        sup = np.nanmax(dense)
+        if np.isinf(sup) or np.isinf(maxvals[e]):
+            assert maxvals[e] == sup
+        else:
+            assert abs(maxvals[e] - sup) <= tol * max(1.0, abs(sup))
+        assert abs(dense[argmax_s[e]] - sup) <= tol * max(1.0, abs(sup)) or dense[argmax_s[e]] == sup

@@ -6,7 +6,7 @@ import pytest
 import oracles
 from exuberance import DegenerateFitError
 from exuberance import bootstrap as bt
-from exuberance import robust
+from exuberance import ols, robust
 from exuberance.datestamp import sign_stamp
 from exuberance.recursive import _gls_curves, sadf_gls
 from exuberance.robust import (
@@ -337,6 +337,53 @@ class TestPanels:
                 one(Y[-1], self.TAU0)
             with pytest.raises(DegenerateFitError, match=message):
                 entry.observe(Y[-1], self.TAU0, "const", 0)
+
+
+def endpoint_blocks(monkeypatch, nb, rows, T, m0):
+    """Set the scan's cell budget so that a (rows, T) double-sup scan runs
+    nb endpoints per block, with a partial last block when nb > 1."""
+    monkeypatch.setattr(ols, "CHUNK_CELLS", 8 * nb * rows * T)
+    blocks = ols._blocks(np.arange(m0, T + 1), rows, T)
+    assert blocks[0].size == nb and (nb == 1 or 0 < blocks[-1].size < nb)
+
+
+class TestEndpointBlocks:
+    """The robust double sups and sign dating, scanned in blocks of 2, 3
+    and 7 endpoints, equal one endpoint at a time bit for bit, on the rows
+    of :class:`TestPanels` (ties, flat stretches and NaN windows)."""
+
+    T, TAU0 = TestPanels.T, TestPanels.TAU0
+
+    def _run(self, monkeypatch, nb, Y):
+        m0 = frac_to_index(self.TAU0, self.T)
+        endpoint_blocks(monkeypatch, nb, len(Y), self.T, m0)
+        scores = {name: bt._REGISTRY[name].scores(Y, self.TAU0, "const", 0) for name in ("sign_gsadf", "gstadf")}
+        endpoint_blocks(monkeypatch, nb, 1, self.T, m0)
+        ones = []
+        for v in Y[:-1]:
+            sg = sign_statistics(v, self.TAU0).sgsadf
+            tt = time_transformed_tests(v, self.TAU0).gstadf
+            ep = sign_stamp(v, tau0=self.TAU0)
+            ones.append((sg.sequence.values, sg.window, tt.sequence.values, tt.window,
+                         ep.origin_index, ep.collapse_index))
+        return scores, ones
+
+    def test_block_sizes_match_single_endpoints(self, monkeypatch):
+        Y = TestPanels()._panel()
+        want_scores, want_ones = self._run(monkeypatch, 1, Y)
+        for nb in (2, 3, 7):
+            scores, ones = self._run(monkeypatch, nb, Y)
+            for name, want in want_scores.items():
+                np.testing.assert_array_equal(scores[name], want)
+                # panel rows equal the one-series values
+                key = 0 if name == "sign_gsadf" else 2
+                np.testing.assert_array_equal(
+                    scores[name][:-1], [np.nanmax(one[key]) for one in want_ones])
+            for got, want in zip(ones, want_ones):
+                for a, b in zip(got, want):
+                    np.testing.assert_array_equal(a, b)
+        # the flat start leaves the first endpoints without a defined window
+        assert np.isnan(want_ones[3][2][0])
 
 
 class TestCurvePanels:
