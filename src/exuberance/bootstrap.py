@@ -132,6 +132,11 @@ class _Statistic:
     def _read(self, det, k) -> dict:
         return {name: val for name, val in (("det", det), ("k", k)) if name in self.options}
 
+    def runs_with(self, det, k) -> tuple[str, int]:
+        """The (det, k) the statistic runs with: the caller's for the
+        options it reads, the defaults ('const', 0) for the others."""
+        return (det if "det" in self.options else "const"), (k if "k" in self.options else 0)
+
     def observe(self, values, tau0, det, k) -> SupResult:
         return recursive._curve_result(self.kind, self.curves, values, tau0, **self._read(det, k))
 
@@ -148,6 +153,7 @@ class _RowStatistic:
     options: tuple[str, ...]
     reason: str
     _read = _Statistic._read
+    runs_with = _Statistic.runs_with
 
     def observe(self, values, tau0, det, k) -> SupResult:
         return self.result(values, tau0, **self._read(det, k))

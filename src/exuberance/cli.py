@@ -175,10 +175,11 @@ def _check_stat_options(config: RunConfig) -> None:
     entry = _REGISTRY.get(config.stat)
     if entry is None:
         raise UsageError(f"unknown statistic {config.stat!r}; choose from {STATISTICS}")
+    asked = (config.det, config.k)
     offending = [
         f"--{name} {value}"
-        for name, value, default in (("det", config.det, "const"), ("k", config.k, 0))
-        if name not in entry.options and value != default
+        for name, value, used in zip(("det", "k"), asked, entry.runs_with(*asked))
+        if value != used
     ]
     if offending:
         raise UsageError(

@@ -442,7 +442,8 @@ def _table_value(table: CvTable, statistic, T: int, level: float, tau0, det, k) 
     name = _statistic_fn(statistic)[0]
     if table.statistic != name:
         raise DataError(f"table tabulates {table.statistic!r}; this run uses {name!r}")
-    det, k = _read_options(statistic, det, k)
+    if not callable(statistic):
+        det, k = _REGISTRY[name].runs_with(det, k)
     if (table.det, table.k) != (det, k):
         raise DataError(
             f"table was simulated with det={table.det!r}, k={table.k}; "
@@ -466,15 +467,6 @@ def _null_walk(T: int, rng: np.random.Generator) -> np.ndarray:
 def _replication_rng(seed: int, T: int, r: int) -> np.random.Generator:
     """Stream keyed by (seed, T, r): independent of iteration order."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(T, r)))
-
-
-def _read_options(statistic, det, k) -> tuple[str, int]:
-    """The (det, k) that a statistic reads, with the defaults in place of
-    the options it ignores; a custom callable keeps the caller's."""
-    if callable(statistic):
-        return det, k
-    read = _REGISTRY[str(statistic).strip().lower()]._read(det, k)
-    return read.get("det", "const"), read.get("k", 0)
 
 
 def tabulate_critical_values(
@@ -540,7 +532,8 @@ def tabulate_critical_values(
             )
         for p in levels:
             values[(T, p)] = float(np.quantile(good, p))
-    det, k = _read_options(statistic, det, k)
+    if not callable(statistic):
+        det, k = _REGISTRY[name].runs_with(det, k)
     return CvTable(
         statistic=name,
         tau0=tau0,

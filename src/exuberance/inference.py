@@ -561,7 +561,7 @@ def cobubble_test(
     # both levels anchored at the first overlap point, inside the sample
     X = np.column_stack([np.ones(n), xs - xs[0]])
     ya = ys - ys[0]
-    coef, sse, xtx_inv = _least_squares(X, ya, "x is constant over the overlap", gram=True)
+    coef, sse, _ = _least_squares(X, ya, "x is constant over the overlap")
     intercept = float(coef[0] + ys[0] - coef[1] * xs[0])
     fitted = X @ coef
     resid = ya - fitted
@@ -570,11 +570,12 @@ def cobubble_test(
     observed, replicates = 0.0, np.zeros(B)
     if sse > 0:
         observed = _cusum_ratio(resid, T)
-        proj = xtx_inv @ X.T
+        # a basis of unit-norm columns keeps a tiny-valued x beside the intercept
+        U = np.linalg.svd(X / np.linalg.norm(X, axis=0), full_matrices=False)[0]
         for r in range(B):
             w = multiplier_draws(replicate_rng(base_seed, r), n, multiplier)
             ystar = fitted + w * resid
-            rstar = ystar - X @ (proj @ ystar)
+            rstar = ystar - U @ (ystar @ U)
             replicates[r] = _cusum_ratio(rstar, T)
     p_value = (1.0 + float(np.sum(replicates >= observed))) / (B + 1.0)
     return CobubbleTest(

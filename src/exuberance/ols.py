@@ -9,16 +9,18 @@ The test statistic is the t-ratio of the lagged-level coefficient with
 sigma^2 = ssr / (nobs - #params).
 
 ``fit_adf_window`` is the dense per-window least-squares reference; it and
-every other dense regression of the package run through ``_least_squares``, whose
-rank and exact-fit judgements do not depend on the data's units.  Every
-scan (``bsadf_backward``, ``sadf_prefix_stats``, ``adf_tstat_pairs``) runs
-one moment engine, on a single series or on a (rows, T) panel at once.
-For an endpoint e the rows t = e, e-1, ..., k+2 are re-anchored at y_e
-(when an intercept is present), and running sums of their cross moments
-give the Gram matrix of every window (s, e] at once; the prefix windows
-(0, e] read the same running sums forward from y_1 in one pass.  Each
-Gram matrix is equilibrated to unit diagonal and factored; the level
-coefficient's t-ratio follows without forming the inverse.
+every other dense regression run through ``_least_squares``, one thin SVD
+of the design whose rank and exact-fit judgements do not depend on the
+data's units, and ``_tratio``, the one t-ratio rule.  ``adf_stat`` is the
+prefix scan's e = T point.  Every scan (``bsadf_backward``,
+``sadf_prefix_stats``, ``adf_tstat_pairs``) runs one moment engine, on a
+single series or on a (rows, T) panel at once.  For an endpoint e the
+rows t = e, e-1, ..., k+2 are re-anchored at y_e (when an intercept is
+present), and running sums of their cross moments give the Gram matrix
+of every window (s, e] at once; the prefix windows (0, e] read the same
+running sums forward from y_1 in one pass.  Each Gram matrix is
+equilibrated to unit diagonal and factored; the level coefficient's
+t-ratio follows without forming the inverse.
 
 The moment route is guarded.  A window whose equilibrated Gram has
 condition number above ``COND_LIMIT`` (1e12) or is not numerically
@@ -36,6 +38,7 @@ the statistic becomes exactly invariant to integer level shifts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +68,7 @@ CHUNK_CELLS = 1 << 15
 
 # a dense fit whose ssr is at most this share of dy'dy fits exactly
 _EXACT_FIT = 1.0e-20
+_EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
 
 # Quasi-differencing constants for the right-tailed GLS variant.
 GLS_CBAR = {"const": 1.6, "trend": 2.4}
@@ -103,49 +107,51 @@ def _min_window_len(det: str, k: int) -> int:
     return k + 1 + _nparams(det, k) + 1
 
 
-def _least_squares(
-    X: np.ndarray, y: np.ndarray, deficient: str = "rank-deficient design", gram: bool = False
-):
+def _least_squares(X: np.ndarray, y: np.ndarray, deficient: str = "rank-deficient design"):
     """The package's one dense least-squares fit of ``y`` on the columns
-    of ``X``.
+    of ``X``, all read from one thin SVD X = U S V' (no Gram matrix is
+    formed, so the condition number is not squared).
 
-    Returns ``(beta, ssr, ginv)``: the coefficients, the residual sum of
-    squares, read as 0 for an exact fit (ssr at most ``_EXACT_FIT`` times
-    y'y), and with ``gram`` the inverse Gram matrix (X'X)^-1 (else None).
-    Plain ``lstsq`` runs first.  Its rank cut is relative to the largest
-    singular value, so a tiny-valued column beside an intercept looks
-    deficient; only then are the columns scaled to unit norm, rank judged
-    again on their Gram matrix and the fit redone there, the results
-    mapped back to the data's units.  Raises ``DegenerateFitError`` with
-    the message ``deficient`` when that design is rank deficient too, or
-    when its Gram matrix is singular.
-    Callers anchor a level column beside an intercept inside the sample,
-    so a level offset does not swamp it.
+    Returns ``(beta, ssr, vf)``: the coefficients, the residual sum of
+    squares, 0 for an exact fit (ssr at most ``_EXACT_FIT`` times y'y),
+    and the variance factors vf_j = ((X'X)^-1)_jj = sum_k (V_jk / s_k)^2.
+    Rank is judged as ``lstsq`` judges it, relative to s_max, so a
+    tiny-valued column beside an intercept looks deficient; only then are
+    the columns scaled to unit norm and rank judged at the Gram level
+    (s_min^2 > p eps s_max^2), the results mapped back to the data's
+    units.  Raises ``DegenerateFitError`` with the message ``deficient``
+    when that design is rank deficient too, or when s_min^2 underflows.
+    Callers anchor a level column beside an intercept inside the sample.
     """
-    p = X.shape[1]
-    beta, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
-    scale = None
-    if rank < p:
+    n, p = X.shape
+    U, s, Vt = np.linalg.svd(X, full_matrices=False)
+    if not s[-1] > s[0] * _EPS * n:
         scale = np.linalg.norm(X, axis=0)
         if not scale.all():
             raise DegenerateFitError(deficient)
-        X = X / scale
-        if np.linalg.matrix_rank(X.T @ X) < p:
+        U, s, Vt = np.linalg.svd(X / scale, full_matrices=False)
+        if not s[-1] ** 2 > s[0] ** 2 * _EPS * p:
             raise DegenerateFitError(deficient)
-        beta = np.linalg.lstsq(X, y, rcond=None)[0]
-    resid = y - X @ beta
+        Vt = Vt / scale  # the data's units: X^+ = diag(1 / scale) V S^-1 U'
+    if not s[-1] ** 2 >= _TINY:  # the Gram matrix underflows, as the scans read it
+        raise DegenerateFitError(deficient)
+    W = Vt.T / s
+    c = y @ U
+    resid = y - U @ c
     ssr = float(resid @ resid)
     if ssr <= _EXACT_FIT * float(y @ y):
         ssr = 0.0
-    try:
-        ginv = np.linalg.inv(X.T @ X) if gram else None
-    except np.linalg.LinAlgError:  # full rank to lstsq, singular once squared
-        raise DegenerateFitError(deficient) from None
-    if scale is not None:
-        beta = beta / scale
-        if gram:
-            ginv = ginv / np.outer(scale, scale)
-    return beta, ssr, ginv
+    return W @ c, ssr, (W * W).sum(axis=1)
+
+
+def _tratio(beta, ssr: float, dof: int, vf) -> float:
+    """The package's one t-ratio rule for a dense fit, beta / sqrt(ssr /
+    dof * vf): +-inf by the sign of beta where that variance is 0 (an exact
+    fit, or underflow), and NaN, undefined, where beta is 0 too."""
+    var = ssr / dof * vf
+    if var > 0:
+        return float(beta) / math.sqrt(var)
+    return math.copysign(math.inf, beta) if beta != 0 else math.nan
 
 
 def fit_adf_window(
@@ -189,37 +195,23 @@ def fit_adf_window(
         )
     w = v[start:end]
     anchor = w[0] if det != "none" else 0.0
-    a = w - anchor if det != "none" else w
+    a = w - anchor
     da = np.diff(a)
     dep = da[k:]
     nobs = dep.size
-    cols: list[np.ndarray] = []
-    names: list[str] = []
-    if det in ("const", "trend"):
-        cols.append(np.ones(nobs))
-        names.append("const")
+    dpos = _det_count(det)
+    names = ["const", "trend"][:dpos] + ["level"] + [f"dlag{j}" for j in range(1, k + 1)]
+    cols = [np.ones(nobs)][:dpos]
     if det == "trend":
         cols.append(np.arange(k + 2, n + 1, dtype=float) / n)
-        names.append("trend")
-    cols.append(a[k : n - 1])
-    names.append("level")
-    for j in range(1, k + 1):
-        cols.append(da[k - j : n - 1 - j])
-        names.append(f"dlag{j}")
-    X = np.column_stack(cols)
+    X = np.column_stack(cols + [a[k : n - 1]] + [da[k - j : n - 1 - j] for j in range(1, k + 1)])
     p = X.shape[1]
-    dpos = names.index("level")
-    beta, ssr, ginv = _least_squares(
-        X, dep, f"rank-deficient design on window ({start}, {end}]", gram=True
-    )
-    sigma2 = ssr / (nobs - p)
-    se = float(np.sqrt(sigma2 * ginv[dpos, dpos]))
-    if ssr > 0:
-        tstat = float(beta[dpos] / se)
-    elif beta[dpos] != 0:
-        tstat = np.inf if beta[dpos] > 0 else -np.inf
-    else:
+    beta, ssr, vf = _least_squares(X, dep, f"rank-deficient design on window ({start}, {end}]")
+    tstat = _tratio(beta[dpos], ssr, nobs - p, vf[dpos])
+    if math.isnan(tstat):
         raise DegenerateFitError(f"zero-variance fit on window ({start}, {end}]")
+    sigma2 = ssr / (nobs - p)
+    se = float(np.sqrt(sigma2 * vf[dpos]))
     if det != "none":
         # map the intercept back to the un-anchored scale
         beta[0] = beta[0] - beta[dpos] * anchor
@@ -240,9 +232,11 @@ def fit_adf_window(
 
 
 def adf_stat(values, det: str = "const", k: int = 0) -> float:
-    """Full-sample ADF t-ratio (the e = T prefix window)."""
+    """Full-sample ADF t-ratio: the prefix scan's e = T point, so a sup over
+    prefix windows dominates it exactly; where NaN, the dense fit raises."""
     v = as_values(values)
-    return fit_adf_window(v, 0, v.size, det=det, k=k).tstat
+    t = sadf_prefix_stats(v, v.size, det=det, k=k)[-1]
+    return fit_adf_window(v, 0, v.size, det=det, k=k).tstat if np.isnan(t) else float(t)
 
 
 def _dense_or_nan(v: np.ndarray, s: int, e: int, det: str, k: int) -> float:
@@ -564,8 +558,9 @@ def gls_adjust(values, det: str = "const", c_bar: float | None = None) -> np.nda
 def tstat_ar_noconst(u: np.ndarray) -> float:
     """t-ratio of delta in du_t = delta*u_{t-1} + e_t (no deterministics).
 
-    sigma^2 = ssr/(nobs - 1); raises on zero lagged sum of squares or
-    missing degrees of freedom.
+    Closed-form sums with sigma^2 = ssr/(nobs - 1) and the dense fits'
+    exact-fit and t-ratio rules (``_tratio``); raises on zero lagged sum
+    of squares, missing degrees of freedom or a zero-variance fit.
     """
     u = np.asarray(u, dtype=float)
     if u.size < 3:
@@ -578,9 +573,9 @@ def tstat_ar_noconst(u: np.ndarray) -> float:
     delta = float(x @ du) / sxx
     resid = du - delta * x
     ssr = float(resid @ resid)
-    sigma2 = ssr / (du.size - 1)
-    if sigma2 == 0:
-        if delta == 0:
-            raise DegenerateFitError("zero-variance fit")
-        return np.inf if delta > 0 else -np.inf
-    return delta / np.sqrt(sigma2 / sxx)
+    if ssr <= _EXACT_FIT * (ssr + delta * delta * sxx):  # du'du
+        ssr = 0.0
+    t = _tratio(delta, ssr, du.size - 1, 1.0 / sxx)
+    if math.isnan(t):
+        raise DegenerateFitError("zero-variance fit")
+    return t

@@ -133,18 +133,10 @@ def _double_supresult(kind, maxvals, argmax_s, m0, T, tau0) -> SupResult:
 
 
 def _prefix_curves(Y: np.ndarray, m0: int, strict: bool = False, det: str = "const", k: int = 0):
-    """Prefix-window curves of a (rows, T) panel, e = T pinned from below.
-
-    The scan engine and the dense single-window fit agree to rounding
-    error; taking the larger of the two at e = T makes the sup of each
-    curve dominate the standalone full-sample statistic exactly.
-    """
-    T = Y.shape[1]
+    """Prefix-window curves of a (rows, T) panel.  The full-sample
+    statistic ``ols.adf_stat`` is the e = T point of the same scan, so
+    the sup of each curve dominates it exactly."""
     stats = ols.sadf_prefix_stats(Y, m0, det=det, k=k)
-    for r, y in enumerate(Y):
-        dense_T = ols._dense_or_nan(y, 0, T, det, k)
-        if not np.isnan(dense_T) and not dense_T <= stats[r, T]:
-            stats[r, T] = dense_T
     return stats, np.where(np.isnan(stats), -1, 0)
 
 
@@ -248,20 +240,13 @@ def hb_sup_chow(series, tau0: float | None = None, k: int = 0) -> SupResult:
     if nobs - p < 1:
         raise DegenerateFitError(f"sample of {T} too short for k={k}")
     lev = yt[rows]
-    lags = [dy[rows - j] for j in range(1, k + 1)]
+    X = np.column_stack([lev] + [dy[rows - j] for j in range(1, k + 1)])
     stats = np.full(b_max + 1, np.nan)
     for b in range(b_max + 1):
-        x = np.where(rows + 2 > b, lev, 0.0)
-        X = np.column_stack([x] + lags) if lags else x[:, None]
-        try:
-            beta, ssr, ginv = ols._least_squares(X, dep, gram=True)
-        except DegenerateFitError:
-            continue
-        var0 = ssr / (nobs - p) * ginv[0, 0]
-        if var0 > 0:
-            stats[b] = beta[0] / np.sqrt(var0)
-        elif ssr == 0 and beta[0] != 0:
-            stats[b] = np.inf if beta[0] > 0 else -np.inf
+        X[:, 0] = np.where(rows + 2 > b, lev, 0.0)
+        with suppress(DegenerateFitError):
+            beta, ssr, vf = ols._least_squares(X, dep)
+            stats[b] = ols._tratio(beta[0], ssr, nobs - p, vf[0])
     if np.isnan(stats).all():
         raise DegenerateFitError("every break regression degenerate")
     b_star = int(np.nanargmax(stats))

@@ -132,18 +132,16 @@ def sign_path(series, mode: str = "raw", filter_lags: int = 0) -> np.ndarray:
     if filter_lags > 0:
         k = filter_lags
         s = s.copy()
-        for t in range(2 * k + 6, T + 1):
-            rows = np.arange(k + 5, t + 1)
-            # the level anchored at the first row, inside the sample
-            cols = [np.ones(rows.size), v[rows - 2] - v[k + 3]]
-            for j in range(1, k + 1):
-                cols.append(dy[rows - 2 - j])
-            try:
-                phi = _least_squares(np.column_stack(cols), dy[rows - 2])[0][2:]
-            except DegenerateFitError:
-                continue
-            f = dy[t - 2] - phi @ np.array([dy[t - 2 - j] for j in range(1, k + 1)])
-            s[t - 2] = np.sign(f)
+        # rows k+5..T, the level anchored at the first row, inside the sample;
+        # time t fits the first n = t - k - 4 of them and filters the last
+        rows = np.arange(k + 5, T + 1)
+        lags = [dy[rows - 2 - j] for j in range(1, k + 1)]
+        X = np.column_stack([np.ones(rows.size), v[rows - 2] - v[k + 3]] + lags)
+        dep = dy[rows - 2]
+        for n in range(k + 2, T - k - 3):
+            with suppress(DegenerateFitError):
+                phi = _least_squares(X[:n], dep[:n])[0][2:]
+                s[n + k + 2] = np.sign(dep[n - 1] - phi @ X[n - 1, 2:])
     if mode == "demeaned":
         s = s - np.cumsum(s) / np.arange(1, s.size + 1)
     C = np.zeros(T + 1)

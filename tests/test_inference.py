@@ -693,6 +693,11 @@ class TestCobubble:
             b = cobubble_test(f(y), f(x), B=149, seed=5)
             assert b.stat == pytest.approx(a.stat, rel=1e-9)
             assert b.p_value == a.p_value
+        # x alone in tiny units: the slope absorbs them, and the bootstrap's
+        # projection keeps x beside the intercept
+        c = cobubble_test(y, 1e-18 * x, B=149, seed=5)
+        assert c.stat == pytest.approx(a.stat, rel=1e-9)
+        np.testing.assert_allclose(c.replicates, a.replicates, rtol=1e-9)
 
     def test_bootstrap_deterministic(self):
         rng = np.random.default_rng(75)

@@ -1,6 +1,9 @@
 """Windowed ADF engine: dense reference, vectorized scans, GLS helpers."""
 
+import math
+import warnings
 from contextlib import suppress
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,6 +33,38 @@ def sadf_panel(panel, tau0=None, det="const", k=0):
 def gsadf_panel(panel, tau0=None, det="const", k=0):
     """The registry's panel form of gsadf: one value per row, NaN if degenerate."""
     return _REGISTRY["gsadf"].scores(panel, tau0, det, k)
+
+
+def _exact_tstat(v, start, end, det, k):
+    """Level t-ratio of the window (start, end] of an integer series, from
+    the normal equations solved in exact rational arithmetic (no
+    anchoring: with an intercept it does not change the t-ratio)."""
+    w = [Fraction(int(x)) for x in v[start:end]]
+    d = [b - a for a, b in zip(w, w[1:])]
+    X = [
+        [Fraction(1)] * (det != "none") + [Fraction(r)] * (det == "trend") + [w[r]]
+        + [d[r - j] for j in range(1, k + 1)]
+        for r in range(k, len(w) - 1)
+    ]
+    y = d[k:]
+    p, lvl = len(X[0]), (det != "none") + (det == "trend")
+    # Gauss-Jordan on [X'X | X'y | I]: beta and the inverse Gram side by side
+    M = [
+        [sum(a[i] * a[j] for a in X) for j in range(p)]
+        + [sum(a[i] * yi for a, yi in zip(X, y))]
+        + [Fraction(int(i == j)) for j in range(p)]
+        for i in range(p)
+    ]
+    for c in range(p):
+        piv = next(r for r in range(c, p) if M[r][c] != 0)
+        M[c], M[piv] = M[piv], [x / M[piv][c] for x in M[piv]]
+        for r in range(p):
+            if r != c:
+                M[r] = [x - M[r][c] * xc for x, xc in zip(M[r], M[c])]
+    beta = [row[p] for row in M]
+    ssr = sum((yi - sum(b * x for b, x in zip(beta, a))) ** 2 for a, yi in zip(X, y))
+    t2 = beta[lvl] ** 2 * (len(y) - p) / (ssr * M[lvl][p + 1 + lvl])
+    return math.copysign(math.sqrt(t2), beta[lvl])
 
 
 def _grid(T, m0):
@@ -144,6 +179,24 @@ class TestDenseFit:
         with suppress(DegenerateFitError):
             fit_adf_window(v, 0, v.size, det="trend", k=2)
         assert np.isfinite(bsadf_backward(v, 18, det="trend", k=2)[0][18:]).any()
+
+    def test_ill_conditioned_window_matches_exact_arithmetic(self):
+        # windows reaching into the exact doubling of an integer walk have
+        # a nearly singular design: a standard error from the inverse Gram
+        # matrix squared its condition number and read NaN
+        v = _block_panel(60)[-1]
+        cases = (
+            (24, "const", 1, 5.47276440),
+            (25, "const", 1, 4.93976866),
+            (21, "const", 2, 5.37621223),
+            (24, "trend", 1, 4.92970933),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for start, det, k, value in cases:
+                exact = _exact_tstat(v, start, 60, det, k)
+                assert exact == pytest.approx(value, abs=1e-8)
+                assert fit_adf_window(v, start, 60, det=det, k=k).tstat == pytest.approx(exact, rel=1e-6)
 
     def test_bad_bounds(self):
         v = np.arange(10.0)
@@ -419,10 +472,6 @@ class TestEndpointBlocks:
         endpoint_blocks(monkeypatch, nb, len(Y), self.T, self.M0)
         return bsadf_backward(Y, self.M0, det=det, k=k), gsadf_panel(Y, tau0=self.M0 / self.T, det=det, k=k)
 
-    # the flat stretch's exact fits divide by a zero standard error, and
-    # the doubling row's by a rounded one
-    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_block_sizes_match_single_endpoints(self, monkeypatch):
         Y = _block_panel(self.T)
         refits = []
@@ -454,8 +503,6 @@ class TestEndpointBlocks:
         assert inf_ends.size and ((inf_ends - self.M0) % 7 != 0).any()
         assert refits
 
-    # the doubling row's exact fits have a zero, and so a rounded, standard error
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_pairs_match_the_dense_fit_across_blocks(self, monkeypatch):
         # every window of the grid, read from blocks of 3 endpoints and
         # blocks of 1, equals the dense fit (NaN where it is degenerate)
@@ -514,6 +561,10 @@ class TestNoConstTstat:
 
     def test_exact_fit_is_inf(self):
         assert tstat_ar_noconst(np.array([1.0, 2.0, 4.0])) == np.inf
+        # an exact fit up to rounding, judged by the dense fits' relative rule
+        u = 3 * 1.07 ** np.arange(40)
+        assert tstat_ar_noconst(u) == np.inf
+        assert fit_adf_window(u, 0, 40, "none").tstat == np.inf
 
     def test_degenerate(self):
         with pytest.raises(DegenerateFitError):
@@ -567,8 +618,6 @@ def test_property_vectorized_matches_dense(data):
             assert fast[i] == pytest.approx(dense, abs=1e-7)
 
 
-# exact fits of the dense reference may round their standard error to NaN
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @settings(max_examples=20, deadline=None)
 @given(
     st.lists(st.floats(-50, 50, allow_nan=False), min_size=16, max_size=60),

@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from exuberance import DegenerateFitError, adf_stat
-from exuberance.ols import GLS_CBAR
+from exuberance.ols import GLS_CBAR, sadf_prefix_stats
 from exuberance.recursive import (
     StatSequence,
     end_of_sample_stats,
@@ -35,9 +35,16 @@ class TestSadf:
             assert r.argmax == (0.0, e_want / 28)
 
     def test_dominates_full_sample_stat(self):
+        # the full-sample statistic is the prefix scan's e = T point, bit
+        # for bit, so the sup dominates it by construction
         for seed in range(20):
             v = _walk(seed, 80)
             assert sadf(v).value >= adf_stat(v)
+            for det, k in (("const", 0), ("none", 1), ("trend", 2)):
+                assert adf_stat(v, det=det, k=k) == sadf_prefix_stats(v, v.size, det=det, k=k)[-1]
+                assert sadf(v, det=det, k=k).sequence.values[-1] == adf_stat(v, det=det, k=k)
+        with pytest.raises(DegenerateFitError):
+            adf_stat(np.full(30, 2.0))
 
     def test_deterministic(self):
         v = _walk(7, 200)
