@@ -5,8 +5,10 @@
 
 Times each case ``--runs`` times in one process (after one warm-up call)
 and prints one JSON object: per case the wall times in seconds, their
-median and interquartile range, with the numpy version and the core count.
-Inputs are fixed seeded random walks, so two checkouts time the same work.
+median and interquartile range (a single run stands for both quartiles),
+with the numpy version and the core count.  Inputs are fixed seeded
+random walks and one seeded collapsing bubble, so two checkouts time the
+same work.
 """
 
 import argparse
@@ -19,10 +21,23 @@ import numpy as np
 
 from exuberance import ols
 from exuberance.bootstrap import wild_bootstrap_pvalue
+from exuberance.datestamp import select_model_bic, two_step_stamp
 
 
 def _walk(seed: int, shape) -> np.ndarray:
     return 100.0 + np.cumsum(np.random.default_rng(seed).standard_normal(shape), axis=-1)
+
+
+def _bubble(seed: int, T: int, a: int = 120) -> np.ndarray:
+    """A walk from 100 that grows at 1.03 on a < t <= a+45 and collapses
+    at 0.96 on a+45 < t <= a+60, with N(0, 1) innovations."""
+    e = np.random.default_rng(seed).standard_normal(T)
+    y = np.empty(T)
+    y[0] = 100.0
+    for t in range(1, T):
+        rho = 1.03 if a < t <= a + 45 else 0.96 if a + 45 < t <= a + 60 else 1.0
+        y[t] = rho * y[t - 1] + e[t]
+    return y
 
 
 def _m0(T: int) -> int:
@@ -33,12 +48,15 @@ def cases() -> dict:
     """name -> zero-argument call timed by this harness."""
     y300, y600, y200 = _walk(1, 300), _walk(2, 600), _walk(3, 200)
     panel = _walk(4, (163, 200))
+    bubble = _bubble(5, 300)
     return {
         "bsadf_backward T=300 k=0": lambda: ols.bsadf_backward(y300, _m0(300), k=0),
         "bsadf_backward T=300 k=2": lambda: ols.bsadf_backward(y300, _m0(300), k=2),
         "bsadf_backward T=600 k=2": lambda: ols.bsadf_backward(y600, _m0(600), k=2),
         "bsadf_backward panel 163x200 k=0": lambda: ols.bsadf_backward(panel, _m0(200), k=0),
         "wild_bootstrap_pvalue gsadf T=200 B=199": lambda: wild_bootstrap_pvalue(y200, "gsadf", B=199, seed=1),
+        "two_step_stamp bubble T=300 k=2": lambda: two_step_stamp(bubble, k=2),
+        "select_model_bic bubble T=300": lambda: select_model_bic(bubble),
     }
 
 
@@ -46,6 +64,8 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--runs", type=int, default=7)
     args = ap.parse_args()
+    if args.runs < 1:
+        ap.error("--runs must be at least 1")
     out = {"numpy": np.__version__, "cores": os.cpu_count(), "runs": args.runs, "cases": {}}
     for name, call in cases().items():
         call()
@@ -54,7 +74,7 @@ def main() -> None:
             t0 = time.perf_counter()
             call()
             times.append(time.perf_counter() - t0)
-        q1, _, q3 = statistics.quantiles(times, n=4)
+        q1, _, q3 = statistics.quantiles(times, n=4) if len(times) > 1 else times * 3
         out["cases"][name] = {"median_s": statistics.median(times), "iqr_s": [q1, q3], "times_s": times}
     print(json.dumps(out, indent=1))
 

@@ -271,7 +271,7 @@ def _run_datestamp(config: RunConfig) -> dict:
     tau0 = _resolve_tau0(config.tau0, T)
     seq = None
     extra: dict = {}
-    if method in ("sign", "ssr-bic") and (config.det != "const" or config.k != 0):
+    if method in ("sign", "ssr-bic") and (config.det, config.k) != (RunConfig.det, RunConfig.k):
         raise UsageError(
             f"--det/--k cannot be combined with --method {method}: "
             "this estimator does not run ADF-style regressions"

@@ -520,21 +520,25 @@ def _search_models(v, min_seg, seg, Pdd):
     ms = min_seg
     total = Pdd[T - 1]
     bs = np.arange(2 * ms, T + 1, dtype=np.int64)
-    f, g = np.empty(bs.size), np.empty(bs.size)
+    f, g = np.empty(bs.size), np.full(bs.size, np.inf)
     fa, gc = np.empty(bs.size, dtype=np.int64), np.empty(bs.size, dtype=np.int64)
-    # every date 1..T as a candidate origin a or recovery c (a column),
-    # scored against a block of peaks b (a row) at once
+    # admissible dates as origins a (ms..max(b)-ms) or recoveries c
+    # (min(b)+ms..T-ms, none leaves g +inf) in a column, scored against a
+    # block of peaks b (a row) at once
     cand = np.arange(1, T + 1, dtype=np.int64)[:, None]
     below = v[cand - 1]
     head, tail = Pdd[cand - 1], total - Pdd[cand - 1]
     step = max(1, _SEARCH_CELLS // T)
     for j in range(0, bs.size, step):
         b = bs[None, j : j + step]
-        lower = below < v[b - 1]
-        ssr = np.where((cand >= ms) & (cand <= b - ms) & lower, head + seg(cand, b), np.inf)
-        f[j : j + step], fa[j : j + step] = ssr.min(axis=0), cand[ssr.argmin(axis=0), 0]
-        ssr = np.where((cand >= b + ms) & (cand <= T - ms) & lower, seg(b, cand) + tail, np.inf)
-        g[j : j + step], gc[j : j + step] = ssr.min(axis=0), cand[ssr.argmin(axis=0), 0]
+        blk = slice(j, j + step)
+        r = slice(ms - 1, b[0, -1] - ms)
+        ssr = np.where((cand[r] <= b - ms) & (below[r] < v[b - 1]), head[r] + seg(cand[r], b), np.inf)
+        f[blk], fa[blk] = ssr.min(axis=0), cand[r][ssr.argmin(axis=0), 0]
+        r = slice(b[0, 0] + ms - 1, T - ms)
+        if r.start < r.stop:
+            ssr = np.where((cand[r] >= b + ms) & (below[r] < v[b - 1]), seg(b, cand[r]) + tail[r], np.inf)
+            g[blk], gc[blk] = ssr.min(axis=0), cand[r][ssr.argmin(axis=0), 0]
     inner = bs <= T - ms
     rests = {
         1: np.where(bs == T, 0.0, np.inf),

@@ -25,7 +25,9 @@ t-ratio follows without forming the inverse.
 The moment route is guarded.  A window whose equilibrated Gram has
 condition number above ``COND_LIMIT`` (1e12) or is not numerically
 positive definite, whose residual sum of squares is within cancellation
-error of zero, or whose t-ratio is not finite is refit densely, and only
+error of zero, or whose t-ratio is not finite is refit densely.  The
+factor's pivots bound the condition number by p^p / prod(pivots), and only
+windows past the limit by that bound get an exact eigenvalue check.  Only
 the dense fit reads a window as exact (t-ratio +-inf); a window that
 cannot support the fit (too short, or a column with no variation from
 the anchor) yields NaN.  Scans read endpoints in the blocks of ``_blocks``,
@@ -39,7 +41,9 @@ the statistic becomes exactly invariant to integer level shifts.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import partial, reduce
 
 import numpy as np
 
@@ -268,44 +272,42 @@ def _moments(Y: np.ndarray, d: np.ndarray, e: int, det: str, k: int, backward: b
 
     ``Y`` is a time-major (T, rows) panel and ``d`` its first
     differences.  Backward, the rows run t = e, e-1, ..., k+2 re-anchored
-    at y_e, so ``C[i]`` sums the window (e-k-2-i, e]; forward, they run
-    t = k+2, ..., e re-anchored at y_1, so ``C[i]`` sums the prefix
+    at y_e, so ``C[:, i]`` sums the window (e-k-2-i, e]; forward, they run
+    t = k+2, ..., e re-anchored at y_1, so ``C[:, i]`` sums the prefix
     window (0, k+2+i].  Either window has i + 1 observations.  Returns
-    ``(C, slots)``: ``C[i, slot]`` is one running sum per series, and
-    ``slots`` maps (i, j) to Gram entry G_ij (i <= j; absent when both
-    columns are the intercept, whose sum is the observation count),
-    ("b", i) to Z_i'dy and "dd" to dy'dy.  Columns run intercept, trend,
-    lagged differences, and the lagged level last.
+    ``(C, slots)``: ``C[slot, i]`` is one running sum per series, and
+    ``slots`` maps (i, j), i <= j, to the sum of column i times column j.
+    Columns run intercept, trend, lagged differences, the lagged level and
+    last, as column p, the dependent dy, so (i, p) is Z_i'dy and (p, p)
+    dy'dy; the intercept's own sum, the observation count, is absent.  The
+    level is re-anchored into its intercept slot, each product written into
+    its own slot, and one cumulative sum runs down the rows, all in place.
     """
     order = slice(None, None, -1) if backward else slice(None)
     dep = d[k : e - 1][order]
     level = Y[k : e - 1][order]
-    cols: list[np.ndarray | None] = []
-    if det != "none":
-        cols.append(None)
-        level = level - Y[e - 1 if backward else 0]
+    cols: list[np.ndarray | None] = [None] * (det != "none")
     if det == "trend":
         cols.append(np.arange(dep.shape[0], dtype=float)[:, None])
-    cols += [d[k - j : e - 1 - j][order] for j in range(1, k + 1)]
-    cols.append(level)
-    terms, slots = [], {}
-    for i, a in enumerate(cols):
-        for j in range(i, len(cols)):
-            c = cols[j]
-            if a is not None or c is not None:
-                slots[i, j] = len(terms)
-                terms.append(c if a is None else a if c is None else a * c)
-        slots["b", i] = len(terms)
-        terms.append(dep if a is None else a * dep)
-    slots["dd"] = len(terms)
-    terms.append(dep * dep)
-    return np.cumsum(np.stack(np.broadcast_arrays(*terms), axis=1), axis=0), slots
+    cols += [d[k - j : e - 1 - j][order] for j in range(1, k + 1)] + [level, dep]
+    p = len(cols) - 1
+    pairs = [(i, j) for i in range(p + 1) for j in range(i, p + 1) if cols[i] is not None or cols[j] is not None]
+    slots = {ij: n for n, ij in enumerate(pairs)}
+    C = np.empty((len(pairs), dep.shape[0], Y.shape[1]))
+    if det != "none":
+        cols[p - 1] = np.subtract(level, Y[e - 1 if backward else 0], out=C[slots[0, p - 1]])
+    for (i, j), out in zip(pairs, C):
+        if cols[i] is not None:
+            np.multiply(cols[i], cols[j], out=out)
+        elif j != p - 1:
+            out[...] = cols[j]
+    return np.cumsum(C, axis=1, out=C), slots
 
 
 def _tstats(C: np.ndarray, slots: dict, nobs: np.ndarray, p: int):
     """Level t-ratios of a batch of windows from their cross moments.
 
-    ``C[w, slot]`` holds window w's moments (one column per series) and
+    ``C[slot, w]`` holds window w's moments (one column per series) and
     ``nobs[w]`` its observation count.  The Gram matrix is equilibrated
     to unit diagonal and factored as L L'; with the level last its
     t-ratio is z_p / sigma, where z = L^-1 D Z'dy.  Returns ``(t,
@@ -314,42 +316,42 @@ def _tstats(C: np.ndarray, slots: dict, nobs: np.ndarray, p: int):
     not numerically positive definite or has condition number above
     ``COND_LIMIT``, whose residual sum of squares is within cancellation
     error of zero (ssr <= 1e-5 dy'dy) or whose ratio is not finite.
+
+    The condition number is bounded from the pivots alone: a unit
+    diagonal gives lambda_max <= p, and det = prod(L_jj^2) <= lambda_min
+    p^(p-1), so cond <= p^p / det; only windows where that bound passes
+    ``COND_LIMIT`` get the exact eigenvalue check.
     """
     nobs = nobs[:, None]
 
     def gram(i, j):
-        return C[:, slots[i, j]] if (i, j) in slots else nobs
+        return C[slots[i, j]] if (i, j) in slots else nobs
+
+    fold = partial(reduce, operator.add)  # a sum from its first term, not from 0
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         usable = nobs >= p + 1
         for i in range(p):
             usable = usable & (gram(i, i) > 0)
         D = [1.0 / np.sqrt(gram(i, i)) for i in range(p)]
-        # Cholesky factor of the unit-diagonal Gram, its inverse and z
+        # Cholesky factor of the unit-diagonal Gram (L_00 = 1), the product
+        # of its pivots (the Gram's determinant) and z; column 0 needs no division
         L: dict = {}
-        pd = usable
+        pd, pivots = usable, 1.0
         for j in range(p):
-            piv = 1.0 - sum(L[j, m] ** 2 for m in range(j))
-            pd = pd & (piv > 0)
-            L[j, j] = np.sqrt(piv)
+            if j:
+                piv = 1.0 - fold(L[j, m] ** 2 for m in range(j))
+                pd = pd & (piv > 0)
+                L[j, j] = np.sqrt(piv)
+                pivots = pivots * piv if j > 1 else piv
             for i in range(j + 1, p):
                 gh = gram(j, i) * D[i] * D[j]
-                L[i, j] = (gh - sum(L[i, m] * L[j, m] for m in range(j))) / L[j, j]
-        Linv: dict = {}
-        trace = 0.0
-        for c in range(p):
-            for i in range(c, p):
-                acc = (1.0 if i == c else 0.0) - sum(L[i, m] * Linv[m, c] for m in range(c, i))
-                Linv[i, c] = acc / L[i, i]
-                trace = trace + Linv[i, c] ** 2
-        z: list = []
-        for i in range(p):
-            z.append((D[i] * C[:, slots["b", i]] - sum(L[i, m] * z[m] for m in range(i))) / L[i, i])
-        # lambda_max <= p and lambda_min >= 1 / trace(Gram^-1) = 1 / trace,
-        # so only windows with p * trace past the limit need the exact
-        # eigenvalue check
+                L[i, j] = (gh - fold(L[i, m] * L[j, m] for m in range(j))) / L[j, j] if j else gh
+        z = [D[0] * C[slots[0, p]]]
+        for i in range(1, p):
+            z.append((D[i] * C[slots[i, p]] - fold(L[i, m] * z[m] for m in range(i))) / L[i, i])
         illcond = usable & ~pd
-        suspect = np.flatnonzero(pd & ~(p * trace <= COND_LIMIT))
+        suspect = np.flatnonzero(pd & (pivots * COND_LIMIT < p**p))
         if suspect.size:
             G = np.empty((suspect.size, p, p))
             for i in range(p):
@@ -358,8 +360,8 @@ def _tstats(C: np.ndarray, slots: dict, nobs: np.ndarray, p: int):
                     G[:, i, j] = G[:, j, i] = (gram(i, j) * D[i] * D[j]).ravel()[suspect]
             lam = np.linalg.eigvalsh(G)
             np.put(illcond, suspect[~(lam[:, 0] > 0) | (lam[:, -1] > COND_LIMIT * lam[:, 0])], True)
-        sdd = C[:, slots["dd"]]
-        ssr = sdd - sum(zi * zi for zi in z)
+        sdd = C[slots[p, p]]
+        ssr = sdd - fold(zi * zi for zi in z)
         # the dense fit alone decides what counts as an exact fit
         t = z[-1] / np.sqrt(ssr / (nobs - p))
         refit = illcond | (pd & ~((ssr > 1e-5 * np.maximum(sdd, 1e-300)) & np.isfinite(t)))
@@ -429,7 +431,7 @@ def sadf_prefix_stats(values, m0: int, det: str = "const", k: int = 0) -> np.nda
     if lo <= T:
         C, slots = _moments(Y, np.diff(Y, axis=0), T, det, k, backward=False)
         ends = np.arange(lo, T + 1)
-        out[lo:] = _window_tstats(Y, C[lo - k - 2 :], slots, ends - k - 1, np.zeros_like(ends), ends, det, k)
+        out[lo:] = _window_tstats(Y, C[:, lo - k - 2 :], slots, ends - k - 1, np.zeros_like(ends), ends, det, k)
     return out[:, 0].copy() if single else np.ascontiguousarray(out.T)
 
 
@@ -484,9 +486,9 @@ def _block_tstats(Y: np.ndarray, d: np.ndarray, ends: np.ndarray, j, s, det: str
     e = ends[j]
     i = e - k - 2 - s
     if ends.size == 1 and np.array_equal(s, np.arange(s.size)):
-        C = C[i[-1] : i[0] + 1][::-1]  # one endpoint's starts 0, 1, ...: a reversed slice, no copy
+        C = C[:, i[-1] : i[0] + 1][:, ::-1]  # one endpoint's starts 0, 1, ...: a reversed slice, no copy
     else:
-        C = C.reshape(C.shape[0], C.shape[1], ends.size, -1)[i, :, j]
+        C = C.reshape(C.shape[0], C.shape[1], ends.size, -1)[:, i, j]
     return _window_tstats(Y, C, slots, i + 1, s, e, det, k), C
 
 
@@ -502,8 +504,12 @@ def _adf_window(Y: np.ndarray, m0: int, det: str, k: int):
     held = []
 
     def stat(e, s):
-        t = np.full((e.size, s.size, Y.shape[1]), np.nan)
         j, c = np.nonzero((s <= e - m0) & (e - s - k - 2 >= p))
+        if j.size == e.size * s.size:  # every pair is a fit window: no fill, no scatter
+            t, C = _block_tstats(Y, d, e[:, 0], j, s[0, c], det, k)
+            held[:] = [C]
+            return t.reshape(e.size, s.size, -1).transpose(2, 0, 1)
+        t = np.full((e.size, s.size, Y.shape[1]), np.nan)
         if j.size:
             t[j, c], C = _block_tstats(Y, d, e[:, 0], j, s[0, c], det, k)
             held[:] = [C]

@@ -1,5 +1,6 @@
 """End-to-end command line behavior: exit codes, reports, reruns."""
 
+import dataclasses
 import json
 import os
 import re
@@ -270,6 +271,15 @@ class TestDatestampCommand:
                      "--method", "sign", "--k", "2"]) == 1
         assert main(["datestamp", "--input", bubble_csv, "--column", "price",
                      "--cv", "bootstrap"]) == 1
+
+    @pytest.mark.parametrize("method", ["sign", "ssr-bic"])
+    def test_regression_options_need_an_adf_method(self, method, bubble_csv):
+        cfg = RunConfig("datestamp", input=bubble_csv, column="price", method=method)
+        for det, k in (("trend", 0), ("const", 1)):
+            with pytest.raises(UsageError, match=f"^--det/--k cannot be combined with --method {method}: "):
+                run_config(dataclasses.replace(cfg, det=det, k=k))
+        # the defaults, given explicitly, are accepted
+        assert run_config(dataclasses.replace(cfg, det="const", k=0))["result"]["method"] == method
 
 
 class TestMonitorCommand:

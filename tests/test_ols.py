@@ -443,6 +443,62 @@ class TestPanelGuards:
             bsadf_backward(bad, 5)
 
 
+def _unit_diagonal_gram(rng, p, smallest):
+    """A seeded SPD matrix with eigenvalues spread from 1 down to
+    ``smallest``, scaled to unit diagonal as the scan scales a Gram."""
+    Q = np.linalg.qr(rng.standard_normal((p, p)))[0]
+    M = (Q * np.geomspace(1.0, smallest, p)) @ Q.T
+    scale = 1.0 / np.sqrt(np.diag(M))
+    A = M * scale[:, None] * scale
+    A = (A + A.T) / 2
+    np.fill_diagonal(A, 1.0)
+    return A
+
+
+def test_pivot_bound_dominates_condition_number():
+    # the scan sends a window to the exact eigenvalue check only where
+    # p^p / prod(pivots) passes COND_LIMIT: on a unit-diagonal Gram that
+    # bound must dominate the condition number (for p = 2 it is
+    # 4 / (1 - r^2) = 2 trace(A^-1), within rounding of the condition number
+    # as |r| -> 1, hence the slack)
+    rng = np.random.default_rng(14)
+    for p in range(2, 6):
+        for spread in np.geomspace(1.0, 1e-14, 15):
+            for _ in range(8):
+                A = _unit_diagonal_gram(rng, p, spread)
+                lam = np.linalg.eigvalsh(A)
+                if not lam[0] > 0:
+                    continue
+                bound = p**p / np.prod(np.diag(np.linalg.cholesky(A)) ** 2)
+                assert bound >= lam[-1] / lam[0] * (1 - 1e-9)
+                if p == 2:
+                    assert bound == pytest.approx(2 * np.trace(np.linalg.inv(A)), rel=1e-12)
+
+
+def test_scan_guard_flags_every_gram_past_the_condition_limit():
+    # unit-diagonal Gram matrices around COND_LIMIT, served to the scan's
+    # t-ratio step as window moments (Z'dy = 0, so only conditioning can
+    # ask for a refit): the pivot filter must let the eigenvalue check see
+    # every window past the limit
+    rng = np.random.default_rng(15)
+    for p in range(2, 6):
+        # for p = 2 the condition number is exactly (1 + r) / (1 - r)
+        conds = np.geomspace(1e10, 1e14, 40)
+        A = np.stack([
+            np.array([[1.0, r], [r, 1.0]]) if p == 2 else _unit_diagonal_gram(rng, p, 1 / cond)
+            for cond, r in zip(conds, (conds - 1) / (conds + 1))
+        ])
+        slots = {(i, j): i * (p + 1) + j for i in range(p + 1) for j in range(i, p + 1)}
+        C = np.zeros(((p + 1) ** 2, len(A), 1))
+        for (i, j), n in slots.items():
+            C[n, :, 0] = A[:, i, j] if j < p else 1.0 if i == p else 0.0
+        _, refit = ols._tstats(C, slots, np.full(len(A), 100), p)
+        lam = np.linalg.eigvalsh(A)
+        past = ~(lam[:, 0] > 0) | (lam[:, -1] > ols.COND_LIMIT * lam[:, 0])
+        assert past.any() and not past.all()
+        np.testing.assert_array_equal(refit[:, 0], past)
+
+
 def endpoint_blocks(monkeypatch, nb, rows, T, m0):
     """Set the scan's cell budget so that a (rows, T) backward scan runs nb
     endpoints per block, with a partial last block."""
