@@ -20,7 +20,7 @@ import time
 import numpy as np
 
 from exuberance import ols
-from exuberance.bootstrap import wild_bootstrap_pvalue
+from exuberance.bootstrap import _REGISTRY, wild_bootstrap_pvalue
 from exuberance.datestamp import select_model_bic, two_step_stamp
 
 
@@ -47,13 +47,16 @@ def _m0(T: int) -> int:
 def cases() -> dict:
     """name -> zero-argument call timed by this harness."""
     y300, y600, y200 = _walk(1, 300), _walk(2, 600), _walk(3, 200)
-    panel = _walk(4, (163, 200))
+    panel, wide, robust = _walk(4, (163, 200)), _walk(6, (199, 200)), _walk(7, (100, 200))
     bubble = _bubble(5, 300)
     return {
         "bsadf_backward T=300 k=0": lambda: ols.bsadf_backward(y300, _m0(300), k=0),
         "bsadf_backward T=300 k=2": lambda: ols.bsadf_backward(y300, _m0(300), k=2),
         "bsadf_backward T=600 k=2": lambda: ols.bsadf_backward(y600, _m0(600), k=2),
         "bsadf_backward panel 163x200 k=0": lambda: ols.bsadf_backward(panel, _m0(200), k=0),
+        "bsadf_backward panel 199x200 k=0": lambda: ols.bsadf_backward(wide, _m0(200), k=0),
+        "sign_gsadf curves panel 100x200": lambda: _REGISTRY["sign_gsadf"].curves(robust, _m0(200)),
+        "gstadf curves panel 100x200": lambda: _REGISTRY["gstadf"].curves(robust, _m0(200)),
         "wild_bootstrap_pvalue gsadf T=200 B=199": lambda: wild_bootstrap_pvalue(y200, "gsadf", B=199, seed=1),
         "two_step_stamp bubble T=300 k=2": lambda: two_step_stamp(bubble, k=2),
         "select_model_bic bubble T=300": lambda: select_model_bic(bubble),

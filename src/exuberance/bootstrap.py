@@ -28,7 +28,7 @@ from . import ols, recursive, robust
 from .exceptions import DegenerateFitError
 from .ols import CHUNK_CELLS
 from .recursive import SupResult, _resolve_tau0
-from .series import as_values
+from .series import DEFAULT_DET, DEFAULT_K, as_values
 
 __all__ = [
     "MULTIPLIERS",
@@ -134,8 +134,8 @@ class _Statistic:
 
     def runs_with(self, det, k) -> tuple[str, int]:
         """The (det, k) the statistic runs with: the caller's for the
-        options it reads, the defaults ('const', 0) for the others."""
-        return (det if "det" in self.options else "const"), (k if "k" in self.options else 0)
+        options it reads, ``DEFAULT_DET``/``DEFAULT_K`` for the others."""
+        return (det if "det" in self.options else DEFAULT_DET), (k if "k" in self.options else DEFAULT_K)
 
     def observe(self, values, tau0, det, k) -> SupResult:
         return recursive._curve_result(self.kind, self.curves, values, tau0, **self._read(det, k))

@@ -57,7 +57,7 @@ from .inference import (
     rolling_ar_coefficients,
 )
 from .recursive import StatSequence, gsadf, sadf
-from .series import _JsonFields, _jsonable, default_min_window, frac_to_index, load_series
+from .series import DEFAULT_DET, DEFAULT_K, _JsonFields, _jsonable, default_min_window, frac_to_index, load_series
 
 __all__ = [
     "RunConfig",
@@ -101,8 +101,8 @@ class RunConfig(_JsonFields):
     stat: str = "gsadf"
     method: str | None = None
     tau0: float | str = "auto"
-    det: str = "const"
-    k: int = 0
+    det: str = DEFAULT_DET
+    k: int = DEFAULT_K
     B: int = 499
     seed: int = 0
     level: float = 0.95
@@ -271,7 +271,7 @@ def _run_datestamp(config: RunConfig) -> dict:
     tau0 = _resolve_tau0(config.tau0, T)
     seq = None
     extra: dict = {}
-    if method in ("sign", "ssr-bic") and (config.det, config.k) != (RunConfig.det, RunConfig.k):
+    if method in ("sign", "ssr-bic") and (config.det, config.k) != (DEFAULT_DET, DEFAULT_K):
         raise UsageError(
             f"--det/--k cannot be combined with --method {method}: "
             "this estimator does not run ADF-style regressions"

@@ -698,11 +698,11 @@ def sign_stamp(
     s2[(sxx <= 0) | (e_all < 2)] = np.nan
 
     def stat(e, s):
-        num = e * s2[:, e] - np.where(s > 0, s * s2[:, s], 0.0)
+        num = e * ols._at(s2, e) - np.where(s > 0, s * ols._at(s2, s), 0.0)
         with np.errstate(invalid="ignore", divide="ignore"):
             s2c = num / (e - s - 1)
-            b = sxx[:, e] - sxx[:, s]
-            st = ((sxy[:, e] - sxy[:, s]) / b) / np.sqrt(s2c**epsilon / b)
+            b = ols._at(sxx, e) - ols._at(sxx, s)
+            st = ((ols._at(sxy, e) - ols._at(sxy, s)) / b) / np.sqrt(s2c**epsilon / b)
         return np.where((b > 0) & (s2c > 0), st, np.nan)
 
     curve, starts = ols._sup_curve(stat, 1, m0, T)

@@ -17,10 +17,11 @@ prefix scan's e = T point.  Every scan (``bsadf_backward``,
 single series or on a (rows, T) panel at once.  For an endpoint e the
 rows t = e, e-1, ..., k+2 are re-anchored at y_e (when an intercept is
 present), and running sums of their cross moments give the Gram matrix
-of every window (s, e] at once; the prefix windows (0, e] read the same
-running sums forward from y_1 in one pass.  Each Gram matrix is
-equilibrated to unit diagonal and factored; the level coefficient's
-t-ratio follows without forming the inverse.
+of every window (s, e]; the backward scans sweep window lengths shortest
+first, adding each length's row to the sums of every endpoint at once,
+and the prefix windows (0, e] sum the same terms forward from y_1 in one
+pass.  Each Gram matrix is equilibrated to unit diagonal and factored;
+the level coefficient's t-ratio follows without forming the inverse.
 
 The moment route is guarded.  A window whose equilibrated Gram has
 condition number above ``COND_LIMIT`` (1e12) or is not numerically
@@ -30,8 +31,8 @@ factor's pivots bound the condition number by p^p / prod(pivots), and only
 windows past the limit by that bound get an exact eigenvalue check.  Only
 the dense fit reads a window as exact (t-ratio +-inf); a window that
 cannot support the fit (too short, or a column with no variation from
-the anchor) yields NaN.  Scans read endpoints in the blocks of ``_blocks``,
-one backward moment scan per block; ``_sup_curve`` is the one sup loop.
+the anchor) yields NaN.  The sweep runs in blocks of consecutive lengths
+sized by ``CHUNK_CELLS``; ``_sup_curve`` is the one sup loop.
 
 Re-anchoring changes nothing for an intercept regression, but it keeps
 cancellation error in the running sums small; for integer-valued data
@@ -66,8 +67,9 @@ __all__ = [
 COND_LIMIT = 1.0e12
 
 #: Cells (rows x observations) of one scan batch: a bootstrap chunk of
-#: replicate paths fills it, and a block of endpoints pads one path per
-#: endpoint into an eighth of it, since its moments hold many such arrays.
+#: replicate paths fills it, and a block of window lengths of a sweep takes
+#: a quarter of it (lengths x endpoints x rows), since its moments hold
+#: many such arrays.
 CHUNK_CELLS = 1 << 15
 
 # a dense fit whose ssr is at most this share of dy'dy fits exactly
@@ -267,41 +269,73 @@ def _as_panel(values) -> tuple[np.ndarray, bool]:
     return as_values(values)[:, None], True
 
 
-def _moments(Y: np.ndarray, d: np.ndarray, e: int, det: str, k: int, backward: bool = True):
-    """Running cross moments of the regression rows t = k+2..e.
-
-    ``Y`` is a time-major (T, rows) panel and ``d`` its first
-    differences.  Backward, the rows run t = e, e-1, ..., k+2 re-anchored
-    at y_e, so ``C[:, i]`` sums the window (e-k-2-i, e]; forward, they run
-    t = k+2, ..., e re-anchored at y_1, so ``C[:, i]`` sums the prefix
-    window (0, k+2+i].  Either window has i + 1 observations.  Returns
-    ``(C, slots)``: ``C[slot, i]`` is one running sum per series, and
-    ``slots`` maps (i, j), i <= j, to the sum of column i times column j.
-    Columns run intercept, trend, lagged differences, the lagged level and
-    last, as column p, the dependent dy, so (i, p) is Z_i'dy and (p, p)
-    dy'dy; the intercept's own sum, the observation count, is absent.  The
-    level is re-anchored into its intercept slot, each product written into
-    its own slot, and one cumulative sum runs down the rows, all in place.
-    """
-    order = slice(None, None, -1) if backward else slice(None)
-    dep = d[k : e - 1][order]
-    level = Y[k : e - 1][order]
-    cols: list[np.ndarray | None] = [None] * (det != "none")
-    if det == "trend":
-        cols.append(np.arange(dep.shape[0], dtype=float)[:, None])
-    cols += [d[k - j : e - 1 - j][order] for j in range(1, k + 1)] + [level, dep]
+def _terms(shape: tuple, det: str, k: int, lag, level, trend, anchor):
+    """Row terms of every scan's one moment layout, ``(C, slots)``, ``C[slot]``
+    of ``shape``.  Columns run intercept, trend, lagged differences
+    ``lag(j)``, the lagged level and, as column p, dy ``lag(0)``; slot (i,
+    j), i <= j, holds column i times column j, so (i, p) is Z_i'dy, and the
+    intercept's own sum, the observation count, has none.  The level is
+    re-anchored at ``anchor`` into its intercept slot, if any."""
+    cols = [None] * (det != "none") + [trend] * (det == "trend")
+    cols += [lag(j) for j in range(1, k + 1)] + [level, lag(0)]
     p = len(cols) - 1
-    pairs = [(i, j) for i in range(p + 1) for j in range(i, p + 1) if cols[i] is not None or cols[j] is not None]
-    slots = {ij: n for n, ij in enumerate(pairs)}
-    C = np.empty((len(pairs), dep.shape[0], Y.shape[1]))
+    slots = {ij: n for n, ij in enumerate((i, j) for i in range(p + 1) for j in range(i, p + 1) if j or det == "none")}
+    C = np.empty((len(slots),) + shape)
     if det != "none":
-        cols[p - 1] = np.subtract(level, Y[e - 1 if backward else 0], out=C[slots[0, p - 1]])
-    for (i, j), out in zip(pairs, C):
+        cols[p - 1] = np.subtract(level, anchor, out=C[slots[0, p - 1]])
+    for (i, j), out in zip(slots, C):
         if cols[i] is not None:
             np.multiply(cols[i], cols[j], out=out)
         elif j != p - 1:
             out[...] = cols[j]
-    return np.cumsum(C, axis=1, out=C), slots
+    return C, slots
+
+
+def _lengths(ne: int, rows: int, left: int) -> int:
+    """Lengths in a sweep block over ne endpoints of rows series: CHUNK_CELLS / 4 cells, 1..min(left, ne)."""
+    return max(1, min(left, ne, CHUNK_CELLS // 4 // (rows * ne)))
+
+
+def _diag(a: np.ndarray, top: int, nl: int, ne: int) -> np.ndarray:
+    """The (nl, ne, rows) view V[l, q] = a[top + q - l] of a time-major array."""
+    if nl == 1:
+        return a[None, top : top + ne]
+    w = np.lib.stride_tricks.sliding_window_view(a[top - nl + 1 : top + ne], nl, axis=0)
+    return np.moveaxis(w[..., ::-1], -1, 0)
+
+
+def _sweep(Y: np.ndarray, det: str, k: int, e_lo: int):
+    """Backward moments of a time-major (T, rows) panel, swept over window
+    lengths shortest first: ``block(i0, nl)`` returns ``(C, slots)``, where
+    ``C[slot, l, q]`` sums the i0+l+1 rows t = e, e-1, ... of the window
+    ending at e = max(e_lo, k+2+i0) + q, with an intercept re-anchored at
+    y_e.  Calls run i0 upward; lengths no call asked for are added first.
+    A block writes its terms from strided views of the columns, adds the
+    sums it carries to its first length and each length to the next, so
+    every window adds its rows in the order of a backward cumulative sum,
+    and carries a copy of its last sums if it holds more.  A cell whose
+    window would start before y_1 reads zeros and is no window."""
+    T, R = Y.shape
+    pad = np.zeros((max(_lengths(n, R, n) for n in range(1, T + 1)) - 1, R))  # the most a block reads before y_1
+    Yp, dp = np.concatenate([pad, Y]), np.concatenate([pad, np.diff(Y, axis=0)])
+    i, e_last, S = 0, e_lo, None
+
+    def block(i0, nl):
+        nonlocal i, e_last, S
+        while i < i0:
+            block(i, _lengths(T - max(e_lo, k + 2 + i) + 1, R, i0 - i))
+        e0 = max(e_lo, k + 2 + i0)
+        top, ne = len(pad) + e0 - 2 - i0, T - e0 + 1
+        trend = np.arange(i0, i0 + nl, dtype=float)[:, None, None]
+        C, slots = _terms((nl, ne, R), det, k, lambda j: _diag(dp, top - j, nl, ne), _diag(Yp, top, nl, ne), trend, Y[e0 - 1 :])
+        if S is not None:
+            C[:, 0] += S[:, e0 - e_last :]
+        for l in range(1, nl):
+            C[:, l] += C[:, l - 1]
+        i, e_last, S = i0 + nl, e0, C[:, -1].copy() if nl > 1 else C[:, -1]
+        return C, slots
+
+    return block
 
 
 def _tstats(C: np.ndarray, slots: dict, nobs: np.ndarray, p: int):
@@ -393,27 +427,31 @@ def _check_scan(values, m0, det, k):
 def adf_tstat_pairs(values, starts, ends, det: str = "const", k: int = 0) -> np.ndarray:
     """ADF t-ratios for many windows (starts[i], ends[i]] of one series.
 
-    Windows are grouped by end into blocks, each served by one backward
-    moment scan; windows that cannot support the fit yield NaN.
+    The windows are read from one backward sweep of :func:`_sweep` over
+    their lengths; windows that cannot support the fit yield NaN.
     """
     v = as_values(values)
     det = normalize_det(det)
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    starts = np.atleast_1d(np.asarray(starts, dtype=np.int64))
-    ends = np.atleast_1d(np.asarray(ends, dtype=np.int64))
+    starts, ends = (np.atleast_1d(np.asarray(a, dtype=np.int64)) for a in (starts, ends))
     if starts.shape != ends.shape:
         raise ValueError("starts and ends must have equal length")
-    T = v.size
-    if starts.size and (starts.min() < 0 or ends.max() > T or (starts >= ends).any()):
+    if starts.size and (starts.min() < 0 or ends.max() > v.size or (starts >= ends).any()):
         raise ValueError("window bounds out of range")
     Y = v[:, None]
-    d = np.diff(Y, axis=0)
     fit = np.flatnonzero(ends - starts - k - 2 >= _nparams(det, k))
     out = np.full(starts.size, np.nan)
-    for e in _blocks(np.unique(ends[fit]), 1, T):
-        sel = fit[np.isin(ends[fit], e)]
-        out[sel] = _block_tstats(Y, d, e, np.searchsorted(e, ends[sel]), starts[sel], det, k)[0][:, 0]
+    if fit.size:
+        e_lo, T, i = ends[fit].min(), ends[fit].max(), ends[fit] - starts[fit] - k - 2
+        block, i0 = _sweep(Y[:T], det, k, e_lo), i.min()
+        while i0 <= i.max():
+            e0 = max(e_lo, k + 2 + i0)
+            nl = _lengths(T - e0 + 1, 1, i.max() + 1 - i0)
+            (C, slots), sel = block(i0, nl), (i >= i0) & (i < i0 + nl)
+            w = fit[sel]
+            out[w] = _window_tstats(Y, C[:, i[sel] - i0, ends[w] - e0], slots, i[sel] + 1, starts[w], ends[w], det, k)[:, 0]
+            i0 += nl
     return out
 
 
@@ -425,110 +463,75 @@ def sadf_prefix_stats(values, m0: int, det: str = "const", k: int = 0) -> np.nda
     are NaN.  One forward pass of the moment scan serves every e.
     """
     Y, single, det, m0 = _check_scan(values, m0, det, k)
-    T = Y.shape[0]
-    lo = max(m0, _nparams(det, k) + k + 2)
+    T, lo = Y.shape[0], max(m0, _min_window_len(det, k))
     out = np.full((T + 1, Y.shape[1]), np.nan)
     if lo <= T:
-        C, slots = _moments(Y, np.diff(Y, axis=0), T, det, k, backward=False)
-        ends = np.arange(lo, T + 1)
+        # the rows t = k+2..T re-anchored at y_1, summed forward: C[:, i] sums (0, k+2+i]
+        d, n, ends = np.diff(Y, axis=0), T - k - 1, np.arange(lo, T + 1)
+        C, slots = _terms((n, Y.shape[1]), det, k, lambda j: d[k - j : k - j + n], Y[k:-1], np.arange(n, dtype=float)[:, None], Y[0])
+        np.cumsum(C, axis=1, out=C)
         out[lo:] = _window_tstats(Y, C[:, lo - k - 2 :], slots, ends - k - 1, np.zeros_like(ends), ends, det, k)
     return out[:, 0].copy() if single else np.ascontiguousarray(out.T)
 
 
-def _blocks(ends: np.ndarray, rows: int, T: int) -> list[np.ndarray]:
-    """Consecutive blocks of the ascending endpoints of a (rows, T) scan,
-    of at most CHUNK_CELLS / 8 cells (rows x endpoints x T) or one endpoint."""
-    nb = max(1, CHUNK_CELLS // (8 * rows * T))
-    return [ends[i : i + nb] for i in range(0, ends.size, nb)]
+def _at(A: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """``A[:, idx]`` for an index of :func:`_sup_curve`, whose one-row indexes are ascending runs: a view."""
+    return A[:, None, idx[0, 0] : idx[0, 0] + idx.size] if len(idx) == 1 else A[:, idx]
 
 
 def _sup_curve(stat, rows: int, m0: int, T: int, double: bool = True):
     """The package's one sup loop: for e = m0..T, the sup over starts
     s = 0..e-m0 of ``stat(e, s)`` per row, and the smallest start
     attaining it ((rows, T+1) arrays; NaN and start -1 where no window is
-    defined).  Endpoints run in :func:`_blocks`: ``stat`` maps integer
-    arrays e (nb, 1) and s (1, n) to a (rows, nb, n) array, NaN where
-    undefined, and starts past e - m0 of a block's earlier endpoints are
-    masked here.  A prefix curve (``double`` False) takes only s = 0, in
-    one call."""
-    curve = np.full((rows, T + 1), np.nan)
-    starts = np.full((rows, T + 1), -1, dtype=np.int64)
-    if double:
-        for e in _blocks(np.arange(m0, T + 1), rows, T):
-            s = np.arange(e[-1] - m0 + 1)
-            st = stat(e[:, None], s[None])
-            if e.size > 1:
-                st[:, s > e[:, None] - m0] = np.nan
-            b = slice(e[0], e[-1] + 1)
-            curve[:, b] = np.fmax.reduce(st, axis=2)
-            starts[:, b] = np.argmax(st == curve[:, b, None], axis=2)
-    else:
-        curve[:, m0:] = stat(np.arange(m0, T + 1)[:, None], np.zeros((1, 1), dtype=np.int64))[..., 0]
-        starts[:, m0:] = 0
-    starts[np.isnan(curve)] = -1
-    return curve, starts
-
-
-def _block_tstats(Y: np.ndarray, d: np.ndarray, ends: np.ndarray, j, s, det: str, k: int):
-    """(t-ratios (windows x series), moments) of the windows (s[w],
-    ends[j[w]]] of a time-major panel ``Y``.  One backward moment scan
-    serves the ascending block ``ends``: each endpoint's y_1..y_e, padded
-    in front with y_1 to length ends[-1], is one column per series, so its
-    sums are its endpoint's own, in the same order; with s >= 0 no padded
-    window is read or refit."""
-    E = int(ends[-1])
-    pad = E - ends
-    Z, dZ = Y, d
-    if pad.any():
-        Z = Y[np.maximum(np.arange(E)[:, None] - pad, 0)].reshape(E, -1)
-        dZ = np.diff(Z, axis=0)
-    C, slots = _moments(Z, dZ, E, det, k)
-    e = ends[j]
-    i = e - k - 2 - s
-    if ends.size == 1 and np.array_equal(s, np.arange(s.size)):
-        C = C[:, i[-1] : i[0] + 1][:, ::-1]  # one endpoint's starts 0, 1, ...: a reversed slice, no copy
-    else:
-        C = C.reshape(C.shape[0], C.shape[1], ends.size, -1)[:, i, j]
-    return _window_tstats(Y, C, slots, i + 1, s, e, det, k), C
-
-
-def _adf_window(Y: np.ndarray, m0: int, det: str, k: int):
-    """ADF window statistic of a time-major (T, rows) panel for
-    :func:`_sup_curve`: for a block e (nb, 1) and starts s (1, n), the
-    (rows, nb, n) t-ratios of the windows (s, e] of at least m0
-    observations, NaN elsewhere and where too short for the fit."""
-    d = np.diff(Y, axis=0)
-    p = _nparams(det, k)
-    # the last moments stay referenced until the next exist, as in a plain loop:
-    # freed first, their pages are returned and faulted in at every block
-    held = []
-
-    def stat(e, s):
-        j, c = np.nonzero((s <= e - m0) & (e - s - k - 2 >= p))
-        if j.size == e.size * s.size:  # every pair is a fit window: no fill, no scatter
-            t, C = _block_tstats(Y, d, e[:, 0], j, s[0, c], det, k)
-            held[:] = [C]
-            return t.reshape(e.size, s.size, -1).transpose(2, 0, 1)
-        t = np.full((e.size, s.size, Y.shape[1]), np.nan)
-        if j.size:
-            t[j, c], C = _block_tstats(Y, d, e[:, 0], j, s[0, c], det, k)
-            held[:] = [C]
-        return t.transpose(2, 0, 1)
-
-    return stat
+    defined).  Window lengths n run shortest first, nl of them per block
+    (:func:`_lengths`: one once endpoints x rows fill the budget, many for
+    one series), over every endpoint at once: ``stat`` maps e (1, ne) and
+    s = e - n (nl, ne) to (rows, nl, ne), NaN where undefined; cells with
+    s < 0 are not read.  A tie goes to the longer window, the smaller
+    start.  A prefix curve (``double`` False) takes only s = 0, in one call."""
+    if not double:
+        curve = np.full((rows, T + 1), np.nan)
+        curve[:, m0:] = stat(np.arange(m0, T + 1)[None], np.zeros((1, 1), dtype=np.int64))[:, 0]
+        return curve, np.where(np.isnan(curve), -1, 0)
+    curve = np.full((rows, T + 1), -np.inf)  # any window takes it; NaN where none did
+    length = np.zeros((rows, T + 1), dtype=np.int64)
+    n0 = m0
+    while n0 <= T:
+        e = np.arange(n0, T + 1)[None]
+        nl = _lengths(e.size, rows, T + 1 - n0)
+        s = e - np.arange(n0, n0 + nl)[:, None]
+        st = stat(e, s)
+        for n in range(n0, n0 + nl):  # from e = n on, where s >= 0; ties go to the longer window
+            take = st[:, n - n0, n - n0 :] >= curve[:, n:]
+            np.copyto(curve[:, n:], st[:, n - n0, n - n0 :], where=take)
+            np.copyto(length[:, n:], n, where=take)
+        n0 += nl
+    curve[length == 0] = np.nan
+    return curve, np.where(length > 0, np.arange(T + 1) - length, -1)
 
 
 def bsadf_backward(values, m0: int, det: str = "const", k: int = 0):
     """Backward sup scan: for each e in [m0, T], sup over s in [0, e-m0].
 
     ``values`` is one series or a (rows, T) panel; a panel is scanned for
-    all rows at once, a block of endpoints at a time.  Returns ``(maxvals,
-    argmax_s)``: ``maxvals[..., e]`` is the sup of the window statistic
-    over admissible starts (NaN when every window is degenerate) and
-    ``argmax_s[..., e]`` the smallest attaining start (-1 when none).
+    all rows at once, a block of window lengths at a time.  Returns
+    ``(maxvals, argmax_s)``: ``maxvals[..., e]`` is the sup of the window
+    statistic over admissible starts (NaN when every window is
+    degenerate) and ``argmax_s[..., e]`` the smallest attaining start (-1
+    when none).
     """
     Y, single, det, m0 = _check_scan(values, m0, det, k)
-    maxvals, argmax_s = _sup_curve(_adf_window(Y, m0, det, k), Y.shape[1], m0, Y.shape[0])
+    m0 = max(m0, _min_window_len(det, k))  # shorter windows cannot support the fit
+    block = _sweep(Y, det, k, m0)
+
+    def stat(e, s):  # the sweep's blocks are the sup loop's; a cell with s < 0 is no window
+        i = e[0, 0] - k - 2 - s[:, :1]
+        C, slots = block(int(i[0, 0]), len(s))
+        nobs, ends = np.where(s < 0, 0, i + 1).ravel(), np.repeat(e, len(s), axis=0).ravel()
+        t = _window_tstats(Y, C.reshape(len(C), -1, Y.shape[1]), slots, nobs, s.ravel(), ends, det, k)
+        return t.reshape(*s.shape, -1).transpose(2, 0, 1)
+
+    maxvals, argmax_s = _sup_curve(stat, Y.shape[1], m0, Y.shape[0])
     return (maxvals[0], argmax_s[0]) if single else (maxvals, argmax_s)
 
 

@@ -109,12 +109,7 @@ def _double_supresult(kind, maxvals, argmax_s, m0, T, tau0) -> SupResult:
     if np.isnan(maxvals[m0:]).all():
         raise DegenerateFitError(f"every window degenerate in {kind} scan")
     value = float(np.nanmax(maxvals[m0:]))
-    cands = [
-        (int(argmax_s[e]), e)
-        for e in range(m0, T + 1)
-        if maxvals[e] == value
-    ]
-    s_star, e_star = min(cands)
+    s_star, e_star = min((int(argmax_s[e]), e) for e in range(m0, T + 1) if maxvals[e] == value)
     seq = StatSequence(
         kind=kind,
         tau0=tau0,

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import DegenerateFitError
-from .ols import _least_squares, _sup_curve
+from .ols import _at, _least_squares, _sup_curve
 from .recursive import SupResult, _curve_result, _double_supresult, _resolve_tau0
 from .series import as_values
 
@@ -187,7 +187,7 @@ def _sign_window(C: np.ndarray, strict: bool = False):
     A, B, D = _sign_moments(C, strict)
 
     def stat(e, s):
-        a, b, d = A[:, e] - A[:, s], B[:, e] - B[:, s], D[:, e] - D[:, s]
+        a, b, d = _at(A, e) - _at(A, s), _at(B, e) - _at(B, s), _at(D, e) - _at(D, s)
         with np.errstate(divide="ignore", invalid="ignore"):
             delta = a / b
             sse = d - a * a / b
@@ -327,9 +327,9 @@ def _tt_window(ytil: np.ndarray, om2: np.ndarray):
     scale = 2.0 * np.sqrt(om2)
 
     def stat(e, s):
-        den = Q[:, e] - Q[:, s]
+        den = _at(Q, e) - _at(Q, s)
         with np.errstate(divide="ignore", invalid="ignore"):
-            st = (sq_end[:, e] - sq[:, s] - om2 * (e - s)) / (scale * np.sqrt(den))
+            st = (_at(sq_end, e) - _at(sq, s) - om2 * (e - s)) / (scale * np.sqrt(den))
         return np.where(den > 0, st, np.nan)
 
     return stat

@@ -33,6 +33,8 @@ __all__ = [
 ]
 
 DETERMINISTICS = ("none", "const", "trend")
+#: The regression options of a run that names none, and of a statistic that reads neither.
+DEFAULT_DET, DEFAULT_K = "const", 0
 
 _DET_ALIASES = {
     "none": "none",

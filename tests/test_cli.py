@@ -94,6 +94,17 @@ class TestRunConfig:
             RunConfig.from_dict({"subcommand": "test", "threads": 2})
         assert main(["test", "--input", bubble_csv, "--column", "price", "--threads", "2"]) == 1
 
+    def test_unread_options_run_at_the_config_defaults(self):
+        # a statistic runs an option it does not read at RunConfig's
+        # default, so --stat and --method checks agree on what a default is
+        default = RunConfig(subcommand="test")
+        for name, entry in bt._REGISTRY.items():
+            det, k = entry.runs_with("trend", 2)
+            assert det == ("trend" if "det" in entry.options else default.det), name
+            assert k == (2 if "k" in entry.options else default.k), name
+        assert bt._REGISTRY["sign_gsadf"].runs_with("trend", 2) == (default.det, default.k)
+        assert bt._REGISTRY["hb_chow"].runs_with("trend", 2) == (default.det, 2)
+
     def test_bad_values_rejected(self):
         with pytest.raises(UsageError):
             RunConfig(subcommand="frobnicate")

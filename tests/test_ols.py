@@ -347,6 +347,28 @@ class TestScans:
         assert maxvals[1, 6] == np.inf and argmax_s[1, 6] == 2
         assert maxvals[1, 7] == -np.inf and argmax_s[1, 7] == 0
 
+    def test_tie_across_blocks_takes_smallest_start(self, monkeypatch):
+        # window statistics served from a fixed matrix per series, read in
+        # two blocks of two lengths (4, 5 then 6, 7): an exact tie between
+        # lengths in different blocks goes to the longer window
+        tm = np.full((2, 8, 8), np.nan)
+        tm[0, 7, :4] = (np.nan, 5.0, 4.0, 5.0)
+        tm[1, 7, :4] = (np.nan, 1.0, 1.5, 2.0)
+        tm[1, 6, :3] = (-np.inf, np.nan, -np.inf)
+        seen = []
+
+        def served(Y, C, slots, nobs, starts, ends, det, k):
+            seen.append(sorted(set(ends - starts)))
+            return tm[:, ends, starts].T
+
+        monkeypatch.setattr(ols, "_window_tstats", served)
+        monkeypatch.setattr(ols, "CHUNK_CELLS", 64)  # 16 cells: 2 lengths x 4 endpoints x 2 rows
+        maxvals, argmax_s = bsadf_backward(np.zeros((2, 7)), 4)
+        assert seen == [[4, 5], [6, 7]]
+        assert maxvals[0, 7] == 5.0 and argmax_s[0, 7] == 1
+        assert maxvals[1, 7] == 2.0 and argmax_s[1, 7] == 3
+        assert maxvals[1, 6] == -np.inf and argmax_s[1, 6] == 0
+
     def test_integer_data_argmax_attains_oracle_sup(self):
         # on integer-valued data exact ties can occur; the reported start
         # must attain the oracle's sup (to tolerance) for every endpoint
@@ -499,12 +521,17 @@ def test_scan_guard_flags_every_gram_past_the_condition_limit():
         np.testing.assert_array_equal(refit[:, 0], past)
 
 
-def endpoint_blocks(monkeypatch, nb, rows, T, m0):
-    """Set the scan's cell budget so that a (rows, T) backward scan runs nb
-    endpoints per block, with a partial last block."""
-    monkeypatch.setattr(ols, "CHUNK_CELLS", 8 * nb * rows * T)
-    blocks = ols._blocks(np.arange(m0, T + 1), rows, T)
-    assert blocks[0].size == nb and 0 < blocks[-1].size < nb
+def length_blocks(monkeypatch, nl):
+    """Make every block of the length sweep nl window lengths long, fewer
+    where fewer lengths or endpoints are left; returns the block sizes taken."""
+    sizes = []
+
+    def lengths(ne, rows, left):
+        sizes.append(min(nl, left, ne))
+        return sizes[-1]
+
+    monkeypatch.setattr(ols, "_lengths", lengths)
+    return sizes
 
 
 def _block_panel(T=60):
@@ -518,17 +545,16 @@ def _block_panel(T=60):
     return np.vstack([panel[[0, 3, 4]], ints + 1e6, grow])
 
 
-class TestEndpointBlocks:
-    """Blocks of endpoints share one moment scan; every block size gives
-    the curves and starts of one endpoint at a time, bit for bit."""
+class TestLengthBlocks:
+    """Blocks of window lengths share one sweep; every block size gives
+    the curves, starts and dense refits of one length at a time, bit for bit."""
 
-    T, M0 = 60, 18  # 43 endpoints: a partial last block for nb = 2, 3 and 7
+    T, M0 = 60, 18  # 43 lengths: a partial last block for nl = 2, 3 and 7
 
-    def _scans(self, monkeypatch, nb, Y, det, k):
-        endpoint_blocks(monkeypatch, nb, len(Y), self.T, self.M0)
+    def _scans(self, Y, det, k):
         return bsadf_backward(Y, self.M0, det=det, k=k), gsadf_panel(Y, tau0=self.M0 / self.T, det=det, k=k)
 
-    def test_block_sizes_match_single_endpoints(self, monkeypatch):
+    def test_block_sizes_match_single_lengths(self, monkeypatch):
         Y = _block_panel(self.T)
         refits = []
 
@@ -538,11 +564,17 @@ class TestEndpointBlocks:
 
         dense_or_nan = ols._dense_or_nan
         monkeypatch.setattr(ols, "_dense_or_nan", counted)
+        refit_any = False
         for det, k in (("const", 0), ("none", 1), ("trend", 2)):
-            monkeypatch.setattr(ols, "CHUNK_CELLS", 1)
-            (want, want_s), want_g = bsadf_backward(Y, self.M0, det=det, k=k), gsadf_panel(Y, tau0=self.M0 / self.T, det=det, k=k)
-            for nb in (2, 3, 7):
-                (got, got_s), got_g = self._scans(monkeypatch, nb, Y, det, k)
+            assert set(length_blocks(monkeypatch, 1)) <= {1}
+            (want, want_s), want_g = self._scans(Y, det, k)
+            want_refits, refits[:] = sorted(refits), []
+            refit_any |= bool(want_refits)
+            for nl in (2, 3, 7):
+                sizes = length_blocks(monkeypatch, nl)
+                (got, got_s), got_g = self._scans(Y, det, k)
+                assert nl in sizes and 0 < sizes[-1] < nl
+                assert sorted(refits) == want_refits
                 np.testing.assert_array_equal(got, want)
                 np.testing.assert_array_equal(got_s, want_s)
                 np.testing.assert_array_equal(got_g, want_g)
@@ -552,25 +584,37 @@ class TestEndpointBlocks:
                     np.testing.assert_array_equal(one_s, want_s[r])
                     if r != 2:  # the constant row raises alone
                         assert gsadf(v, tau0=self.M0 / self.T, det=det, k=k).value == want_g[r]
+                refits.clear()
             assert np.isnan(want[2]).all() and np.isnan(want_g[2])
-        # the exact fits of the doubling row read +inf, also at endpoints
-        # in a block's later columns
+        # the exact fits of the doubling row read +inf, also from windows
+        # in a block's later lengths
         inf_ends = np.flatnonzero(want[4] == np.inf)
-        assert inf_ends.size and ((inf_ends - self.M0) % 7 != 0).any()
-        assert refits
+        assert inf_ends.size and ((inf_ends - want_s[4, inf_ends] - self.M0) % 7 != 0).any()
+        assert refit_any
 
     def test_pairs_match_the_dense_fit_across_blocks(self, monkeypatch):
-        # every window of the grid, read from blocks of 3 endpoints and
+        # every window of the grid, read from blocks of 3 lengths and
         # blocks of 1, equals the dense fit (NaN where it is degenerate)
         starts, ends = _grid(self.T, self.M0)
         for v in _block_panel(self.T)[[1, 3, 4]]:
-            monkeypatch.setattr(ols, "CHUNK_CELLS", 1)
+            length_blocks(monkeypatch, 1)
             one = adf_tstat_pairs(v, starts, ends, det="const", k=1)
-            endpoint_blocks(monkeypatch, 3, 1, self.T, self.M0)
+            sizes = length_blocks(monkeypatch, 3)
             block = adf_tstat_pairs(v, starts, ends, det="const", k=1)
+            assert 3 in sizes and set(sizes) <= {1, 2, 3}
             np.testing.assert_array_equal(block, one)
             dense = [ols._dense_or_nan(v, s, e, "const", 1) for s, e in zip(starts, ends)]
             np.testing.assert_allclose(block, dense, rtol=1e-9, atol=1e-9)
+
+    def test_budget_sets_the_block_sizes(self):
+        # a quarter of CHUNK_CELLS per block: one length for a bootstrap
+        # chunk of rows, many for one series, never more than are left
+        budget = ols.CHUNK_CELLS // 4
+        rows = ols.CHUNK_CELLS // 200
+        assert ols._lengths(175, rows, 175) == 1
+        assert ols._lengths(300, 1, 270) == budget // 300 > 1
+        assert ols._lengths(30, 1, 30) == 30
+        assert ols._lengths(60, 1, 4) == 4
 
 
 class TestGls:

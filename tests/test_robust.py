@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+from test_ols import length_blocks
 from exuberance import DegenerateFitError
 from exuberance import bootstrap as bt
 from exuberance import ols, robust
@@ -339,26 +340,16 @@ class TestPanels:
                 entry.observe(Y[-1], self.TAU0, "const", 0)
 
 
-def endpoint_blocks(monkeypatch, nb, rows, T, m0):
-    """Set the scan's cell budget so that a (rows, T) double-sup scan runs
-    nb endpoints per block, with a partial last block when nb > 1."""
-    monkeypatch.setattr(ols, "CHUNK_CELLS", 8 * nb * rows * T)
-    blocks = ols._blocks(np.arange(m0, T + 1), rows, T)
-    assert blocks[0].size == nb and (nb == 1 or 0 < blocks[-1].size < nb)
-
-
-class TestEndpointBlocks:
+class TestLengthBlocks:
     """The robust double sups and sign dating, scanned in blocks of 2, 3
-    and 7 endpoints, equal one endpoint at a time bit for bit, on the rows
-    of :class:`TestPanels` (ties, flat stretches and NaN windows)."""
+    and 7 window lengths, equal one length at a time bit for bit, on the
+    rows of :class:`TestPanels` (ties, flat stretches and NaN windows)."""
 
     T, TAU0 = TestPanels.T, TestPanels.TAU0
 
-    def _run(self, monkeypatch, nb, Y):
-        m0 = frac_to_index(self.TAU0, self.T)
-        endpoint_blocks(monkeypatch, nb, len(Y), self.T, m0)
+    def _run(self, monkeypatch, nl, Y):
+        sizes = length_blocks(monkeypatch, nl)
         scores = {name: bt._REGISTRY[name].scores(Y, self.TAU0, "const", 0) for name in ("sign_gsadf", "gstadf")}
-        endpoint_blocks(monkeypatch, nb, 1, self.T, m0)
         ones = []
         for v in Y[:-1]:
             sg = sign_statistics(v, self.TAU0).sgsadf
@@ -366,13 +357,15 @@ class TestEndpointBlocks:
             ep = sign_stamp(v, tau0=self.TAU0)
             ones.append((sg.sequence.values, sg.window, tt.sequence.values, tt.window,
                          ep.origin_index, ep.collapse_index))
+        # 37 lengths: the last block is partial for nl = 2, 3 and 7
+        assert nl in sizes and (nl == 1 or 0 < sizes[-1] < nl)
         return scores, ones
 
-    def test_block_sizes_match_single_endpoints(self, monkeypatch):
+    def test_block_sizes_match_single_lengths(self, monkeypatch):
         Y = TestPanels()._panel()
         want_scores, want_ones = self._run(monkeypatch, 1, Y)
-        for nb in (2, 3, 7):
-            scores, ones = self._run(monkeypatch, nb, Y)
+        for nl in (2, 3, 7):
+            scores, ones = self._run(monkeypatch, nl, Y)
             for name, want in want_scores.items():
                 np.testing.assert_array_equal(scores[name], want)
                 # panel rows equal the one-series values
