@@ -58,6 +58,11 @@ def cases() -> dict:
         "sign_gsadf curves panel 100x200": lambda: _REGISTRY["sign_gsadf"].curves(robust, _m0(200)),
         "gstadf curves panel 100x200": lambda: _REGISTRY["gstadf"].curves(robust, _m0(200)),
         "wild_bootstrap_pvalue gsadf T=200 B=199": lambda: wild_bootstrap_pvalue(y200, "gsadf", B=199, seed=1),
+        "wild_bootstrap_pvalue hb_chow T=200 B=199": lambda: wild_bootstrap_pvalue(y200, "hb_chow", B=199, seed=1),
+        "wild_bootstrap_pvalue sadf_gls const T=200 B=199": lambda: wild_bootstrap_pvalue(y200, "sadf_gls", B=199, seed=1),
+        "wild_bootstrap_pvalue sadf_gls trend T=200 B=199": lambda: wild_bootstrap_pvalue(
+            y200, "sadf_gls", B=199, seed=1, det="trend"
+        ),
         "two_step_stamp bubble T=300 k=2": lambda: two_step_stamp(bubble, k=2),
         "select_model_bic bubble T=300": lambda: select_model_bic(bubble),
     }

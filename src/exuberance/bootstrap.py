@@ -9,10 +9,10 @@ running replicates serially, in any order, or in parallel produces
 bitwise-identical draws.
 
 Replicate paths are built one by one from those streams and scored in
-panel chunks: every registered sup statistic reads its per-endpoint
-curves from one builder and scores a chunk in one scan; only hb_chow and
-custom callables go row by row.  Chunking changes no draw and no value
-at any chunk position.
+panel chunks: every registered sup statistic reads its curves (per
+endpoint, or per break date for hb_chow) from one builder and scores a
+chunk in one scan; only custom callables go row by row.  Chunking
+changes no draw and no value at any chunk position.
 """
 
 from __future__ import annotations
@@ -144,22 +144,17 @@ class _Statistic:
         return recursive._curve_scores(self.curves, Y, tau0, **self._read(det, k))
 
 
-@dataclass(frozen=True)
-class _RowStatistic:
+class _RowStatistic(_Statistic):
     """The sup-Chow statistic, whose grid is break dates from 0, not endpoints
-    from m0: ``result`` gives its SupResult, and a panel goes row by row."""
-
-    result: Callable
-    options: tuple[str, ...]
-    reason: str
-    _read = _Statistic._read
-    runs_with = _Statistic.runs_with
+    from m0: ``curves(Y, tau0, **options)`` gives the (rows, breaks) curves
+    of a panel, from which every row is scored in one scan, and
+    ``recursive.hb_sup_chow`` the SupResult of one series."""
 
     def observe(self, values, tau0, det, k) -> SupResult:
-        return self.result(values, tau0, **self._read(det, k))
+        return recursive.hb_sup_chow(values, tau0, **self._read(det, k))
 
     def scores(self, Y, tau0, det, k) -> np.ndarray:
-        return _by_row(lambda v, *args: self.observe(v, *args).value)(Y, tau0, det, k)
+        return recursive._row_sup(self.curves(Y, tau0, **self._read(det, k)))
 
 
 _SIGN = "sign statistics are rank-based and ignore regression options"
@@ -171,7 +166,7 @@ _REGISTRY = {
     "sadf": _Statistic("sadf", recursive._prefix_curves, ("det", "k")),
     "gsadf": _Statistic("bsadf", recursive._backward_curves, ("det", "k")),
     "hb_chow": _RowStatistic(
-        recursive.hb_sup_chow, ("k",), "the sup-Chow statistic fixes its own deterministic terms"
+        "hb_chow", recursive._hb_curves, ("k",), "the sup-Chow statistic fixes its own deterministic terms"
     ),
     "sadf_gls": _Statistic(
         "sadf_gls", recursive._gls_curves, ("det",),
@@ -332,15 +327,8 @@ def wild_bootstrap_pvalue(
     _degenerate_guard(n_bad, B, f"{name} statistic")
     count = int(np.sum(replicates >= observed))
     return BootstrapReport(
-        statistic=name,
-        observed=observed,
-        p_value=(1 + count) / (B + 1),
-        B=B,
-        seed=seed,
-        multiplier=multiplier,
-        n_degenerate=n_bad,
-        replicates=replicates,
-        result=result,
+        statistic=name, observed=observed, p_value=(1 + count) / (B + 1), B=B, seed=seed,
+        multiplier=multiplier, n_degenerate=n_bad, replicates=replicates, result=result,
     )
 
 
@@ -458,17 +446,8 @@ def composite_monitor_cv(
     _degenerate_guard(n_bad, B, "windowed backward sup statistic")
     cv = float(np.nanquantile(replicate_max, level, method="higher"))
     return CompositeCvReport(
-        critical_value=cv,
-        level=level,
-        window=(m0, end),
-        tau0=tau0,
-        span=span,
-        B=B,
-        seed=seed,
-        multiplier=multiplier,
-        lag_coeffs=phi,
-        n_degenerate=n_bad,
-        replicate_max=replicate_max,
+        critical_value=cv, level=level, window=(m0, end), tau0=tau0, span=span, B=B, seed=seed,
+        multiplier=multiplier, lag_coeffs=phi, n_degenerate=n_bad, replicate_max=replicate_max,
     )
 
 
@@ -651,16 +630,7 @@ def bootstrap_union(
     psi = float(np.nanquantile(union_draws, level, method="higher"))
     union_stat = float(np.max(observed / member_cvs))
     return BootstrapUnionReport(
-        reject=bool(union_stat > psi),
-        union_stat=union_stat,
-        psi=psi,
-        members=names,
-        observed=observed,
-        member_cvs=member_cvs,
-        level=level,
-        B=B,
-        seed=seed,
-        multiplier=multiplier,
-        n_degenerate=n_degenerate,
-        replicates=replicates,
+        reject=bool(union_stat > psi), union_stat=union_stat, psi=psi, members=names, observed=observed,
+        member_cvs=member_cvs, level=level, B=B, seed=seed, multiplier=multiplier,
+        n_degenerate=n_degenerate, replicates=replicates,
     )

@@ -22,6 +22,8 @@ first, adding each length's row to the sums of every endpoint at once,
 and the prefix windows (0, e] sum the same terms forward from y_1 in one
 pass.  Each Gram matrix is equilibrated to unit diagonal and factored;
 the level coefficient's t-ratio follows without forming the inverse.
+The sup-Chow and GLS curve builders in ``recursive`` lay out their
+moments with ``_terms`` and read their t-ratios from ``_tstats`` too.
 
 The moment route is guarded.  A window whose equilibrated Gram has
 condition number above ``COND_LIMIT`` (1e12) or is not numerically
@@ -222,18 +224,8 @@ def fit_adf_window(
         # map the intercept back to the un-anchored scale
         beta[0] = beta[0] - beta[dpos] * anchor
     return AdfFit(
-        delta=float(beta[dpos]),
-        tstat=tstat,
-        se=se,
-        sigma2=float(sigma2),
-        ssr=ssr,
-        nobs=nobs,
-        coeffs=beta,
-        columns=tuple(names),
-        start=int(start),
-        end=int(end),
-        det=det,
-        k=int(k),
+        delta=float(beta[dpos]), tstat=tstat, se=se, sigma2=float(sigma2), ssr=ssr, nobs=nobs, coeffs=beta,
+        columns=tuple(names), start=int(start), end=int(end), det=det, k=int(k),
     )
 
 
@@ -428,7 +420,10 @@ def adf_tstat_pairs(values, starts, ends, det: str = "const", k: int = 0) -> np.
     """ADF t-ratios for many windows (starts[i], ends[i]] of one series.
 
     The windows are read from one backward sweep of :func:`_sweep` over
-    their lengths; windows that cannot support the fit yield NaN.
+    their lengths; windows that cannot support the fit yield NaN.  The
+    sweep covers every length between the shortest and the longest
+    window, at every end between the smallest and the largest, so a few
+    windows of a long series cost a full O(T^2) scan.
     """
     v = as_values(values)
     det = normalize_det(det)
@@ -565,26 +560,8 @@ def gls_adjust(values, det: str = "const", c_bar: float | None = None) -> np.nda
 
 
 def tstat_ar_noconst(u: np.ndarray) -> float:
-    """t-ratio of delta in du_t = delta*u_{t-1} + e_t (no deterministics).
-
-    Closed-form sums with sigma^2 = ssr/(nobs - 1) and the dense fits'
-    exact-fit and t-ratio rules (``_tratio``); raises on zero lagged sum
-    of squares, missing degrees of freedom or a zero-variance fit.
-    """
+    """t-ratio of delta in du_t = delta*u_{t-1} + e_t (no deterministics):
+    the dense fit of the det 'none', k = 0 window (0, n] of ``u``, which
+    raises on too few observations or a zero-variance fit."""
     u = np.asarray(u, dtype=float)
-    if u.size < 3:
-        raise DegenerateFitError("need at least 3 observations")
-    du = np.diff(u)
-    x = u[:-1]
-    sxx = float(x @ x)
-    if not sxx > 0:
-        raise DegenerateFitError("zero lagged sum of squares")
-    delta = float(x @ du) / sxx
-    resid = du - delta * x
-    ssr = float(resid @ resid)
-    if ssr <= _EXACT_FIT * (ssr + delta * delta * sxx):  # du'du
-        ssr = 0.0
-    t = _tratio(delta, ssr, du.size - 1, 1.0 / sxx)
-    if math.isnan(t):
-        raise DegenerateFitError("zero-variance fit")
-    return t
+    return fit_adf_window(u, 0, u.size, det="none").tstat

@@ -19,6 +19,10 @@ from . import ols
 from .exceptions import DegenerateFitError
 from .series import _jsonable, as_values, default_min_window, frac_to_index, normalize_det
 
+#: ``_gls_curves`` refits a prefix whose detrended sum of squares u'u falls
+#: below this share of the bound (sum_i |alpha_i| sqrt(G_ii))^2 on its terms.
+_GLS_CANCEL = 1e-6
+
 __all__ = [
     "StatSequence",
     "SupResult",
@@ -110,21 +114,8 @@ def _double_supresult(kind, maxvals, argmax_s, m0, T, tau0) -> SupResult:
         raise DegenerateFitError(f"every window degenerate in {kind} scan")
     value = float(np.nanmax(maxvals[m0:]))
     s_star, e_star = min((int(argmax_s[e]), e) for e in range(m0, T + 1) if maxvals[e] == value)
-    seq = StatSequence(
-        kind=kind,
-        tau0=tau0,
-        tau2=np.arange(m0, T + 1) / T,
-        values=maxvals[m0:],
-        nobs=T,
-    )
-    return SupResult(
-        kind=kind,
-        value=value,
-        argmax=(s_star / T, e_star / T),
-        window=(s_star, e_star),
-        tau0=tau0,
-        sequence=seq,
-    )
+    seq = StatSequence(kind=kind, tau0=tau0, tau2=np.arange(m0, T + 1) / T, values=maxvals[m0:], nobs=T)
+    return SupResult(kind, value, argmax=(s_star / T, e_star / T), window=(s_star, e_star), tau0=tau0, sequence=seq)
 
 
 def _prefix_curves(Y: np.ndarray, m0: int, strict: bool = False, det: str = "const", k: int = 0):
@@ -152,14 +143,58 @@ def _backward_curves(Y: np.ndarray, m0: int, strict: bool = False, det: str = "c
 
 def _gls_curves(Y: np.ndarray, m0: int, strict: bool = False, det: str = "const", c_bar: float | None = None):
     """GLS prefix curves of a (rows, T) panel: each prefix (0, e] of each
-    row detrended on its own, NaN where the fit is degenerate."""
+    row detrended on its own, as ``ols.gls_adjust`` does, NaN where the fit
+    is degenerate.
+
+    The detrending residuals do not move when y shifts, so each row is
+    anchored at y_1, z_t = y_t - y_1.  Over the rows t = 2..e, h_t = (1,
+    [t - 2,] z_{t-1}, dz_t) and G = sum h h' are running sums in the layout
+    of ``ols._terms``.  With a = -c_bar/e the quasi-differenced rows are
+    Za_t = A h_t and ya_t = dz_t + a z_{t-1} (row 1 adds Za_1 = (1, [0]) and
+    ya_1 = 0), so theta solves (e_1 e_1' + A G A') theta = A G w.  The lagged
+    residual u_{t-1} and du_t are linear in h_t too, so their cross moments
+    are quadratic forms in G that ``ols._tstats`` reads with p = 1.  The
+    prefixes it flags, and those whose u'u is within ``_GLS_CANCEL`` of its
+    terms, are refit densely; a prefix with no variation from y_1 reads NaN.
+    """
     det = normalize_det(det)
-    stats = np.full((len(Y), Y.shape[1] + 1), np.nan)
-    for r, y in enumerate(Y):
-        for e in range(m0, Y.shape[1] + 1):
-            with suppress(DegenerateFitError):
-                stats[r, e] = ols.tstat_ar_noconst(ols.gls_adjust(y[:e], det=det, c_bar=c_bar))
-    return stats, np.where(np.isnan(stats), -1, 0)
+    if det == "none":
+        raise ValueError("GLS adjustment needs deterministic terms ('const' or 'trend')")
+    c_bar = ols.GLS_CBAR[det] if c_bar is None else c_bar
+    X, T = np.ascontiguousarray(Y.T), Y.shape[1]
+    d, q = np.diff(X, axis=0), ols._det_count(det)
+    C, slots = ols._terms((T - 1, len(Y)), det, 0, lambda j: d, X[:-1], np.arange(T - 1.0)[:, None], X[0])
+    np.cumsum(C, axis=1, out=C)
+    e = np.arange(m0, T + 1)[:, None]
+    a = -c_bar / e
+
+    def gram(i, j):  # G_ij over the columns (1, [t-2,] z_{t-1}, dz_t)
+        return C[slots[min(i, j), max(i, j)], m0 - 2 :] if i or j else e - 1
+
+    def form(x: dict, y: dict):
+        return sum(xi * yj * gram(i, j) for i, xi in x.items() for j, yj in y.items())
+
+    w = {q: a, q + 1: 1.0}
+    A = [{0: a}] + [{0: 1.0, 1: a}] * (q == 2)
+    M = [[form(Ai, Aj) + (i == j == 0) for j, Aj in enumerate(A)] for i, Ai in enumerate(A)]
+    r = [form(Ai, w) for Ai in A]
+    if q == 1:
+        theta = [r[0] / M[0][0]]
+    else:
+        det_M = M[0][0] * M[1][1] - M[0][1] ** 2
+        theta = [(M[1][1] * r[0] - M[0][1] * r[1]) / det_M, (M[0][0] * r[1] - M[0][1] * r[0]) / det_M]
+    lag = {i: -th for i, th in enumerate(theta)} | {q: 1.0}  # u_{t-1}
+    diff = ({0: -theta[1]} if q == 2 else {}) | {q + 1: 1.0}  # du_t
+    G = np.stack([form(lag, lag), form(lag, diff), form(diff, diff)])
+    t, refit = ols._tstats(G, {(0, 0): 0, (0, 1): 1, (1, 1): 2}, e[:, 0] - 1, 1)
+    # u'u is a small difference of large terms when the detrending fits z_{t-1} nearly exactly
+    refit |= G[0] < _GLS_CANCEL * sum(abs(x) * np.sqrt(gram(i, i)) for i, x in lag.items()) ** 2
+    curve = np.full((len(Y), T + 1), np.nan)
+    curve[:, m0:] = t.T
+    for i, row in zip(*np.nonzero(refit)):
+        with suppress(DegenerateFitError):
+            curve[row, m0 + i] = ols.tstat_ar_noconst(ols.gls_adjust(Y[row, : m0 + i], det=det, c_bar=c_bar))
+    return curve, np.where(np.isnan(curve), -1, 0)
 
 
 def _row_sup(curves: np.ndarray) -> np.ndarray:
@@ -208,6 +243,52 @@ def gsadf(series, tau0: float | None = None, det: str = "const", k: int = 0) -> 
     return _curve_result("bsadf", _backward_curves, series, tau0, det=det, k=k)
 
 
+def _hb_curves(Y: np.ndarray, tau0: float | None, strict: bool = False, k: int = 0) -> np.ndarray:
+    """Sup-Chow break curves of a (rows, T) panel: the t-ratio of each break
+    b = 0..(1-tau0)T per row ((rows, b_max+1)), NaN where degenerate
+    (``strict``: a sample too short for k raises).
+
+    Every break regression shares the lag columns and dy; only the level,
+    switched on from the first row with t > b, differs.  So the moments of
+    the rows t = k+2..T in the layout of ``ols._terms`` (no intercept) are
+    summed backward once: the level's moments are read as suffix sums from
+    that first row, every other moment as the full-sample sum, and
+    ``ols._tstats`` solves all breaks at once; it alone picks the breaks
+    refit densely.
+    """
+    Y = np.asarray(Y, dtype=np.float64)
+    T = Y.shape[1]
+    if tau0 is None:
+        tau0 = default_min_window(T)
+    if not 0 < tau0 <= 1:
+        raise ValueError(f"tau0 must lie in (0, 1], got {tau0}")
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
+    b_max, n = frac_to_index(1.0 - tau0, T), T - 1 - k
+    curve = np.full((len(Y), b_max + 1), np.nan)
+    if n - (1 + k) < 1:
+        if strict:
+            raise DegenerateFitError(f"sample of {T} too short for k={k}")
+        return curve
+    Z = Y - Y[:, :1]  # exact for a level offset; the mean is then taken in the data's scale
+    yt = np.ascontiguousarray((Z - Z.mean(axis=1, keepdims=True)).T)
+    dy = np.diff(yt, axis=0)
+    C, slots = ols._terms((n, len(Y)), "none", k, lambda j: dy[k - j : k - j + n], yt[k:-1], None, None)
+    S = np.zeros((len(C), n + 1, len(Y)))
+    np.cumsum(C[:, ::-1], axis=1, out=S[:, n - 1 :: -1])  # S[:, i] sums the rows from index i on
+    first = np.clip(np.arange(b_max + 1) - k - 1, 0, n)  # index of the first row with t > b
+    G = np.stack([S[m, first if k in ij else 0 * first] for ij, m in slots.items()])
+    t, refit = ols._tstats(G, slots, np.full(b_max + 1, n), k + 1)
+    curve[:] = t.T
+    for b, row in zip(*np.nonzero(refit)):
+        level = np.where(np.arange(k, T - 1) + 2 > b, yt[k:-1, row], 0.0)
+        X = np.column_stack([level] + [dy[k - j : k - j + n, row] for j in range(1, k + 1)])
+        with suppress(DegenerateFitError):
+            beta, ssr, vf = ols._least_squares(X, dy[k:, row])
+            curve[row, b] = ols._tratio(beta[0], ssr, n - 1 - k, vf[0])
+    return curve
+
+
 def hb_sup_chow(series, tau0: float | None = None, k: int = 0) -> SupResult:
     """Sup of one-shot break statistics for a switch to an explosive root.
 
@@ -215,51 +296,17 @@ def hb_sup_chow(series, tau0: float | None = None, k: int = 0) -> SupResult:
     break index b the regression explains the differenced series by the
     lagged level switched on after b (plus k lagged differences, no
     intercept), and the sup of the t-ratios over b in [0, (1-tau0)T] is
-    returned.  A location shift therefore never changes the value.
+    returned.  A location shift therefore never changes the value.  The
+    curve is the one-row case of the panel builder ``_hb_curves``.
     """
     v = as_values(series)
-    T = v.size
-    if tau0 is None:
-        tau0 = default_min_window(T)
-    if not 0 < tau0 <= 1:
-        raise ValueError(f"tau0 must lie in (0, 1], got {tau0}")
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    b_max = frac_to_index(1.0 - tau0, T)
-    yt = v - v.mean()
-    dy = np.diff(yt)
-    rows = np.arange(k, T - 1)  # 0-based r = t-2 for t = k+2..T
-    dep = dy[rows]
-    nobs = rows.size
-    p = 1 + k
-    if nobs - p < 1:
-        raise DegenerateFitError(f"sample of {T} too short for k={k}")
-    lev = yt[rows]
-    X = np.column_stack([lev] + [dy[rows - j] for j in range(1, k + 1)])
-    stats = np.full(b_max + 1, np.nan)
-    for b in range(b_max + 1):
-        X[:, 0] = np.where(rows + 2 > b, lev, 0.0)
-        with suppress(DegenerateFitError):
-            beta, ssr, vf = ols._least_squares(X, dep)
-            stats[b] = ols._tratio(beta[0], ssr, nobs - p, vf[0])
+    tau0 = float(default_min_window(v.size) if tau0 is None else tau0)
+    stats = _hb_curves(v[None, :], tau0, strict=True, k=k)[0]
     if np.isnan(stats).all():
         raise DegenerateFitError("every break regression degenerate")
-    b_star = int(np.nanargmax(stats))
-    seq = StatSequence(
-        kind="hb_chow",
-        tau0=float(tau0),
-        tau2=np.arange(b_max + 1) / T,
-        values=stats,
-        nobs=T,
-    )
-    return SupResult(
-        kind="hb_chow",
-        value=float(stats[b_star]),
-        argmax=(b_star / T, 1.0),
-        window=(b_star, T),
-        tau0=float(tau0),
-        sequence=seq,
-    )
+    b = int(np.nanargmax(stats))
+    seq = StatSequence(kind="hb_chow", tau0=tau0, tau2=np.arange(stats.size) / v.size, values=stats, nobs=v.size)
+    return SupResult("hb_chow", float(stats[b]), argmax=(b / v.size, 1.0), window=(b, v.size), tau0=tau0, sequence=seq)
 
 
 def sadf_gls(
@@ -270,9 +317,10 @@ def sadf_gls(
 ) -> SupResult:
     """Sup of GLS-detrended recursive statistics on prefix windows.
 
-    Each prefix (0, e] is detrended on its own via ``gls_adjust`` (the
+    Each prefix (0, e] is detrended on its own as ``gls_adjust`` does (the
     quasi-differencing constant rescaled by the prefix length) and the
-    no-deterministics t-ratio is computed on the residuals.
+    no-deterministics t-ratio is computed on the residuals; every prefix is
+    read from one pass of running moment sums (``_gls_curves``).
     """
     return _curve_result("sadf_gls", _gls_curves, series, tau0, det=det, c_bar=c_bar)
 

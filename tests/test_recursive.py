@@ -1,12 +1,15 @@
 """Sup-type statistics: oracle equality, nesting, frozen examples."""
 
 import json
+from contextlib import suppress
 
 import numpy as np
 import pytest
 
 import oracles
 from exuberance import DegenerateFitError, adf_stat
+from exuberance import bootstrap as bt
+from exuberance import ols, recursive
 from exuberance.ols import GLS_CBAR, sadf_prefix_stats
 from exuberance.recursive import (
     StatSequence,
@@ -22,6 +25,119 @@ from exuberance.recursive import (
 def _walk(seed, T, drift=0.0):
     rng = np.random.default_rng(seed)
     return np.cumsum(drift + rng.standard_normal(T))
+
+
+LD = np.longdouble
+
+
+def _bubble(seed, T, growth, start=40, length=30):
+    """A walk from 100 that grows by ``growth`` on start < t <= start+length."""
+    e = np.random.default_rng(seed).standard_normal(T)
+    y = np.empty(T)
+    y[0] = 100.0
+    for t in range(1, T):
+        y[t] = (growth if start < t <= start + length else 1.0) * y[t - 1] + e[t]
+    return y
+
+
+def _accuracy_classes(T=100):
+    """The input classes of the moment routes' accuracy contract."""
+    rows = {}
+    for s in range(2):
+        walk = _walk(500 + s, T)
+        rows[f"walk{s}"] = walk
+        rows[f"walk{s}+1e6"] = walk + 1e6
+        rows[f"int{s}+1e6"] = np.cumsum(np.random.default_rng(510 + s).integers(-3, 4, T)) + 1e6
+        rows[f"walk{s}x1e12"] = walk * 1e12
+        rows[f"walk{s}x1e-12"] = walk * 1e-12
+        rows[f"drift{s}"] = _walk(520 + s, T, drift=0.5)
+        rows[f"bubble3%{s}"] = _bubble(530 + s, T, 1.03)
+        rows[f"bubble5%{s}"] = _bubble(540 + s, T, 1.05, start=30, length=70)
+    return rows
+
+
+def _gls_ld(y, m0, det):
+    """Long-double GLS curve: each prefix detrended on its own by the
+    normal equations of the quasi-differenced sample, then the
+    no-deterministics AR t-ratio.  The detrending residuals do not move
+    with a level shift, so the prefix is taken from y_1, which is exact
+    in long double."""
+    y = np.asarray(y, dtype=LD)
+    out = np.full(y.size + 1, np.nan)
+    for e in range(max(m0, 3), y.size + 1):
+        w, rho = y[:e] - y[0], LD(1) + LD(GLS_CBAR[det]) / LD(e)
+        Z = np.stack([np.ones(e, dtype=LD), np.arange(1, e + 1, dtype=LD)][: 1 + (det == "trend")], axis=1)
+        wa, Za = w.copy(), Z.copy()
+        wa[1:] -= rho * w[:-1]
+        Za[1:] -= rho * Z[:-1]
+        M, r = Za.T @ Za, Za.T @ wa
+        if det == "const":
+            theta = r / M[0, 0]
+        else:
+            theta = np.array([M[1, 1] * r[0] - M[0, 1] * r[1], M[0, 0] * r[1] - M[0, 1] * r[0]])
+            theta /= M[0, 0] * M[1, 1] - M[0, 1] ** 2
+        u = w - Z @ theta
+        x, du = u[:-1], np.diff(u)
+        delta = (x @ du) / (x @ x)
+        res = du - delta * x
+        out[e] = float(delta / np.sqrt(res @ res / (du.size - 1) / (x @ x)))
+    return out
+
+
+def _hb_ld(y, tau0, k):
+    """Long-double sup-Chow curve: each break regression solved by a
+    twice-orthogonalised Gram-Schmidt QR."""
+    y = np.asarray(y, dtype=LD)
+    T = y.size
+    yt = y - y.sum() / LD(T)
+    dy = np.diff(yt)
+    rows = np.arange(k, T - 1)
+    out = np.full(int(np.floor((1 - tau0) * T + 1e-9)) + 1, np.nan)
+    for b in range(out.size):
+        X = np.stack([np.where(rows + 2 > b, yt[rows], 0)] + [dy[rows - j] for j in range(1, k + 1)], axis=1)
+        Q, R = np.zeros(X.shape, dtype=LD), np.zeros((k + 1, k + 1), dtype=LD)
+        for j in range(k + 1):
+            v = X[:, j].copy()
+            for _ in range(2):
+                c = Q[:, :j].T @ v
+                R[:j, j] += c
+                v -= Q[:, :j] @ c
+            R[j, j] = np.sqrt(v @ v)
+            if not R[j, j] > 0:
+                break
+            Q[:, j] = v / R[j, j]
+        else:
+            c = Q.T @ dy[rows]
+            res = dy[rows] - Q @ c
+            Rinv = np.zeros_like(R)
+            for j in range(k, -1, -1):  # rows of R^-1, bottom up
+                Rinv[j] = (np.eye(k + 1, dtype=LD)[j] - R[j, j + 1 :] @ Rinv[j + 1 :]) / R[j, j]
+            beta0 = Rinv[0] @ c
+            out[b] = float(beta0 / np.sqrt(res @ res / (rows.size - k - 1) * (Rinv[0] @ Rinv[0])))
+    return out
+
+
+def _rel_err(got, want):
+    """Largest error of the finite values relative to max(1, |t|), with the
+    NaN patterns equal."""
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+    ok = np.isfinite(want)
+    return float((np.abs(got[ok] - want[ok]) / np.maximum(1.0, np.abs(want[ok]))).max())
+
+
+def _exact_break_fit(T=60, phi=0.5, delta=0.05):
+    """A series whose demeaned path solves dy_t = delta y_{t-1} + phi dy_{t-1}
+    exactly: the k = 1 break regressions with every row switched on fit
+    it exactly.  The recursion is linear, so the mean-zero solution is a
+    combination of two."""
+    def solve(y1, y2):
+        y = [y1, y2]
+        while len(y) < T:
+            y.append((1 + phi + delta) * y[-1] - phi * y[-2])
+        return np.array(y)
+
+    a, b = solve(1.0, 0.0), solve(0.0, 1.0)
+    return 100.0 + a * b.mean() - b * a.mean()
 
 
 class TestSadf:
@@ -131,6 +247,108 @@ class TestHbSupChow:
         r = hb_sup_chow(v, tau0=0.3)
         assert r.sequence.tau2.size == int(np.floor(0.7 * 50)) + 1
         assert r.window[0] <= 35
+
+
+class TestBreakCurves:
+    """hb_chow read from one backward moment sum: the long-double
+    reference, the dense refit and the panel rows."""
+
+    TAU0 = 0.19
+
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_matches_long_double_reference(self, k):
+        # measured: at most 6.2e-15 on these classes but
+        # the long 5% bubbles, where k = 2 reads 2.6e-12 (k = 0: 4.6e-15)
+        worst = max(
+            _rel_err(hb_sup_chow(v, self.TAU0, k=k).sequence.values, _hb_ld(v, self.TAU0, k))
+            for v in _accuracy_classes().values()
+        )
+        assert worst < 1e-11
+
+    def test_exact_fit_goes_to_the_dense_fit(self, monkeypatch):
+        calls = []
+        dense = ols._least_squares
+        monkeypatch.setattr(ols, "_least_squares", lambda *a: calls.append(1) or dense(*a))
+        y = _exact_break_fit()
+        r = hb_sup_chow(y, tau0=0.2, k=1)
+        # every break b <= k+1 switches the level on for every row: an exact fit
+        assert r.value == np.inf and r.window == (0, 60)
+        assert (r.sequence.values[:3] == np.inf).all() and np.isfinite(r.sequence.values[3:]).all()
+        assert 0 < len(calls) < r.sequence.values.size
+
+    def test_panel_rows_equal_one_series_bit_for_bit(self):
+        Y = np.stack(list(_accuracy_classes(80).values()) + [_exact_break_fit(80)])
+        for k in (0, 2):
+            curves = recursive._hb_curves(Y, self.TAU0, k=k)
+            scores = bt._REGISTRY["hb_chow"].scores(Y, self.TAU0, "const", k)
+            for v, curve, score in zip(Y, curves, scores):
+                r = hb_sup_chow(v, self.TAU0, k=k)
+                np.testing.assert_array_equal(curve, r.sequence.values)
+                assert score == r.value
+
+    def test_short_panel_reads_nan_and_one_series_raises(self):
+        Y = np.stack([_walk(1, 6), _walk(2, 6)])
+        assert np.isnan(bt._REGISTRY["hb_chow"].scores(Y, 0.5, "const", 2)).all()
+        with pytest.raises(DegenerateFitError, match="sample of 6 too short for k=2"):
+            hb_sup_chow(Y[0], 0.5, k=2)
+
+
+class TestGlsCurves:
+    """sadf_gls read from one forward moment sum: the long-double
+    reference, the dense refit and flat stretches."""
+
+    @pytest.mark.parametrize("det", ["const", "trend"])
+    def test_matches_long_double_reference(self, det):
+        # measured: at most 9.1e-14 (const; 1.4e-15 but
+        # for the long 5% bubbles) and 4.6e-14 (trend) on these classes
+        m0 = 19
+        worst = max(
+            _rel_err(sadf_gls(v, 0.19, det=det).sequence.values, _gls_ld(v, m0, det)[m0:])
+            for v in _accuracy_classes().values()
+        )
+        assert worst < 1e-12
+
+    @pytest.mark.parametrize("det, y, flagged", [
+        # exact growth from 100: near e = 40 the GLS intercept passes the
+        # series' own offset, 0, so the residuals grow almost exactly and
+        # the AR fit is within cancellation error of exact (t in the thousands)
+        ("const", 100.0 * 1.1 ** np.arange(60), [40, 41]),
+        # an exactly linear start: the trend fits every prefix inside it, so
+        # u'u is a difference of rounding errors, which the GLS flag marks
+        ("trend", np.concatenate([10.0 + 0.5 * np.arange(30), 24.5 + _walk(4, 30)]), list(range(12, 31))),
+    ])
+    def test_flagged_prefixes_go_to_the_dense_fit(self, det, y, flagged, monkeypatch):
+        calls = []
+        adjust = ols.gls_adjust
+        monkeypatch.setattr(ols, "gls_adjust", lambda u, **kw: calls.append(u.size) or adjust(u, **kw))
+        curve = recursive._gls_curves(y[None], 12, det=det)[0][0]
+        assert calls == flagged
+        dense = np.full(y.size + 1, np.nan)
+        for e in range(12, y.size + 1):
+            with suppress(DegenerateFitError):
+                dense[e] = ols.tstat_ar_noconst(adjust(y[:e], det=det))
+        np.testing.assert_array_equal(curve[flagged], dense[flagged])
+        # measured: 3.5e-12 (const, t up to 3,686) and
+        # 4.5e-14 (trend) off the long-double reference on the rest
+        rest = np.setdiff1d(np.arange(12, y.size + 1), flagged)
+        assert _rel_err(curve[rest], _gls_ld(y, 12, det)[rest]) < 1e-11
+
+    @pytest.mark.parametrize("det", ["const", "trend"])
+    def test_flat_start_reads_nan(self, det):
+        # 30 equal observations, then a walk: every prefix inside the flat
+        # part has no variation and reads NaN, as in every other scan,
+        # through sadf_gls and through the registry's panel
+        y = np.concatenate([np.full(30, 50.0), 50.0 + _walk(9, 60)])
+        m0 = 17
+        seq = sadf_gls(y, det=det).sequence
+        assert seq.tau2[0] == m0 / 90
+        assert np.isnan(seq.values[: 30 - m0 + 1]).all() and np.isfinite(seq.values[31 - m0 :]).all()
+        entry = bt._REGISTRY["sadf_gls"]
+        panel = np.stack([y, y[::-1], y + 1e6])
+        curve = entry.curves(panel, m0, det=det)[0]
+        np.testing.assert_array_equal(curve[0, m0:], seq.values)
+        assert np.isnan(curve[2, m0:31]).all()
+        assert entry.scores(panel, None, det, 0)[0] == sadf_gls(y, det=det).value
 
 
 class TestSadfGls:
