@@ -3,16 +3,16 @@ subsampling calibration for explosive-root test statistics.
 
 The wild bootstrap regenerates the series under the unit-root null by
 cumulating multiplier-scaled first differences, so the replicate
-distribution inherits the observed heteroskedasticity pattern.  All
-replicate streams are pure functions of ``(seed, replicate_index)``:
+distribution inherits the observed heteroskedasticity pattern.  Every
+replicate stream comes from one keyed rule, :func:`replicate_rng`:
 running replicates serially, in any order, or in parallel produces
 bitwise-identical draws.
 
-Replicate paths are built one by one from those streams and scored in
-panel chunks: every registered sup statistic reads its curves (per
-endpoint, or per break date for hb_chow) from one builder and scores a
-chunk in one scan; only custom callables go row by row.  Chunking
-changes no draw and no value at any chunk position.
+Each entry point resolves its statistic once (:func:`_resolve`) and
+scores replicate paths in panel chunks: a registered sup statistic in
+one scan of its curves (per endpoint, or per break date for hb_chow), a
+custom callable row by row.  The wild p-value is the union's replicate
+driver with one member.  Chunking changes no draw and no value.
 """
 
 from __future__ import annotations
@@ -71,13 +71,20 @@ def _resolve_seed(seed: int | None) -> int:
     return int(seed)
 
 
-def replicate_rng(seed: int, r: int) -> np.random.Generator:
-    """Independent generator for replicate r, derived from the base seed.
-
-    Spawn keys make the stream a pure function of ``(seed, r)``, so the
-    replicate set does not depend on execution order.
+def replicate_rng(seed: int, *key: int) -> np.random.Generator:
+    """Independent generator keyed by ``(seed, *key)``: ``(r,)`` for wild
+    replicate r, ``(T, r)`` for tabulation draw r at size T, ``(arm, r)``
+    for path r of a study arm.  The key is the spawn key, so a replicate
+    set does not depend on execution order.
     """
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+
+
+def _check_draws(B: int, multiplier: str, least: int = MIN_REPLICATIONS) -> None:
+    if B < least:
+        raise ValueError(f"B must be >= {least}, got {B}")
+    if multiplier not in MULTIPLIERS:
+        raise ValueError(f"unknown multiplier kind {multiplier!r}; choose from {MULTIPLIERS}")
 
 
 def multiplier_draws(rng: np.random.Generator, n: int, kind: str = "gaussian") -> np.ndarray:
@@ -96,19 +103,6 @@ def multiplier_draws(rng: np.random.Generator, n: int, kind: str = "gaussian") -
         v = rng.standard_normal(n)
         return u / np.sqrt(2.0) + (v * v - 1.0) / 2.0
     raise ValueError(f"unknown multiplier kind {kind!r}; choose from {MULTIPLIERS}")
-
-
-def _by_row(stat):
-    """Panel form of a one-series statistic: row by row, NaN where degenerate."""
-
-    def fn(panel, tau0, det, k):
-        out = np.full(len(panel), np.nan)
-        for i, y in enumerate(panel):
-            with suppress(DegenerateFitError):
-                out[i] = stat(y, tau0, det, k)
-        return out
-
-    return fn
 
 
 @dataclass(frozen=True)
@@ -157,6 +151,21 @@ class _RowStatistic(_Statistic):
         return recursive._row_sup(self.curves(Y, tau0, **self._read(det, k)))
 
 
+class _CustomStatistic(_Statistic):
+    """A callable ``curves`` of one series' values: reads det and k as given,
+    scores row by row (NaN on DegenerateFitError), has no SupResult."""
+
+    def observe(self, values, tau0, det, k) -> None:
+        return None
+
+    def scores(self, Y, tau0, det, k) -> np.ndarray:
+        out = np.full(len(Y), np.nan)
+        for i, y in enumerate(Y):
+            with suppress(DegenerateFitError):
+                out[i] = float(self.curves(y))
+        return out
+
+
 _SIGN = "sign statistics are rank-based and ignore regression options"
 _TIME = "time-transformed statistics are tuned by bandwidth, not regression options"
 
@@ -186,25 +195,23 @@ _REGISTRY = {
 STATISTICS = tuple(sorted(_REGISTRY))
 
 
-def _statistic_fn(statistic):
-    """Map a statistic name or callable to (name, panel fn, result fn).
+def _resolve(statistic) -> tuple[str, _Statistic]:
+    """Map a statistic name or callable to (name, its _Statistic).
 
-    The panel fn maps (panel, tau0, det, k) to one value per row (NaN:
-    degenerate), the result fn (values, tau0, det, k) to the SupResult.
     Named statistics follow the package convention: the observed value may
     use the caller's lag order k, while replicates are always evaluated at
-    k = 0.  A custom callable receives only one series' values, is used
-    verbatim on both sides and has no result fn (None).
+    k = 0.  A custom callable receives only one series' values and is
+    used verbatim on both sides.
     """
     if callable(statistic):
         name = getattr(statistic, "__name__", "custom")
-        return name, _by_row(lambda v, tau0, det, k: float(statistic(v))), None
+        return name, _CustomStatistic(name, statistic, ("det", "k"))
     key = str(statistic).strip().lower()
     if key not in _REGISTRY:
         raise ValueError(
             f"unknown statistic {statistic!r}; choose from {STATISTICS} or pass a callable"
         )
-    return key, _REGISTRY[key].scores, _REGISTRY[key].observe
+    return key, _REGISTRY[key]
 
 
 def _replicate_values(n: int, T: int, path, score) -> np.ndarray:
@@ -226,6 +233,20 @@ def _null_resample(v: np.ndarray, w: np.ndarray) -> np.ndarray:
     ystar[0] = 0.0
     np.cumsum(w * np.diff(v), out=ystar[1:])
     return ystar
+
+
+def _wild_replicates(v, members, tau0, B, multiplier, seed, det) -> tuple[np.ndarray, np.ndarray]:
+    """(B, members) wild-null replicates, every member scoring the same
+    paths at k = 0, and each member's degenerate count, guarded."""
+    replicates = _replicate_values(
+        B, v.size,
+        lambda r: _null_resample(v, multiplier_draws(replicate_rng(seed, r), v.size - 1, multiplier)),
+        lambda Y: np.column_stack([stat.scores(Y, tau0, det, 0) for _, stat in members]),
+    )
+    n_degenerate = np.isnan(replicates).sum(axis=0).astype(np.int64)
+    for (name, _), n_bad in zip(members, n_degenerate):
+        _degenerate_guard(int(n_bad), B, f"{name} statistic")
+    return replicates, n_degenerate
 
 
 @dataclass
@@ -305,30 +326,22 @@ def wild_bootstrap_pvalue(
         Deterministic term and lag order for the observed statistic.
     """
     v = as_values(series)
-    if B < MIN_REPLICATIONS:
-        raise ValueError(f"B must be >= {MIN_REPLICATIONS}, got {B}")
-    if multiplier not in MULTIPLIERS:
-        raise ValueError(f"unknown multiplier kind {multiplier!r}; choose from {MULTIPLIERS}")
-    name, fn, observe = _statistic_fn(statistic)
+    _check_draws(B, multiplier)
+    name, stat = _resolve(statistic)
     seed = _resolve_seed(seed)
     try:
-        result = None if observe is None else observe(v, tau0, det, k)
+        result = stat.observe(v, tau0, det, k)
         observed = float(statistic(v)) if result is None else result.value
     except DegenerateFitError:
         observed = np.nan
     if np.isnan(observed):
         raise DegenerateFitError(f"observed {name} statistic is undefined on this series")
 
-    def path(r):
-        return _null_resample(v, multiplier_draws(replicate_rng(seed, r), v.size - 1, multiplier))
-
-    replicates = _replicate_values(B, v.size, path, lambda Y: fn(Y, tau0, det, 0))
-    n_bad = int(np.isnan(replicates).sum())
-    _degenerate_guard(n_bad, B, f"{name} statistic")
+    replicates, n_bad = _wild_replicates(v, [(name, stat)], tau0, B, multiplier, seed, det)
     count = int(np.sum(replicates >= observed))
     return BootstrapReport(
         statistic=name, observed=observed, p_value=(1 + count) / (B + 1), B=B, seed=seed,
-        multiplier=multiplier, n_degenerate=n_bad, replicates=replicates, result=result,
+        multiplier=multiplier, n_degenerate=int(n_bad[0]), replicates=replicates[:, 0], result=result,
     )
 
 
@@ -385,12 +398,9 @@ def composite_monitor_cv(
     n = v.size
     if span < 1:
         raise ValueError(f"monitor span must be >= 1, got {span}")
-    if B < 1:
-        raise ValueError(f"B must be >= 1, got {B}")
+    _check_draws(B, multiplier, least=1)
     if not 0.0 < level <= 1.0:
         raise ValueError(f"level must lie in (0, 1], got {level}")
-    if multiplier not in MULTIPLIERS:
-        raise ValueError(f"unknown multiplier kind {multiplier!r}; choose from {MULTIPLIERS}")
     if k < 0:
         raise ValueError(f"lag order k must be >= 0, got {k}")
     tau0, m0 = _resolve_tau0(n, tau0)
@@ -586,36 +596,23 @@ def bootstrap_union(
     reduces to that member's bootstrap test at the same level.
     """
     v = as_values(series)
-    if B < MIN_REPLICATIONS:
-        raise ValueError(f"B must be >= {MIN_REPLICATIONS}, got {B}")
+    _check_draws(B, multiplier)
     if not 0.0 < level <= 1.0:
         raise ValueError(f"level must lie in (0, 1], got {level}")
-    if multiplier not in MULTIPLIERS:
-        raise ValueError(f"unknown multiplier kind {multiplier!r}; choose from {MULTIPLIERS}")
     if callable(tests) or isinstance(tests, str):
         tests = (tests,)
-    resolved = [_statistic_fn(t) for t in tests]
-    if not resolved:
+    members = [_resolve(t) for t in tests]
+    if not members:
         raise ValueError("union needs at least one member test")
-    names = tuple(name for name, _, _ in resolved)
+    names = tuple(name for name, _ in members)
     seed = _resolve_seed(seed)
 
-    observed = np.array([fn(v[None, :], tau0, det, k)[0] for _, fn, _ in resolved])
+    observed = np.array([stat.scores(v[None, :], tau0, det, k)[0] for _, stat in members])
     if np.any(np.isnan(observed)):
         bad = [n for n, o in zip(names, observed) if np.isnan(o)]
         raise DegenerateFitError(f"observed statistic undefined for union members {bad}")
 
-    def path(r):
-        return _null_resample(v, multiplier_draws(replicate_rng(seed, r), v.size - 1, multiplier))
-
-    def score(Y):
-        return np.column_stack([fn(Y, tau0, det, 0) for _, fn, _ in resolved])
-
-    replicates = _replicate_values(B, v.size, path, score)
-    n_degenerate = np.isnan(replicates).sum(axis=0).astype(np.int64)
-    for mi, name in enumerate(names):
-        _degenerate_guard(int(n_degenerate[mi]), B, f"{name} statistic")
-
+    replicates, n_degenerate = _wild_replicates(v, members, tau0, B, multiplier, seed, det)
     member_cvs = np.nanquantile(replicates, level, axis=0, method="higher")
     if not np.all(np.isfinite(member_cvs)) or np.any(member_cvs <= 0):
         raise ValueError(

@@ -85,6 +85,19 @@ class UsageError(ExuberanceError):
     """Raised for bad flags, bad config files, or incompatible options."""
 
 
+_JSON_TYPES = {"str": str, "int": int, "float": (int, float), "dict": dict, "None": type(None)}
+
+
+def _fits(value, annotation: str) -> bool:
+    """Whether a JSON value fits a field annotation such as ``int | None``
+    or ``tuple[float, ...]``: an int fits a float, a bool fits no number."""
+    return any(
+        all(_fits(x, part[6:-6]) for x in value) if part.startswith("tuple[") and isinstance(value, (list, tuple))
+        else isinstance(value, _JSON_TYPES.get(part, ())) and not isinstance(value, bool)
+        for part in annotation.split(" | ")
+    )
+
+
 @dataclass(frozen=True)
 class RunConfig(_JsonFields):
     """Complete, serializable description of one CLI run.
@@ -96,8 +109,8 @@ class RunConfig(_JsonFields):
     subcommand: str
     input: str | None = None
     input2: str | None = None
-    column: str | None = None
-    label_column: str | None = None
+    column: str | int | None = None
+    label_column: str | int | None = None
     stat: str = "gsadf"
     method: str | None = None
     tau0: float | str = "auto"
@@ -145,9 +158,11 @@ class RunConfig(_JsonFields):
         unknown = sorted(set(data) - {f.name for f in fields(cls)})
         if unknown:
             raise UsageError(f"unknown config fields: {', '.join(unknown)}")
-        for name in ("sizes", "levels"):
-            if data.get(name) is not None:
-                data[name] = tuple(data[name])
+        for f in fields(cls):
+            if f.name in data and not _fits(data[f.name], f.type):
+                raise UsageError(f"config field {f.name!r} must be {f.type}, got {data[f.name]!r}")
+            if f.type.startswith("tuple[") and data.get(f.name) is not None:
+                data[f.name] = tuple(data[f.name])
         return cls(**data)
 
 

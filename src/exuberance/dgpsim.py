@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bootstrap import _REGISTRY, _replicate_values, _statistic_fn
+from .bootstrap import _replicate_values, _resolve, replicate_rng
 from .exceptions import DataError, DegenerateFitError
 from .series import Series, _JsonFields, default_min_window, frac_to_index
 
@@ -439,11 +439,10 @@ def _table_value(table: CvTable, statistic, T: int, level: float, tau0, det, k) 
     the run: the statistic, the det and k it reads, tau0 at T (None is
     the per-T default rule) and the entry itself.  DataError on any
     mismatch."""
-    name = _statistic_fn(statistic)[0]
+    name, stat = _resolve(statistic)
     if table.statistic != name:
         raise DataError(f"table tabulates {table.statistic!r}; this run uses {name!r}")
-    if not callable(statistic):
-        det, k = _REGISTRY[name].runs_with(det, k)
+    det, k = stat.runs_with(det, k)
     if (table.det, table.k) != (det, k):
         raise DataError(
             f"table was simulated with det={table.det!r}, k={table.k}; "
@@ -462,11 +461,6 @@ def _table_value(table: CvTable, statistic, T: int, level: float, tau0, det, k) 
 def _null_walk(T: int, rng: np.random.Generator) -> np.ndarray:
     """Driftless random-walk null with unit Gaussian innovations."""
     return np.cumsum(rng.standard_normal(T))
-
-
-def _replication_rng(seed: int, T: int, r: int) -> np.random.Generator:
-    """Stream keyed by (seed, T, r): independent of iteration order."""
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(T, r)))
 
 
 def tabulate_critical_values(
@@ -503,7 +497,8 @@ def tabulate_critical_values(
         Base seed; replicate streams are keyed by (seed, T, r) so the
         table does not depend on the order of ``sample_sizes``.
     """
-    name, fn, _ = _statistic_fn(statistic)
+    name, stat = _resolve(statistic)
+    det, k = stat.runs_with(det, k)
     sizes = tuple(int(T) for T in sample_sizes)
     _require(len(sizes) > 0, "need at least one sample size")
     _require(all(T >= 20 for T in sizes), "sample sizes must be >= 20")
@@ -521,8 +516,8 @@ def tabulate_critical_values(
     for T in sizes:
         stats = _replicate_values(
             replications, T,
-            lambda r: _null_walk(T, _replication_rng(seed, T, r)),
-            lambda Y: fn(Y, tau0, det, k),
+            lambda r: _null_walk(T, replicate_rng(seed, T, r)),
+            lambda Y: stat.scores(Y, tau0, det, k),
         )
         good = stats[np.isfinite(stats)]
         if good.size < replications / 2:
@@ -532,8 +527,6 @@ def tabulate_critical_values(
             )
         for p in levels:
             values[(T, p)] = float(np.quantile(good, p))
-    if not callable(statistic):
-        det, k = _REGISTRY[name].runs_with(det, k)
     return CvTable(
         statistic=name,
         tau0=tau0,
@@ -564,12 +557,11 @@ class SizePowerStudy(_JsonFields):
     n_degenerate_alt: int
 
 
-def _rejection_arm(spec, vol, fn, tau0, det, k, cv, seed, arm, replications):
+def _rejection_arm(spec, vol, stat, tau0, det, k, cv, seed, arm, replications):
     def path(r):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(arm, r)))
-        return simulate(spec, vol, seed=rng).values
+        return simulate(spec, vol, seed=replicate_rng(seed, arm, r)).values
 
-    stats = _replicate_values(replications, spec.T, path, lambda Y: fn(Y, tau0, det, k))
+    stats = _replicate_values(replications, spec.T, path, lambda Y: stat.scores(Y, tau0, det, k))
     rejections = int(np.sum(np.isfinite(stats) & (stats > cv)))
     return rejections, int(np.isnan(stats).sum())
 
@@ -597,7 +589,7 @@ def size_power_study(
     with ``cv_replications`` draws (degenerate replications count as
     non-rejections).  Standard errors are binomial.
     """
-    name, fn, _ = _statistic_fn(statistic)
+    name, stat = _resolve(statistic)
     _require(0.0 < level < 1.0, f"significance level must lie in (0, 1), got {level}")
     _require(replications >= 20, f"need replications >= 20, got {replications}")
     quantile = 1.0 - level
@@ -614,11 +606,9 @@ def size_power_study(
         cv_value = _table_value(cv, statistic, null_spec.T, quantile, tau0, det, k)
     else:
         cv_value = float(cv)
-    rej_null, bad_null = _rejection_arm(
-        null_spec, null_vol, fn, tau0, det, k, cv_value, seed, 1, replications
-    )
-    rej_alt, bad_alt = _rejection_arm(
-        alt_spec, alt_vol, fn, tau0, det, k, cv_value, seed, 2, replications
+    (rej_null, bad_null), (rej_alt, bad_alt) = (
+        _rejection_arm(spec, vol, stat, tau0, det, k, cv_value, seed, arm, replications)
+        for arm, spec, vol in ((1, null_spec, null_vol), (2, alt_spec, alt_vol))
     )
     size = rej_null / replications
     power = rej_alt / replications

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bootstrap import MIN_REPLICATIONS, MULTIPLIERS, _resolve_seed, multiplier_draws, replicate_rng
+from .bootstrap import _check_draws, _resolve_seed, multiplier_draws, replicate_rng
 from .exceptions import DataError, DegenerateFitError
 from .ols import _least_squares, fit_adf_window
 from .recursive import StatSequence, _resolve_tau0
@@ -552,10 +552,7 @@ def cobubble_test(
     n = ys.size
     if n < 10:
         raise DataError(f"overlap after shifting is {n} points; need >= 10")
-    if B < MIN_REPLICATIONS:
-        raise ValueError(f"B must be >= {MIN_REPLICATIONS}, got {B}")
-    if multiplier not in MULTIPLIERS:
-        raise ValueError(f"unknown multiplier kind {multiplier!r}; choose from {MULTIPLIERS}")
+    _check_draws(B, multiplier)
     base_seed = _resolve_seed(seed)
 
     # both levels anchored at the first overlap point, inside the sample

@@ -379,6 +379,8 @@ class TestCompositeMonitorCv:
             bt.composite_monitor_cv(v, B=99, seed=0, level=1.5)
         with pytest.raises(ValueError, match="lag order"):
             bt.composite_monitor_cv(v, B=99, seed=0, k=-1)
+        with pytest.raises(ValueError, match="multiplier"):
+            bt.composite_monitor_cv(v, B=99, seed=0, multiplier="bad")
         with pytest.raises(ValueError, match="too short"):
             bt.bsadf_window_max(v, tau0=0.5, span=40)
 
@@ -449,6 +451,17 @@ class TestBootstrapUnion:
             np.testing.assert_array_equal(un.replicates[:, i], solo.replicates)
             assert un.observed[i] == solo.observed
 
+    def test_custom_member_shares_replicate_set(self):
+        def range_to_date(x):
+            return float(x[-1] - x.min())
+
+        v = _walk(9, 60)
+        un = bt.bootstrap_union(v, tests=("sadf", range_to_date), B=99, seed=4, multiplier="skewed")
+        solo = bt.wild_bootstrap_pvalue(v, range_to_date, B=99, seed=4, multiplier="skewed")
+        np.testing.assert_array_equal(un.replicates[:, 1], solo.replicates)
+        assert un.observed[1] == solo.observed
+        assert un.members == ("sadf", "range_to_date") and solo.result is None
+
     def test_single_member_equals_member_bootstrap(self):
         v = _walk(1, 60)
         un = bt.bootstrap_union(v, tests="sadf", B=99, seed=3)
@@ -511,6 +524,8 @@ class TestBootstrapUnion:
             bt.bootstrap_union(v, tests=(), B=99, seed=0)
         with pytest.raises(ValueError, match="level"):
             bt.bootstrap_union(v, tests=("sadf",), B=99, seed=0, level=0.0)
+        with pytest.raises(ValueError, match="multiplier"):
+            bt.bootstrap_union(v, tests=("sadf",), B=99, seed=0, multiplier="bad")
 
     def test_union_size_under_volatility_break(self):
         # scaled-down null study: single upward break, sadf + sbz members

@@ -113,6 +113,38 @@ class TestRunConfig:
         with pytest.raises(UsageError):
             RunConfig(subcommand="test", level=1.5)
 
+    @pytest.mark.parametrize("subcommand, field, value", [
+        ("test", "B", "99"),
+        ("test", "k", "2"),
+        ("test", "level", "0.9"),
+        ("simulate-cv", "sizes", "60"),
+    ])
+    def test_mistyped_config_field_is_a_usage_error(
+        self, bubble_csv, tmp_path, capsys, subcommand, field, value
+    ):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({field: value}))
+        argv = ["--config", str(path)]
+        if subcommand == "test":
+            argv += ["--input", bubble_csv, "--column", "price", "--cv", "bootstrap"]
+        assert main([subcommand, *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and repr(field) in err, err
+        assert "Traceback" not in err
+
+    def test_config_values_checked_against_field_types(self):
+        # an int fits a float field; a bool fits no number; null fits only
+        # an optional field; a list fits a tuple field element by element
+        cfg = RunConfig.from_dict({"subcommand": "test", "epsilon": 1, "scale": 2, "levels": [0.9, 1]})
+        assert cfg.epsilon == 1 and cfg.scale == 2 and cfg.levels == (0.9, 1)
+        assert RunConfig.from_dict({"subcommand": "test", "origin_x": None}).origin_x is None
+        # a column given by 0-based position, as load_series takes it
+        assert RunConfig.from_dict({"subcommand": "test", "column": 1, "label_column": 0}).column == 1
+        for bad in ({"k": True}, {"B": 99.0}, {"B": None}, {"sizes": [60, "80"]},
+                    {"level": False}, {"null_spec": [1]}, {"stat": 3}):
+            with pytest.raises(UsageError, match=repr(next(iter(bad)))):
+                RunConfig.from_dict({"subcommand": "test", **bad})
+
 
 class TestTestCommand:
     def test_auto_tau0_resolves_by_rule(self, bubble_csv, tmp_path):

@@ -18,7 +18,13 @@ from exuberance.dgpsim import (
     tabulate_critical_values,
 )
 from exuberance.exceptions import DataError, DegenerateFitError
+from exuberance.recursive import sadf
 from exuberance.series import Series, frac_to_index
+
+
+def _keyed_rng(seed, *key):
+    """The stream SeedSequence(seed, spawn_key=key), spelled out apart from the package."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
 def _replay(spec, vol=None, seed=None):
@@ -406,6 +412,16 @@ class TestTabulate:
         spread = math.hypot(quantile_se(tab_a, 2000), quantile_se(tab_b, 4000))
         assert abs(qa - qb) < 2.0 * spread
 
+    def test_draws_come_from_streams_keyed_by_size_and_replicate(self):
+        # the published rule: draw r at size T is a unit Gaussian walk from
+        # SeedSequence(seed, spawn_key=(T, r)), whatever the other sizes
+        seed, T, R = 9, 40, 120
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            tab = tabulate_critical_values("sadf", [60, T], levels=(0.9,), replications=R, seed=seed)
+        stats = [sadf(np.cumsum(_keyed_rng(seed, T, r).standard_normal(T))).value for r in range(R)]
+        assert tab.lookup(T, 0.9) == float(np.quantile(stats, 0.9))
+
     def test_below_table_grade_warns(self):
         with pytest.warns(UserWarning, match="table grade"):
             tabulate_critical_values("sadf", [40], replications=150, seed=1)
@@ -515,6 +531,21 @@ class TestSizePower:
         )
         assert 0.02 <= study.size <= 0.09
         assert 0.02 <= study.power <= 0.09
+
+    def test_arm_paths_come_from_streams_keyed_by_arm_and_replicate(self):
+        # the published rule: path r of arm 1 (null) and arm 2 (alternative)
+        # is simulated from SeedSequence(seed, spawn_key=(arm, r))
+        seed, R = 3, 30
+        null = DgpSpec(kind="rw_drift", T=60, seed=0)
+        alt = DgpSpec(kind="pwy_bubble", T=60, tau_e=0.4, tau_c=0.7, c=1.0, alpha=0.6)
+        arms = {
+            arm: np.array([sadf(simulate(spec, seed=_keyed_rng(seed, arm, r))).value for r in range(R)])
+            for arm, spec in ((1, null), (2, alt))
+        }
+        cv = float(np.median(arms[1]))
+        study = size_power_study("sadf", null, alt, replications=R, seed=seed, cv=cv)
+        assert study.size == np.sum(arms[1] > cv) / R
+        assert study.power == np.sum(arms[2] > cv) / R
 
     def test_power_against_genuine_bubble(self):
         null = DgpSpec(kind="rw_drift", T=200, seed=0)
