@@ -22,6 +22,8 @@ import numpy as np
 from exuberance import ols
 from exuberance.bootstrap import _REGISTRY, wild_bootstrap_pvalue
 from exuberance.datestamp import select_model_bic, two_step_stamp
+from exuberance.inference import recursive_ar_coefficients, rolling_ar_coefficients
+from exuberance.robust import sign_path
 
 
 def _walk(seed: int, shape) -> np.ndarray:
@@ -65,6 +67,9 @@ def cases() -> dict:
         ),
         "two_step_stamp bubble T=300 k=2": lambda: two_step_stamp(bubble, k=2),
         "select_model_bic bubble T=300": lambda: select_model_bic(bubble),
+        "recursive_ar_coefficients T=600": lambda: recursive_ar_coefficients(y600),
+        "rolling_ar_coefficients T=600 window=60": lambda: rolling_ar_coefficients(y600, 60),
+        "sign_path T=600 k=2": lambda: sign_path(y600, filter_lags=2),
     }
 
 

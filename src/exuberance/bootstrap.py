@@ -368,6 +368,18 @@ class CompositeCvReport:
     replicate_max: np.ndarray = field(repr=False)
 
 
+def _control_window(n: int, tau0: float | None, span: int) -> tuple[float, int, int]:
+    """``(tau0, m0, end)`` of the monitoring control window of a sample of n:
+    the endpoints m0..end = m0 + span - 1, which must lie inside the sample."""
+    if span < 1:
+        raise ValueError(f"monitor span must be >= 1, got {span}")
+    tau0, m0 = _resolve_tau0(n, tau0)
+    end = m0 + span - 1
+    if end > n:
+        raise ValueError(f"sample of length {n} is too short: the control window ends at observation {end}")
+    return tau0, m0, end
+
+
 def composite_monitor_cv(
     series,
     tau0: float | None = None,
@@ -396,20 +408,12 @@ def composite_monitor_cv(
     """
     v = as_values(series)
     n = v.size
-    if span < 1:
-        raise ValueError(f"monitor span must be >= 1, got {span}")
+    tau0, m0, end = _control_window(n, tau0, span)
     _check_draws(B, multiplier, least=1)
     if not 0.0 < level <= 1.0:
         raise ValueError(f"level must lie in (0, 1], got {level}")
     if k < 0:
         raise ValueError(f"lag order k must be >= 0, got {k}")
-    tau0, m0 = _resolve_tau0(n, tau0)
-    end = m0 + span - 1
-    if end > n:
-        raise ValueError(
-            f"sample of length {n} is too short: the control window ends at "
-            f"observation {end} and residuals only reach {n}"
-        )
     seed = _resolve_seed(seed)
 
     # Null regression on the full sample: dy_t on [1, dy_{t-1..t-k}].
@@ -475,15 +479,7 @@ def bsadf_window_max(
     ``bsadf_window_max(...) > report.critical_value``.
     """
     v = as_values(series)
-    n = v.size
-    if span < 1:
-        raise ValueError(f"monitor span must be >= 1, got {span}")
-    tau0, m0 = _resolve_tau0(n, tau0)
-    end = m0 + span - 1
-    if end > n:
-        raise ValueError(
-            f"sample of length {n} is too short for a window ending at {end}"
-        )
+    tau0, m0, end = _control_window(v.size, tau0, span)
     maxvals, _ = ols.bsadf_backward(v[:end], m0, det=det, k=k)
     vals = maxvals[m0:]
     if np.all(np.isnan(vals)):

@@ -85,12 +85,12 @@ class UsageError(ExuberanceError):
     """Raised for bad flags, bad config files, or incompatible options."""
 
 
-_JSON_TYPES = {"str": str, "int": int, "float": (int, float), "dict": dict, "None": type(None)}
+_JSON_TYPES = {"str": str, "int": (int, np.integer), "float": (int, float, np.integer, np.floating), "dict": dict, "None": type(None)}
 
 
 def _fits(value, annotation: str) -> bool:
-    """Whether a JSON value fits a field annotation such as ``int | None``
-    or ``tuple[float, ...]``: an int fits a float, a bool fits no number."""
+    """Whether a value fits a field annotation such as ``int | None`` or ``tuple[float, ...]``:
+    an int fits a float, a numpy number fits as the Python one, a bool fits no number."""
     return any(
         all(_fits(x, part[6:-6]) for x in value) if part.startswith("tuple[") and isinstance(value, (list, tuple))
         else isinstance(value, _JSON_TYPES.get(part, ())) and not isinstance(value, bool)
@@ -140,6 +140,12 @@ class RunConfig(_JsonFields):
     out: str | None = None
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _fits(value, f.type):
+                raise UsageError(f"config field {f.name!r} must be {f.type}, got {value!r}")
+            if isinstance(value, list):  # a JSON array of a tuple field
+                object.__setattr__(self, f.name, tuple(value))
         if self.subcommand not in SUBCOMMANDS:
             raise UsageError(
                 f"unknown subcommand {self.subcommand!r}; choose from {SUBCOMMANDS}"
@@ -158,16 +164,11 @@ class RunConfig(_JsonFields):
         unknown = sorted(set(data) - {f.name for f in fields(cls)})
         if unknown:
             raise UsageError(f"unknown config fields: {', '.join(unknown)}")
-        for f in fields(cls):
-            if f.name in data and not _fits(data[f.name], f.type):
-                raise UsageError(f"config field {f.name!r} must be {f.type}, got {data[f.name]!r}")
-            if f.type.startswith("tuple[") and data.get(f.name) is not None:
-                data[f.name] = tuple(data[f.name])
         return cls(**data)
 
 
 def _resolve_tau0(tau0, T: int) -> float:
-    if tau0 is None or tau0 == "auto":
+    if tau0 == "auto":
         return default_min_window(T)
     return float(tau0)
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .bootstrap import _check_draws, _resolve_seed, multiplier_draws, replicate_rng
 from .exceptions import DataError, DegenerateFitError
-from .ols import _least_squares, fit_adf_window
+from .ols import _least_squares, _prefix, _rolling, fit_adf_window
 from .recursive import StatSequence, _resolve_tau0
 from .series import _JsonFields, as_values, normalize_det
 
@@ -233,26 +233,27 @@ def drift_exponent(series) -> DriftExponent:
 def recursive_ar_coefficients(series, tau0: float | None = None) -> StatSequence:
     """First-order AR coefficient over expanding prefix windows.
 
-    For each end point e from the minimum window onward, fits the
-    autoregression with intercept on observations 1..e and records
-    1 + delta_hat, the implied level coefficient.  Windows where the
-    fit is degenerate are NaN.  This is the coefficient sequence the
-    migration test consumes.
+    For each end point e from the minimum window onward (all from one
+    forward moment pass), fits the autoregression with intercept on
+    observations 1..e and records 1 + delta_hat, the implied level
+    coefficient.  Windows where the fit is degenerate are NaN.  This is
+    the coefficient sequence the migration test consumes.
     """
     v = as_values(series)
     T = v.size
     tau0, m0 = _resolve_tau0(T, tau0)
-    return _ar_coefficients(v, "ar1_recursive", tau0, m0, lambda e: 0)
+    delta = _prefix(v[:, None], "const", 0, m0, coefs=True)[-1, m0:, 0]
+    return StatSequence(kind="ar1_recursive", tau0=tau0, tau2=np.arange(m0, T + 1) / T, values=1.0 + delta, nobs=T)
 
 
 def rolling_ar_coefficients(series, window: int) -> StatSequence:
     """First-order AR coefficient over fixed-length rolling windows.
 
-    For each end point s from ``window`` onward, fits the autoregression
-    with intercept on the window (s - window, s] and records
-    1 + delta_hat.  The ``tau0`` field stores the window as a fraction
-    of the sample.  This is the coefficient sequence the contagion delay
-    estimator consumes.
+    For each end point s from ``window`` onward (all from one block of the
+    backward moment sweep), fits the autoregression with intercept on the
+    window (s - window, s] and records 1 + delta_hat.  The ``tau0`` field
+    stores the window as a fraction of the sample.  This is the coefficient
+    sequence the contagion delay estimator consumes.
     """
     v = as_values(series)
     T = v.size
@@ -261,26 +262,8 @@ def rolling_ar_coefficients(series, window: int) -> StatSequence:
         raise ValueError(f"rolling window must be >= 4 observations, got {window}")
     if window > T:
         raise DataError(f"rolling window {window} exceeds sample length {T}")
-    return _ar_coefficients(v, "ar1_rolling", window / T, window, lambda e: e - window)
-
-
-def _ar_coefficients(v, kind: str, tau0: float, m0: int, start) -> StatSequence:
-    """1 + delta_hat of the autoregression with intercept on the window
-    (start(e), e] for every end point e = m0..T; NaN where degenerate."""
-    T = v.size
-    vals = np.full(T + 1, np.nan)
-    for e in range(m0, T + 1):
-        try:
-            vals[e] = 1.0 + fit_adf_window(v, start(e), e, det="const", k=0).delta
-        except DegenerateFitError:
-            continue
-    return StatSequence(
-        kind=kind,
-        tau0=tau0,
-        tau2=np.arange(m0, T + 1) / T,
-        values=vals[m0:],
-        nobs=T,
-    )
+    delta = _rolling(v[:, None], window, "const", 0, coefs=True)[-1, :, 0]
+    return StatSequence(kind="ar1_rolling", tau0=window / T, tau2=np.arange(window, T + 1) / T, values=1.0 + delta, nobs=T)
 
 
 def _sequence_ends(seq: StatSequence) -> np.ndarray:

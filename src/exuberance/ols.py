@@ -21,9 +21,10 @@ of every window (s, e]; the backward scans sweep window lengths shortest
 first, adding each length's row to the sums of every endpoint at once,
 and the prefix windows (0, e] sum the same terms forward from y_1 in one
 pass.  Each Gram matrix is equilibrated to unit diagonal and factored;
-the level coefficient's t-ratio follows without forming the inverse.
-The sup-Chow and GLS curve builders in ``recursive`` lay out their
-moments with ``_terms`` and read their t-ratios from ``_tstats`` too.
+the level coefficient's t-ratio follows without forming the inverse, and
+the coefficients a reader asks for by one back-substitution (the AR
+sequences of ``inference``, the sign filter of ``robust``).  The sup-Chow
+and GLS curve builders in ``recursive`` use ``_terms`` and ``_tstats`` too.
 
 The moment route is guarded.  A window whose equilibrated Gram has
 condition number above ``COND_LIMIT`` (1e12) or is not numerically
@@ -237,11 +238,13 @@ def adf_stat(values, det: str = "const", k: int = 0) -> float:
     return fit_adf_window(v, 0, v.size, det=det, k=k).tstat if np.isnan(t) else float(t)
 
 
-def _dense_or_nan(v: np.ndarray, s: int, e: int, det: str, k: int) -> float:
+def _dense_or_nan(v: np.ndarray, s: int, e: int, det: str, k: int, coefs: bool = False):
+    """The dense fit's t-ratio, NaN where it raises; with ``coefs`` also its lag and level coefficients."""
     try:
-        return fit_adf_window(v, int(s), int(e), det=det, k=k).tstat
+        fit = fit_adf_window(v, int(s), int(e), det=det, k=k)
     except DegenerateFitError:
-        return np.nan
+        return np.full(k + 2, np.nan) if coefs else np.nan
+    return np.r_[fit.tstat, fit.coeffs[_det_count(det) + 1 :], fit.delta] if coefs else fit.tstat
 
 
 def _as_panel(values) -> tuple[np.ndarray, bool]:
@@ -296,12 +299,12 @@ def _diag(a: np.ndarray, top: int, nl: int, ne: int) -> np.ndarray:
     return np.moveaxis(w[..., ::-1], -1, 0)
 
 
-def _sweep(Y: np.ndarray, det: str, k: int, e_lo: int):
+def _sweep(Y: np.ndarray, det: str, k: int, e_lo: int, back: int = 0):
     """Backward moments of a time-major (T, rows) panel, swept over window
     lengths shortest first: ``block(i0, nl)`` returns ``(C, slots)``, where
     ``C[slot, l, q]`` sums the i0+l+1 rows t = e, e-1, ... of the window
     ending at e = max(e_lo, k+2+i0) + q, with an intercept re-anchored at
-    y_e.  Calls run i0 upward; lengths no call asked for are added first.
+    y_(e-back).  Calls run i0 upward; lengths no call asked for are added first.
     A block writes its terms from strided views of the columns, adds the
     sums it carries to its first length and each length to the next, so
     every window adds its rows in the order of a backward cumulative sum,
@@ -309,7 +312,7 @@ def _sweep(Y: np.ndarray, det: str, k: int, e_lo: int):
     window would start before y_1 reads zeros and is no window."""
     T, R = Y.shape
     pad = np.zeros((max(_lengths(n, R, n) for n in range(1, T + 1)) - 1, R))  # the most a block reads before y_1
-    Yp, dp = np.concatenate([pad, Y]), np.concatenate([pad, np.diff(Y, axis=0)])
+    Yp, dp, Ya = np.concatenate([pad, Y]), np.concatenate([pad, np.diff(Y, axis=0)]), np.roll(Y, back, axis=0) if back else Y
     i, e_last, S = 0, e_lo, None
 
     def block(i0, nl):
@@ -319,7 +322,7 @@ def _sweep(Y: np.ndarray, det: str, k: int, e_lo: int):
         e0 = max(e_lo, k + 2 + i0)
         top, ne = len(pad) + e0 - 2 - i0, T - e0 + 1
         trend = np.arange(i0, i0 + nl, dtype=float)[:, None, None]
-        C, slots = _terms((nl, ne, R), det, k, lambda j: _diag(dp, top - j, nl, ne), _diag(Yp, top, nl, ne), trend, Y[e0 - 1 :])
+        C, slots = _terms((nl, ne, R), det, k, lambda j: _diag(dp, top - j, nl, ne), _diag(Yp, top, nl, ne), trend, Ya[e0 - 1 :])
         if S is not None:
             C[:, 0] += S[:, e0 - e_last :]
         for l in range(1, nl):
@@ -330,7 +333,7 @@ def _sweep(Y: np.ndarray, det: str, k: int, e_lo: int):
     return block
 
 
-def _tstats(C: np.ndarray, slots: dict, nobs: np.ndarray, p: int):
+def _tstats(C: np.ndarray, slots: dict, nobs: np.ndarray, p: int, coefs: int = 0):
     """Level t-ratios of a batch of windows from their cross moments.
 
     ``C[slot, w]`` holds window w's moments (one column per series) and
@@ -342,6 +345,7 @@ def _tstats(C: np.ndarray, slots: dict, nobs: np.ndarray, p: int):
     not numerically positive definite or has condition number above
     ``COND_LIMIT``, whose residual sum of squares is within cancellation
     error of zero (ssr <= 1e-5 dy'dy) or whose ratio is not finite.
+    With ``coefs`` = c > 0, t stacks the t-ratios over the last c coefficients D L'^-1 z.
 
     The condition number is bounded from the pivots alone: a unit
     diagonal gives lambda_max <= p, and det = prod(L_jj^2) <= lambda_min
@@ -392,16 +396,20 @@ def _tstats(C: np.ndarray, slots: dict, nobs: np.ndarray, p: int):
         t = z[-1] / np.sqrt(ssr / (nobs - p))
         refit = illcond | (pd & ~((ssr > 1e-5 * np.maximum(sdd, 1e-300)) & np.isfinite(t)))
         t[~pd | refit] = np.nan
+        for i in range(p - 1, p - 1 - coefs, -1):  # L' w = z by back-substitution, in place
+            z[i] = fold((-L[m, i] * z[m] for m in range(i + 1, p)), z[i]) / L.get((i, i), 1.0)
+    if coefs:
+        t = np.where(np.isnan(t), np.nan, np.stack([t] + [D[i] * z[i] for i in range(p - coefs, p)]))
     return t, refit
 
 
-def _window_tstats(Y, C, slots, nobs, starts, ends, det, k):
-    """t-ratios (windows x series) of the windows (starts[w], ends[w]]
-    whose moments are ``C[w]``, flagged windows refit densely."""
-    t, refit = _tstats(C, slots, nobs, _nparams(det, k))
+def _window_tstats(Y, C, slots, nobs, starts, ends, det, k, coefs: bool = False):
+    """t-ratios (windows x series) of the windows (starts[w], ends[w]] whose moments are ``C[w]``, flagged windows
+    refit densely; with ``coefs``, (k+2, windows, series): the t-ratios, then the k lag and the level coefficients."""
+    out, refit = _tstats(C, slots, nobs, _nparams(det, k), coefs and k + 1)
     for w, r in zip(*np.nonzero(refit)):
-        t[w, r] = _dense_or_nan(Y[:, r], starts[w], ends[w], det, k)
-    return t
+        out[..., w, r] = _dense_or_nan(Y[:, r], starts[w], ends[w], det, k, coefs)
+    return out
 
 
 def _check_scan(values, m0, det, k):
@@ -458,15 +466,27 @@ def sadf_prefix_stats(values, m0: int, det: str = "const", k: int = 0) -> np.nda
     are NaN.  One forward pass of the moment scan serves every e.
     """
     Y, single, det, m0 = _check_scan(values, m0, det, k)
+    out = _prefix(Y, det, k, m0)
+    return out[:, 0].copy() if single else np.ascontiguousarray(out.T)
+
+
+def _prefix(Y: np.ndarray, det: str, k: int, m0: int, coefs: bool = False):
+    """:func:`_window_tstats` of the prefix windows (0, e], e = 0..T (NaN below m0 or where too short),
+    of a time-major (T, rows) panel: its rows t = k+2..T re-anchored at y_1, summed forward."""
     T, lo = Y.shape[0], max(m0, _min_window_len(det, k))
-    out = np.full((T + 1, Y.shape[1]), np.nan)
-    if lo <= T:
-        # the rows t = k+2..T re-anchored at y_1, summed forward: C[:, i] sums (0, k+2+i]
+    out = np.full((k + 2,) * coefs + (T + 1, Y.shape[1]), np.nan)
+    if lo <= T:  # C[:, i] sums (0, k+2+i]
         d, n, ends = np.diff(Y, axis=0), T - k - 1, np.arange(lo, T + 1)
         C, slots = _terms((n, Y.shape[1]), det, k, lambda j: d[k - j : k - j + n], Y[k:-1], np.arange(n, dtype=float)[:, None], Y[0])
         np.cumsum(C, axis=1, out=C)
-        out[lo:] = _window_tstats(Y, C[:, lo - k - 2 :], slots, ends - k - 1, np.zeros_like(ends), ends, det, k)
-    return out[:, 0].copy() if single else np.ascontiguousarray(out.T)
+        out[..., lo:, :] = _window_tstats(Y, C[:, lo - k - 2 :], slots, ends - k - 1, np.zeros_like(ends), ends, det, k, coefs)
+    return out
+
+
+def _rolling(Y: np.ndarray, window: int, det: str, k: int, coefs: bool = False):
+    """As :func:`_prefix`, for the windows (e - window, e], e = window..T: one sweep block, intercepts at y_(e-window+1)."""
+    (C, slots), ends = _sweep(Y, det, k, window, window - 1)(window - k - 2, 1), np.arange(window, Y.shape[0] + 1)
+    return _window_tstats(Y, C[:, 0], slots, np.full(ends.size, window - k - 1), ends - window, ends, det, k, coefs)
 
 
 def _at(A: np.ndarray, idx: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import DegenerateFitError
-from .ols import _at, _least_squares, _sup_curve
+from .ols import _at, _least_squares, _prefix, _sup_curve
 from .recursive import SupResult, _curve_result, _double_supresult, _resolve_tau0
 from .series import as_values
 
@@ -130,18 +130,17 @@ def sign_path(series, mode: str = "raw", filter_lags: int = 0) -> np.ndarray:
     dy = np.diff(v)
     s = np.sign(dy)
     if filter_lags > 0:
-        k = filter_lags
-        s = s.copy()
-        # rows k+5..T, the level anchored at the first row, inside the sample;
-        # time t fits the first n = t - k - 4 of them and filters the last
-        rows = np.arange(k + 5, T + 1)
-        lags = [dy[rows - 2 - j] for j in range(1, k + 1)]
-        X = np.column_stack([np.ones(rows.size), v[rows - 2] - v[k + 3]] + lags)
-        dep = dy[rows - 2]
-        for n in range(k + 2, T - k - 3):
+        # time t fits rows k+5..t, the ADF window (3, t], and filters the last: one forward
+        # moment pass over y_4..y_T, but densely at t = 2k+6, an exact fit anchored at row 1
+        k, phi = filter_lags, np.full((filter_lags, T + 1), np.nan)
+        phi[:, 3:] = _prefix(v[3:, None], "const", k, 0, coefs=True)[1 : k + 1, :, 0]
+        if T >= 2 * k + 6:
+            rows = np.arange(k + 5, 2 * k + 7)
+            X = np.column_stack([np.ones(k + 2), v[rows - 2] - v[k + 3]] + [dy[rows - 2 - j] for j in range(1, k + 1)])
             with suppress(DegenerateFitError):
-                phi = _least_squares(X[:n], dep[:n])[0][2:]
-                s[n + k + 2] = np.sign(dep[n - 1] - phi @ X[n - 1, 2:])
+                phi[:, 2 * k + 6] = _least_squares(X, dy[rows - 2])[0][2:]
+        t = np.flatnonzero(~np.isnan(phi[0]))
+        s[t - 2] = np.sign(dy[t - 2] - sum(phi[j - 1, t] * dy[t - 2 - j] for j in range(1, k + 1)))
     if mode == "demeaned":
         s = s - np.cumsum(s) / np.arange(1, s.size + 1)
     C = np.zeros(T + 1)

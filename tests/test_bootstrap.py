@@ -384,6 +384,16 @@ class TestCompositeMonitorCv:
         with pytest.raises(ValueError, match="too short"):
             bt.bsadf_window_max(v, tau0=0.5, span=40)
 
+    def test_both_entry_points_state_one_control_window_rule(self):
+        # the critical value and the observed statistic read the same window
+        v = _walk(7, 40)
+        for span in (0, 40):
+            with pytest.raises(ValueError) as cv:
+                bt.composite_monitor_cv(v, span=span, B=99, seed=0)
+            with pytest.raises(ValueError) as obs:
+                bt.bsadf_window_max(v, span=span)
+            assert str(cv.value) == str(obs.value)
+
 
 class TestSubsamplingCv:
     def test_quantiles_match_oracle_subsamples(self):

@@ -132,6 +132,22 @@ class TestRunConfig:
         assert err.startswith("usage error:") and repr(field) in err, err
         assert "Traceback" not in err
 
+    def test_library_route_checks_field_types(self, bubble_csv):
+        # run_config(RunConfig(...)) skips from_dict; a mistyped field is
+        # still a usage error, not a TypeError from deep inside the run
+        with pytest.raises(UsageError, match="'B'"):
+            run_config(RunConfig(subcommand="test", input=bubble_csv, column="price", cv="bootstrap", B="99"))
+        for bad in ({"k": 2.0}, {"sizes": (60, "80")}, {"tau0": None}, {"seed": True}):
+            with pytest.raises(UsageError, match=repr(next(iter(bad)))):
+                RunConfig(subcommand="simulate-cv", **bad)
+        # argparse hands tuple fields over as tuples and tau0 as 'auto' or a
+        # number; a JSON list of a tuple field is stored as a tuple
+        cfg = RunConfig(subcommand="simulate-cv", sizes=(40, 60), levels=[0.9, 0.95], tau0="auto")
+        assert cfg.sizes == (40, 60) and cfg.levels == (0.9, 0.95) and cfg.tau0 == "auto"
+        assert RunConfig(subcommand="test", tau0=0.2).tau0 == 0.2
+        # numpy numbers from a caller's computation fit as Python ones
+        assert RunConfig(subcommand="test", B=np.int64(99), level=np.float32(0.9)).B == 99
+
     def test_config_values_checked_against_field_types(self):
         # an int fits a float field; a bool fits no number; null fits only
         # an optional field; a list fits a tuple field element by element

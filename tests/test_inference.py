@@ -1,5 +1,6 @@
 """Post-detection inference: root CIs, drift exponent, cross-series tests."""
 
+import contextlib
 import inspect
 import json
 import math
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import oracles
+from exuberance import ols
 from exuberance.exceptions import DataError, DegenerateFitError
 from exuberance.inference import (
     CAUCHY_PERCENTILES,
@@ -22,6 +24,7 @@ from exuberance.inference import (
     rolling_ar_coefficients,
     t_ci,
 )
+from exuberance.ols import fit_adf_window
 from exuberance.recursive import StatSequence
 
 
@@ -349,6 +352,76 @@ class TestCoefficientSequences:
             rolling_ar_coefficients(y, window=3)
         with pytest.raises(DataError):
             rolling_ar_coefficients(y, window=31)
+
+
+def _dense_ar1(y, starts, ends):
+    """1 + delta_hat of the dense fit on each window (s, e]; NaN where it raises."""
+    out = np.full(len(ends), np.nan)
+    for i, (s, e) in enumerate(zip(starts, ends)):
+        with contextlib.suppress(DegenerateFitError):
+            out[i] = 1.0 + fit_adf_window(y, int(s), int(e), "const", 0).delta
+    return out
+
+
+def _reader_inputs(T=120):
+    """Walks, bubbles, integer walks at 1e6, walks x 1e-9 and walks with a
+    flat stretch, four seeds each."""
+    out = {}
+    for seed in range(4):
+        rng = np.random.default_rng(700 + seed)
+        w = 100 + np.cumsum(rng.standard_normal(T))
+        f = w.copy()
+        f[30:60] = f[30]
+        out.update({
+            f"walk{seed}": w, f"bubble{seed}": _bubble_path(rng, T, 40, 90, rho=1.04, y0=100.0),
+            f"int{seed}": np.cumsum(rng.integers(-3, 4, T)) + 1e6, f"tiny{seed}": w * 1e-9, f"flat{seed}": f,
+        })
+    return out
+
+
+class TestCoefficientReaders:
+    """The AR coefficient sequences read the moment engine (one forward
+    prefix pass, one sweep block) and match the dense fit per window."""
+
+    #: Largest error relative to max(1, |value|), measured 1.2e-14 on these
+    #: inputs (5.5e-14 on a wider seeded set), with room to spare.
+    BOUND = 1e-13
+
+    @pytest.mark.parametrize("name, y", _reader_inputs().items())
+    def test_sequences_match_the_dense_fit(self, name, y):
+        reads = [(recursive_ar_coefficients(y, tau0=0.05), None)]
+        reads += [(rolling_ar_coefficients(y, w), w) for w in (4, 10, 30)]
+        for seq, window in reads:
+            ends = np.rint(seq.tau2 * seq.nobs).astype(int)
+            want = _dense_ar1(y, np.zeros_like(ends) if window is None else ends - window, ends)
+            np.testing.assert_array_equal(np.isnan(seq.values), np.isnan(want), err_msg=f"{name} {window}")
+            ok = ~np.isnan(want)
+            err = np.abs(seq.values[ok] - want[ok]) / np.maximum(1.0, np.abs(want[ok]))
+            assert err.max(initial=0.0) <= self.BOUND, (name, window, err.max())
+
+    def test_flat_stretch_refits_coefficients_densely(self, monkeypatch):
+        calls = []
+        dense_or_nan = ols._dense_or_nan
+
+        def counted(v, s, e, det, k, coefs=False):
+            calls.append((int(s), int(e), coefs))
+            return dense_or_nan(v, s, e, det, k, coefs)
+
+        monkeypatch.setattr(ols, "_dense_or_nan", counted)
+        y = 100 + np.cumsum(np.random.default_rng(5).standard_normal(60))
+        y[20:40] = y[20]
+        # the window (19, 27] fits exactly: one level before the flat stretch
+        seq = rolling_ar_coefficients(y, 8)
+        assert calls == [(19, 27, True)]
+        assert seq.values[27 - 8] == _dense_ar1(y, [19], [27])[0]
+        # windows inside the stretch cannot support the fit and are NaN unrefit
+        assert np.isnan(seq.values[28 - 8 : 40 - 8]).all()
+        # every prefix of one step onto a flat stretch is an exact fit
+        calls.clear()
+        z = np.concatenate([[3.0], np.full(15, 5.0), y[40:]])
+        seq = recursive_ar_coefficients(z, tau0=0.1)
+        assert calls == [(0, e, True) for e in range(4, 17)]
+        np.testing.assert_array_equal(seq.values[1:14], _dense_ar1(z, [0] * 13, range(4, 17)))
 
 
 def _synthetic_theta_pair(rng, T, origin_x, origin_y, beta1, sigma, grid_start=10):

@@ -110,6 +110,43 @@ class TestSignPath:
             sign_path(_walk(1, 10), mode="centered")
 
 
+class TestSignFilterReader:
+    """The lag filter reads one forward moment pass, except at t = 2k+6,
+    whose exact fit stays dense."""
+
+    def test_matches_the_per_t_dense_oracle(self):
+        # the oracle refits every t, also before the fit is identified; from
+        # t = 2k+6 on (increment t - 1) the filtered signs agree exactly
+        for seed in range(12):
+            v = _walk(900 + seed, 40)
+            for k in (1, 2, 3):
+                got, want = (np.diff(f(v, "raw", k)) for f in (sign_path, oracles.sign_path))
+                np.testing.assert_array_equal(got[2 * k + 5 :], want[2 * k + 5 :])
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_first_filtered_point_is_the_exact_fit(self, k):
+        v = _walk(4, 40)
+        t = 2 * k + 6
+        dy = np.diff(v)
+        rows = np.arange(k + 5, t + 1)
+        X = np.column_stack([np.ones(rows.size), v[rows - 2]] + [dy[rows - 2 - j] for j in range(1, k + 1)])
+        phi = np.linalg.solve(X, dy[rows - 2])[2:]
+        want = np.sign(dy[t - 2] - sum(phi[j - 1] * dy[t - 2 - j] for j in range(1, k + 1)))
+        got = np.diff(sign_path(v, filter_lags=k))
+        assert got[t - 1] == want != np.sign(dy[t - 2])
+        # no sign before t is filtered
+        np.testing.assert_array_equal(got[1 : t - 1], np.sign(dy[: t - 2]))
+
+    def test_rank_deficient_stretch_stays_unfiltered(self):
+        # a linear stretch has constant lagged differences, collinear with
+        # the intercept: every fit ending in it is rank deficient
+        v = np.concatenate([0.5 * np.arange(20.0), 9.5 + _walk(5, 30)])
+        for k in (1, 2):
+            got = np.diff(sign_path(v, filter_lags=k))[1:]
+            np.testing.assert_array_equal(got[:19], np.ones(19))
+            assert (got[19:] != np.sign(np.diff(v))[19:]).any()
+
+
 class TestSignStatistics:
     def test_frozen_increasing_path_window(self):
         # window over path values (1,2,3,4): slope 3/7, variance 3/14,
