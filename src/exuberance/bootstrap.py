@@ -112,10 +112,10 @@ class _Statistic:
     ``curves(Y, m0, strict=False, **options)`` gives the (rows, T+1)
     per-endpoint curves of a (rows, T) panel and their attaining starts,
     NaN where degenerate (``strict``: a degenerate series raises its own
-    message).  The SupResult of one series and the score of every row of
-    a panel, in one scan, are both read from it.  ``options`` names the
-    regression options, of ``det`` and ``k``, that the statistic reads:
-    it receives only those, and ``reason`` says why it takes no others.
+    message); with ``sups=True``, each row's sup alone, in one scan: its
+    score.  The SupResult of one series is read from the curve.  ``options``
+    names the regression options, of ``det`` and ``k``, that the statistic
+    reads: it receives only those, and ``reason`` says why it takes no others.
     """
 
     kind: str
@@ -148,7 +148,7 @@ class _RowStatistic(_Statistic):
         return recursive.hb_sup_chow(values, tau0, **self._read(det, k))
 
     def scores(self, Y, tau0, det, k) -> np.ndarray:
-        return recursive._row_sup(self.curves(Y, tau0, **self._read(det, k)))
+        return np.fmax.reduce(self.curves(Y, tau0, **self._read(det, k)), axis=1)
 
 
 class _CustomStatistic(_Statistic):
@@ -453,7 +453,7 @@ def composite_monitor_cv(
         return ystar
 
     def score(Y):
-        return recursive._row_sup(ols.bsadf_backward(Y, m0, det=det, k=0)[0][:, m0:])
+        return ols._backward(Y, m0, det, 0, sups=True)
 
     replicate_max = _replicate_values(B, end, path, score)
     n_bad = int(np.isnan(replicate_max).sum())

@@ -18,7 +18,7 @@ single series or on a (rows, T) panel at once.  For an endpoint e the
 rows t = e, e-1, ..., k+2 are re-anchored at y_e (when an intercept is
 present), and running sums of their cross moments give the Gram matrix
 of every window (s, e]; the backward scans sweep window lengths shortest
-first, adding each length's row to the sums of every endpoint at once,
+first, adding each length's row in place to the sums of every endpoint,
 and the prefix windows (0, e] sum the same terms forward from y_1 in one
 pass.  Each Gram matrix is equilibrated to unit diagonal and factored;
 the level coefficient's t-ratio follows without forming the inverse, and
@@ -47,7 +47,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import cache, reduce
 
 import numpy as np
 
@@ -264,25 +264,34 @@ def _as_panel(values) -> tuple[np.ndarray, bool]:
     return as_values(values)[:, None], True
 
 
-def _terms(shape: tuple, det: str, k: int, lag, level, trend, anchor):
+@cache
+def _slots(det: str, k: int) -> dict:  # the slot of each cross moment (i, j), i <= j, in _terms' layout
+    p = _nparams(det, k)
+    return {ij: n for n, ij in enumerate((i, j) for i in range(p + 1) for j in range(i, p + 1) if j or det == "none")}
+
+
+def _terms(shape: tuple, det: str, k: int, lag, level, trend, anchor, out=None, add: bool = False):
     """Row terms of every scan's one moment layout, ``(C, slots)``, ``C[slot]``
     of ``shape``.  Columns run intercept, trend, lagged differences
     ``lag(j)``, the lagged level and, as column p, dy ``lag(0)``; slot (i,
     j), i <= j, holds column i times column j, so (i, p) is Z_i'dy, and the
     intercept's own sum, the observation count, has none.  The level is
-    re-anchored at ``anchor`` into its intercept slot, if any."""
+    re-anchored at ``anchor`` into its intercept slot, if any.  Terms go to
+    ``out`` if given, or with ``add`` are added to its sums, term first,
+    through two scratch entries that follow them."""
     cols = [None] * (det != "none") + [trend] * (det == "trend")
     cols += [lag(j) for j in range(1, k + 1)] + [level, lag(0)]
-    p = len(cols) - 1
-    slots = {ij: n for n, ij in enumerate((i, j) for i in range(p + 1) for j in range(i, p + 1) if j or det == "none")}
-    C = np.empty((len(slots),) + shape)
+    p, slots = len(cols) - 1, _slots(det, k)
+    C = np.empty((len(slots),) + shape) if out is None else out
     if det != "none":
-        cols[p - 1] = np.subtract(level, anchor, out=C[slots[0, p - 1]])
-    for (i, j), out in zip(slots, C):
-        if cols[i] is not None:
-            np.multiply(cols[i], cols[j], out=out)
+        cols[p - 1] = np.subtract(level, anchor, out=C[len(slots)] if add else C[slots[0, p - 1]])
+    for (i, j), o in zip(slots, C):
+        if add:
+            np.add(cols[j] if cols[i] is None else np.multiply(cols[i], cols[j], out=C[-1]), o, out=o)
+        elif cols[i] is not None:
+            np.multiply(cols[i], cols[j], out=o)
         elif j != p - 1:
-            out[...] = cols[j]
+            o[...] = cols[j]
     return C, slots
 
 
@@ -291,44 +300,42 @@ def _lengths(ne: int, rows: int, left: int) -> int:
     return max(1, min(left, ne, CHUNK_CELLS // 4 // (rows * ne)))
 
 
-def _diag(a: np.ndarray, top: int, nl: int, ne: int) -> np.ndarray:
-    """The (nl, ne, rows) view V[l, q] = a[top + q - l] of a time-major array."""
-    if nl == 1:
-        return a[None, top : top + ne]
-    w = np.lib.stride_tricks.sliding_window_view(a[top - nl + 1 : top + ne], nl, axis=0)
-    return np.moveaxis(w[..., ::-1], -1, 0)
-
-
 def _sweep(Y: np.ndarray, det: str, k: int, e_lo: int, back: int = 0):
     """Backward moments of a time-major (T, rows) panel, swept over window
-    lengths shortest first: ``block(i0, nl)`` returns ``(C, slots)``, where
-    ``C[slot, l, q]`` sums the i0+l+1 rows t = e, e-1, ... of the window
-    ending at e = max(e_lo, k+2+i0) + q, with an intercept re-anchored at
-    y_(e-back).  Calls run i0 upward; lengths no call asked for are added first.
-    A block writes its terms from strided views of the columns, adds the
-    sums it carries to its first length and each length to the next, so
-    every window adds its rows in the order of a backward cumulative sum,
-    and carries a copy of its last sums if it holds more.  A cell whose
-    window would start before y_1 reads zeros and is no window."""
-    T, R = Y.shape
-    pad = np.zeros((max(_lengths(n, R, n) for n in range(1, T + 1)) - 1, R))  # the most a block reads before y_1
-    Yp, dp, Ya = np.concatenate([pad, Y]), np.concatenate([pad, np.diff(Y, axis=0)]), np.roll(Y, back, axis=0) if back else Y
-    i, e_last, S = 0, e_lo, None
+    lengths shortest first: ``block(i0, nl)`` returns ``(C, slots, ends,
+    nobs)`` for the windows of i0+1..i0+nl rows t = e, e-1, ... that end at
+    e >= e_lo and start at or after y_1, lengths outer, an intercept
+    re-anchored at y_(e-back), :func:`_tstats`' scratch after the slots.
+    Calls run i0 upward; lengths no call asked for are added first.  A
+    one-length block adds its row in place to every endpoint's running
+    sums; a many-length block (one series) gathers its windows' terms,
+    adds the carried sums to its first length and each length to the next."""
+    (T, R), slots = Y.shape, _slots(det, k)
+    n, d, Ya = len(slots), np.diff(Y, axis=0), np.roll(Y, back, axis=0) if back else Y
+    S = np.full((2 * n + _nparams(det, k) + 4, T + 1, R), -0.0)  # S[:n, e]: window e's sums so far; -0.0 adds nothing, not even a sign
+    i, P = 0, S[:, :0]
 
-    def block(i0, nl):
-        nonlocal i, e_last, S
+    def block(i0, nl):  # not recursive, so the workspaces go with the last reference to it
         while i < i0:
-            block(i, _lengths(T - max(e_lo, k + 2 + i) + 1, R, i0 - i))
+            sums(i, _lengths(T - max(e_lo, k + 2 + i) + 1, R, i0 - i))
+        return sums(i0, nl)
+
+    def sums(i0, nl):
+        nonlocal i, P
         e0 = max(e_lo, k + 2 + i0)
-        top, ne = len(pad) + e0 - 2 - i0, T - e0 + 1
-        trend = np.arange(i0, i0 + nl, dtype=float)[:, None, None]
-        C, slots = _terms((nl, ne, R), det, k, lambda j: _diag(dp, top - j, nl, ne), _diag(Yp, top, nl, ne), trend, Ya[e0 - 1 :])
-        if S is not None:
-            C[:, 0] += S[:, e0 - e_last :]
-        for l in range(1, nl):
-            C[:, l] += C[:, l - 1]
-        i, e_last, S = i0 + nl, e0, C[:, -1].copy() if nl > 1 else C[:, -1]
-        return C, slots
+        top, ne, i = e0 - 2 - i0, T - e0 + 1, i0 + nl  # y[top] is y_(t-1) of the first window's newest row
+        if nl == 1:
+            C = _terms((ne, R), det, k, lambda j: d[top - j : top - j + ne], Y[top : top + ne], float(i0), Ya[e0 - 1 :], S[:, e0:], True)[0]
+            return C, slots, np.arange(e0, T + 1), np.full(ne, i0 + 1)
+        l, q = np.nonzero(np.arange(ne) >= np.arange(nl)[:, None] - (e0 - k - 2 - i0))  # the windows from y_1 on
+        P = P if P.shape[1] >= l.size else np.empty((len(S), max(l.size, CHUNK_CELLS // 4 // R), R))  # a block's budget, or more
+        row, cnt = top + q - l, np.bincount(l)
+        C = _terms((l.size, R), det, k, lambda j: d[row - j], Y[row], (i0 + l)[:, None] + 0.0, Ya[e0 - 1 + q], P[:, : l.size])[0]
+        C[:n, :ne] += S[:n, e0:]
+        for m, end in enumerate(np.cumsum(cnt)[:-1], 1):  # each length's windows end at its predecessor's last cnt[m]
+            C[:n, end : end + cnt[m]] += C[:n, end - cnt[m] : end]
+        S[:n, T + 1 - cnt[-1] :] = C[:n, l.size - cnt[-1] :]
+        return C, slots, e0 + q, i0 + 1 + l
 
     return block
 
@@ -347,57 +354,72 @@ def _tstats(C: np.ndarray, slots: dict, nobs: np.ndarray, p: int, coefs: int = 0
     error of zero (ssr <= 1e-5 dy'dy) or whose ratio is not finite.
     With ``coefs`` = c > 0, t stacks the t-ratios over the last c coefficients D L'^-1 z.
 
-    The condition number is bounded from the pivots alone: a unit
-    diagonal gives lambda_max <= p, and det = prod(L_jj^2) <= lambda_min
-    p^(p-1), so cond <= p^p / det; only windows where that bound passes
-    ``COND_LIMIT`` get the exact eigenvalue check.
+    D, L, z, ssr and t go to scratch entries after ``C``'s slots (made
+    here if it has none).  A unit diagonal gives lambda_max <= p and det =
+    prod(L_jj^2) <= lambda_min p^(p-1), so cond <= p^p / det.  One mask
+    passes windows with nobs > p, a finite t, ssr above the band and that
+    bound within ``COND_LIMIT`` (a zero diagonal or a nonpositive pivot
+    spoils ssr or the bound); only the rest are classified one by one.
     """
-    nobs = nobs[:, None]
+    nobs, shape = nobs[:, None], C.shape[1:]
+    first, need = max(slots.values()) + 1, len(slots) + p + 4  # D, L, the pivots' product, z, ssr, t, two temporaries
+    work = iter(C[first : first + need] if len(C) >= first + need else np.empty((need,) + shape))
+    acc, tmp = next(work), next(work)
 
     def gram(i, j):
         return C[slots[i, j]] if (i, j) in slots else nobs
 
-    fold = partial(reduce, operator.add)  # a sum from its first term, not from 0
+    def fold(pairs, out):  # the sum of the products a b, from its first term, into out
+        (a, b), *rest = pairs
+        return reduce(lambda o, ab: np.add(o, np.multiply(*ab, out=tmp), out=o), rest, np.multiply(a, b, out=out))
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        usable = nobs >= p + 1
-        for i in range(p):
-            usable = usable & (gram(i, i) > 0)
-        D = [1.0 / np.sqrt(gram(i, i)) for i in range(p)]
+        D = [1.0 / np.sqrt(nobs) if (i, i) not in slots else np.divide(1.0, np.sqrt(gram(i, i), out=w), out=w)
+             for i, w in zip(range(p), work)]
         # Cholesky factor of the unit-diagonal Gram (L_00 = 1), the product
         # of its pivots (the Gram's determinant) and z; column 0 needs no division
-        L: dict = {}
-        pd, pivots = usable, 1.0
+        L, pivots = {}, 1.0
         for j in range(p):
             if j:
-                piv = 1.0 - fold(L[j, m] ** 2 for m in range(j))
-                pd = pd & (piv > 0)
-                L[j, j] = np.sqrt(piv)
-                pivots = pivots * piv if j > 1 else piv
+                piv = np.subtract(1.0, fold(((L[j, m], L[j, m]) for m in range(j)), acc), out=acc if j > 1 else next(work))
+                L[j, j] = np.sqrt(piv, out=next(work))
+                pivots = np.multiply(pivots, piv, out=pivots) if j > 1 else piv
             for i in range(j + 1, p):
-                gh = gram(j, i) * D[i] * D[j]
-                L[i, j] = (gh - fold(L[i, m] * L[j, m] for m in range(j))) / L[j, j] if j else gh
-        z = [D[0] * C[slots[0, p]]]
-        for i in range(1, p):
-            z.append((D[i] * C[slots[i, p]] - fold(L[i, m] * z[m] for m in range(i))) / L[i, i])
-        illcond = usable & ~pd
-        suspect = np.flatnonzero(pd & (pivots * COND_LIMIT < p**p))
-        if suspect.size:
-            G = np.empty((suspect.size, p, p))
-            for i in range(p):
-                G[:, i, i] = 1.0
-                for j in range(i + 1, p):
-                    G[:, i, j] = G[:, j, i] = (gram(i, j) * D[i] * D[j]).ravel()[suspect]
-            lam = np.linalg.eigvalsh(G)
-            np.put(illcond, suspect[~(lam[:, 0] > 0) | (lam[:, -1] > COND_LIMIT * lam[:, 0])], True)
+                L[i, j] = gh = np.multiply(gram(j, i), D[i], out=next(work))
+                np.multiply(gh, D[j], out=gh)
+                if j:
+                    np.divide(np.subtract(gh, fold(((L[i, m], L[j, m]) for m in range(j)), acc), out=gh), L[j, j], out=gh)
+        z = []
+        for i in range(p):
+            z.append(np.multiply(D[i], gram(i, p), out=next(work)))
+            if i:
+                np.divide(np.subtract(z[i], fold(((L[i, m], z[m]) for m in range(i)), acc), out=z[i]), L[i, i], out=z[i])
         sdd = C[slots[p, p]]
-        ssr = sdd - fold(zi * zi for zi in z)
+        ssr = np.subtract(sdd, fold(((zi, zi) for zi in z), acc), out=next(work))
         # the dense fit alone decides what counts as an exact fit
-        t = z[-1] / np.sqrt(ssr / (nobs - p))
-        refit = illcond | (pd & ~((ssr > 1e-5 * np.maximum(sdd, 1e-300)) & np.isfinite(t)))
-        t[~pd | refit] = np.nan
-        for i in range(p - 1, p - 1 - coefs, -1):  # L' w = z by back-substitution, in place
-            z[i] = fold((-L[m, i] * z[m] for m in range(i + 1, p)), z[i]) / L.get((i, i), 1.0)
+        t = np.divide(ssr, nobs - p, out=next(work))
+        np.divide(z[-1], np.sqrt(t, out=t), out=t)
+        ok = (ssr > (band := np.multiply(1e-5, np.maximum(sdd, 1e-300, out=acc), out=acc))) & np.isfinite(t) & (nobs >= p + 1)
+        ok &= pivots >= p**p / COND_LIMIT * (1 + 1e-9)  # pivots * COND_LIMIT >= p^p, less a margin for rounding
+        refit = np.zeros(shape, dtype=bool)
+        if not ok.all():
+            bad = np.nonzero(~ok)
+            at = lambda a: np.broadcast_to(a, shape)[bad]  # noqa: E731
+            usable = reduce(operator.and_, (at(gram(i, i)) > 0 for i in range(p)), at(nobs >= p + 1))
+            pd = reduce(operator.and_, (at(L[j, j]) > 0 for j in range(1, p)), usable)
+            illcond, suspect = usable & ~pd, np.flatnonzero(pd & (at(pivots) * COND_LIMIT < p**p))
+            if suspect.size:
+                G = np.empty((suspect.size, p, p))
+                for i in range(p):
+                    G[:, i, i] = 1.0
+                    for j in range(i + 1, p):
+                        G[:, i, j] = G[:, j, i] = (at(gram(i, j)) * at(D[i]) * at(D[j]))[suspect]
+                lam = np.linalg.eigvalsh(G)
+                illcond[suspect[~(lam[:, 0] > 0) | (lam[:, -1] > COND_LIMIT * lam[:, 0])]] = True
+            refit[bad] = illcond | (pd & ~((at(ssr) > at(band)) & np.isfinite(at(t))))
+            t[tuple(b[~pd | refit[bad]] for b in bad)] = np.nan
+        for i in range(p - 1, p - 1 - coefs, -1):  # L' w = z by back-substitution
+            z[i] = reduce(operator.add, (-L[m, i] * z[m] for m in range(i + 1, p)), z[i]) / L.get((i, i), 1.0)
     if coefs:
         t = np.where(np.isnan(t), np.nan, np.stack([t] + [D[i] * z[i] for i in range(p - coefs, p)]))
     return t, refit
@@ -407,7 +429,7 @@ def _window_tstats(Y, C, slots, nobs, starts, ends, det, k, coefs: bool = False)
     """t-ratios (windows x series) of the windows (starts[w], ends[w]] whose moments are ``C[w]``, flagged windows
     refit densely; with ``coefs``, (k+2, windows, series): the t-ratios, then the k lag and the level coefficients."""
     out, refit = _tstats(C, slots, nobs, _nparams(det, k), coefs and k + 1)
-    for w, r in zip(*np.nonzero(refit)):
+    for w, r in zip(*np.nonzero(refit)) if refit.any() else ():
         out[..., w, r] = _dense_or_nan(Y[:, r], starts[w], ends[w], det, k, coefs)
     return out
 
@@ -451,9 +473,9 @@ def adf_tstat_pairs(values, starts, ends, det: str = "const", k: int = 0) -> np.
         while i0 <= i.max():
             e0 = max(e_lo, k + 2 + i0)
             nl = _lengths(T - e0 + 1, 1, i.max() + 1 - i0)
-            (C, slots), sel = block(i0, nl), (i >= i0) & (i < i0 + nl)
-            w = fit[sel]
-            out[w] = _window_tstats(Y, C[:, i[sel] - i0, ends[w] - e0], slots, i[sel] + 1, starts[w], ends[w], det, k)[:, 0]
+            (C, slots, at, nobs), sel = block(i0, nl), (i >= i0) & (i < i0 + nl)
+            w, first = fit[sel], np.searchsorted(nobs, i[sel] + 1)  # a length's first window
+            out[w] = _window_tstats(Y, C[:, first + ends[w] - at[first]], slots, i[sel] + 1, starts[w], ends[w], det, k)[:, 0]
             i0 += nl
     return out
 
@@ -485,8 +507,8 @@ def _prefix(Y: np.ndarray, det: str, k: int, m0: int, coefs: bool = False):
 
 def _rolling(Y: np.ndarray, window: int, det: str, k: int, coefs: bool = False):
     """As :func:`_prefix`, for the windows (e - window, e], e = window..T: one sweep block, intercepts at y_(e-window+1)."""
-    (C, slots), ends = _sweep(Y, det, k, window, window - 1)(window - k - 2, 1), np.arange(window, Y.shape[0] + 1)
-    return _window_tstats(Y, C[:, 0], slots, np.full(ends.size, window - k - 1), ends - window, ends, det, k, coefs)
+    C, slots, ends, nobs = _sweep(Y, det, k, window, window - 1)(window - k - 2, 1)
+    return _window_tstats(Y, C, slots, nobs, ends - window, ends, det, k, coefs)
 
 
 def _at(A: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -494,7 +516,12 @@ def _at(A: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return A[:, None, idx[0, 0] : idx[0, 0] + idx.size] if len(idx) == 1 else A[:, idx]
 
 
-def _sup_curve(stat, rows: int, m0: int, T: int, double: bool = True):
+def _curve_out(curve: np.ndarray, m0: int, sups: bool):
+    """A prefix curve's ``(curve, starts)``, start 0 (-1 where NaN), or with ``sups`` each row's sup over e >= m0 (NaN where none)."""
+    return np.fmax.reduce(curve[:, m0:], axis=1) if sups else (curve, np.where(np.isnan(curve), -1, 0))
+
+
+def _sup_curve(stat, rows: int, m0: int, T: int, double: bool = True, sups: bool = False):
     """The package's one sup loop: for e = m0..T, the sup over starts
     s = 0..e-m0 of ``stat(e, s)`` per row, and the smallest start
     attaining it ((rows, T+1) arrays; NaN and start -1 where no window is
@@ -503,13 +530,14 @@ def _sup_curve(stat, rows: int, m0: int, T: int, double: bool = True):
     one series), over every endpoint at once: ``stat`` maps e (1, ne) and
     s = e - n (nl, ne) to (rows, nl, ne), NaN where undefined; cells with
     s < 0 are not read.  A tie goes to the longer window, the smaller
-    start.  A prefix curve (``double`` False) takes only s = 0, in one call."""
+    start.  A prefix curve (``double`` False) takes only s = 0, in one call.
+    ``sups`` keeps only each row's running maximum (NaN where no window)."""
     if not double:
         curve = np.full((rows, T + 1), np.nan)
         curve[:, m0:] = stat(np.arange(m0, T + 1)[None], np.zeros((1, 1), dtype=np.int64))[:, 0]
-        return curve, np.where(np.isnan(curve), -1, 0)
-    curve = np.full((rows, T + 1), -np.inf)  # any window takes it; NaN where none did
-    length = np.zeros((rows, T + 1), dtype=np.int64)
+        return _curve_out(curve, m0, sups)
+    best, curve = np.full(rows, np.nan), np.full((rows, (T + 1) * (not sups)), -np.inf)  # any window takes it; NaN where none did
+    length = np.zeros(curve.shape, dtype=np.int64)
     n0 = m0
     while n0 <= T:
         e = np.arange(n0, T + 1)[None]
@@ -517,12 +545,15 @@ def _sup_curve(stat, rows: int, m0: int, T: int, double: bool = True):
         s = e - np.arange(n0, n0 + nl)[:, None]
         st = stat(e, s)
         for n in range(n0, n0 + nl):  # from e = n on, where s >= 0; ties go to the longer window
+            if sups:
+                np.fmax(best, np.fmax.reduce(st[:, n - n0, n - n0 :], axis=1), out=best)
+                continue
             take = st[:, n - n0, n - n0 :] >= curve[:, n:]
             np.copyto(curve[:, n:], st[:, n - n0, n - n0 :], where=take)
             np.copyto(length[:, n:], n, where=take)
         n0 += nl
     curve[length == 0] = np.nan
-    return curve, np.where(length > 0, np.arange(T + 1) - length, -1)
+    return best if sups else (curve, np.where(length > 0, np.arange(T + 1) - length, -1))
 
 
 def bsadf_backward(values, m0: int, det: str = "const", k: int = 0):
@@ -535,19 +566,24 @@ def bsadf_backward(values, m0: int, det: str = "const", k: int = 0):
     degenerate) and ``argmax_s[..., e]`` the smallest attaining start (-1
     when none).
     """
+    return _backward(values, m0, det, k)
+
+
+def _backward(values, m0: int, det: str, k: int, sups: bool = False):  # bsadf_backward, or with sups the row sups
     Y, single, det, m0 = _check_scan(values, m0, det, k)
     m0 = max(m0, _min_window_len(det, k))  # shorter windows cannot support the fit
     block = _sweep(Y, det, k, m0)
 
-    def stat(e, s):  # the sweep's blocks are the sup loop's; a cell with s < 0 is no window
-        i = e[0, 0] - k - 2 - s[:, :1]
-        C, slots = block(int(i[0, 0]), len(s))
-        nobs, ends = np.where(s < 0, 0, i + 1).ravel(), np.repeat(e, len(s), axis=0).ravel()
-        t = _window_tstats(Y, C.reshape(len(C), -1, Y.shape[1]), slots, nobs, s.ravel(), ends, det, k)
+    def stat(e, s):  # the sweep's blocks are the sup loop's; a cell with s < 0 is no window, and NaN
+        C, slots, ends, nobs = block(i0 := int(e[0, 0] - s[0, 0] - k - 2), len(s))
+        t = _window_tstats(Y, C, slots, nobs, ends - nobs - k - 1, ends, det, k)
+        if len(s) > 1:
+            t, live = np.full((s.size, Y.shape[1]), np.nan), t
+            t[(nobs - i0 - 1) * e.size + ends - e[0, 0]] = live
         return t.reshape(*s.shape, -1).transpose(2, 0, 1)
 
-    maxvals, argmax_s = _sup_curve(stat, Y.shape[1], m0, Y.shape[0])
-    return (maxvals[0], argmax_s[0]) if single else (maxvals, argmax_s)
+    out = _sup_curve(stat, Y.shape[1], m0, Y.shape[0], True, sups)
+    return out if sups else (out[0][0], out[1][0]) if single else out
 
 
 def gls_adjust(values, det: str = "const", c_bar: float | None = None) -> np.ndarray:

@@ -118,21 +118,22 @@ def _double_supresult(kind, maxvals, argmax_s, m0, T, tau0) -> SupResult:
     return SupResult(kind, value, argmax=(s_star / T, e_star / T), window=(s_star, e_star), tau0=tau0, sequence=seq)
 
 
-def _prefix_curves(Y: np.ndarray, m0: int, strict: bool = False, det: str = "const", k: int = 0):
+def _prefix_curves(Y: np.ndarray, m0: int, strict: bool = False, det: str = "const", k: int = 0, sups: bool = False):
     """Prefix-window curves of a (rows, T) panel.  The full-sample
     statistic ``ols.adf_stat`` is the e = T point of the same scan, so
     the sup of each curve dominates it exactly."""
-    stats = ols.sadf_prefix_stats(Y, m0, det=det, k=k)
-    return stats, np.where(np.isnan(stats), -1, 0)
+    return ols._curve_out(ols.sadf_prefix_stats(Y, m0, det=det, k=k), m0, sups)
 
 
-def _backward_curves(Y: np.ndarray, m0: int, strict: bool = False, det: str = "const", k: int = 0):
+def _backward_curves(Y: np.ndarray, m0: int, strict: bool = False, det: str = "const", k: int = 0, sups: bool = False):
     """Backward sup curves of a (rows, T) panel and their attaining starts.
 
     The prefix windows they share with the forward scan are folded in
     from the same arithmetic that scan uses, so the double sup dominates
     the forward sup exactly, not just up to rounding.
     """
+    if sups:
+        return np.fmax(ols._backward(Y, m0, det, k, sups=True), _prefix_curves(Y, m0, det=det, k=k, sups=True))
     maxvals, argmax_s = ols.bsadf_backward(Y, m0, det=det, k=k)
     prefix = _prefix_curves(Y, m0, det=det, k=k)[0]
     upd = ~np.isnan(prefix) & (np.isnan(maxvals) | (prefix >= maxvals))
@@ -141,7 +142,7 @@ def _backward_curves(Y: np.ndarray, m0: int, strict: bool = False, det: str = "c
     return maxvals, argmax_s
 
 
-def _gls_curves(Y: np.ndarray, m0: int, strict: bool = False, det: str = "const", c_bar: float | None = None):
+def _gls_curves(Y: np.ndarray, m0: int, strict: bool = False, det: str = "const", c_bar: float | None = None, sups: bool = False):
     """GLS prefix curves of a (rows, T) panel: each prefix (0, e] of each
     row detrended on its own, as ``ols.gls_adjust`` does, NaN where the fit
     is degenerate.
@@ -194,14 +195,7 @@ def _gls_curves(Y: np.ndarray, m0: int, strict: bool = False, det: str = "const"
     for i, row in zip(*np.nonzero(refit)):
         with suppress(DegenerateFitError):
             curve[row, m0 + i] = ols.tstat_ar_noconst(ols.gls_adjust(Y[row, : m0 + i], det=det, c_bar=c_bar))
-    return curve, np.where(np.isnan(curve), -1, 0)
-
-
-def _row_sup(curves: np.ndarray) -> np.ndarray:
-    """Sup of each row, skipping NaN; NaN for a row with no value."""
-    valid = ~np.isnan(curves)
-    best = np.where(valid, curves, -np.inf).max(axis=1)
-    return np.where(valid.any(axis=1), best, np.nan)
+    return ols._curve_out(curve, m0, sups)
 
 
 def _curve_result(kind: str, curves, series, tau0, **options) -> SupResult:
@@ -215,11 +209,11 @@ def _curve_result(kind: str, curves, series, tau0, **options) -> SupResult:
 
 
 def _curve_scores(curves, panel, tau0, **options) -> np.ndarray:
-    """Sup of each row's curve of a (rows, T) panel, in one scan; NaN for
-    a row whose windows are all degenerate."""
+    """Sup of each row's curve of a (rows, T) panel, in one scan (the
+    builder's ``sups`` form, which keeps no curve); NaN for a row whose
+    windows are all degenerate."""
     Y = np.asarray(panel, dtype=np.float64)
-    m0 = _resolve_tau0(Y.shape[1], tau0)[1]
-    return _row_sup(curves(Y, m0, **options)[0][:, m0:])
+    return curves(Y, _resolve_tau0(Y.shape[1], tau0)[1], sups=True, **options)
 
 
 def sadf(series, tau0: float | None = None, det: str = "const", k: int = 0) -> SupResult:

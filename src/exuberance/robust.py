@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import DegenerateFitError
-from .ols import _at, _least_squares, _prefix, _sup_curve
+from .ols import _at, _curve_out, _least_squares, _prefix, _sup_curve
 from .recursive import SupResult, _curve_result, _double_supresult, _resolve_tau0
 from .series import as_values
 
@@ -90,7 +90,7 @@ def sbz(series, tau0: float | None = None, bandwidth: float | None = None) -> Su
     return _curve_result("sbz", _sbz_curves, series, tau0, bandwidth=bandwidth)
 
 
-def _sbz_curves(Y: np.ndarray, m0: int, strict: bool = False, bandwidth: float | None = None):
+def _sbz_curves(Y: np.ndarray, m0: int, strict: bool = False, bandwidth: float | None = None, sups: bool = False):
     """:func:`sbz` prefix curves of a (rows, T) panel: each row's kernel
     variance, then one cumsum over the panel.  A row whose local variance
     vanishes is NaN (strict: raises)."""
@@ -108,7 +108,7 @@ def _sbz_curves(Y: np.ndarray, m0: int, strict: bool = False, bandwidth: float |
         num = np.cumsum(np.diff(yt, axis=1) * yt[:, :-1] / sig2, axis=1)[:, m0 - 2 :]
         den = np.cumsum(yt[:, :-1] ** 2 / sig2, axis=1)[:, m0 - 2 :]
         stats[:, m0:] = np.where(ok[:, None] & (den > 0), num / np.sqrt(den), np.nan)
-    return stats, np.where(np.isnan(stats), -1, 0)
+    return _curve_out(stats, m0, sups)
 
 
 def sign_path(series, mode: str = "raw", filter_lags: int = 0) -> np.ndarray:
@@ -165,7 +165,7 @@ def _sup(kind, double, stat, m0, T, tau0) -> SupResult:
 def _window_curves(window, double: bool):
     """Curve builder of a panel closed form ``window(Y, strict)``: its
     prefix curve, or its backward sup curve when ``double``."""
-    return lambda Y, m0, strict=False: _sup_curve(window(Y, strict), len(Y), m0, Y.shape[1], double)
+    return lambda Y, m0, strict=False, sups=False: _sup_curve(window(Y, strict), len(Y), m0, Y.shape[1], double, sups)
 
 
 def _sign_moments(C: np.ndarray, strict: bool = False) -> np.ndarray:

@@ -237,7 +237,12 @@ def sbz(values, m0, h=None):
 
 
 def sign_path(values, mode="raw", filter_lags=0):
-    """Cumulative sign path C_0..C_T (length T+1, C_0 = C_1 = 0)."""
+    """Cumulative sign path C_0..C_T (length T+1, C_0 = C_1 = 0).
+
+    With filter_lags = k the sign at 1-based t is filtered by the fit of
+    rows k+5..t, from t = 2k+6 on, where its k + 2 coefficients are
+    identified; earlier signs, and those of a rank-deficient fit, stay raw.
+    """
     y = np.asarray(values, dtype=float)
     T = y.size
     dy = np.diff(y)  # t = 2..T at positions 0..T-2
@@ -245,14 +250,16 @@ def sign_path(values, mode="raw", filter_lags=0):
     if filter_lags > 0:
         k = filter_lags
         s = s.copy()
-        for t in range(k + 5, T + 1):  # 1-based t
+        for t in range(2 * k + 6, T + 1):  # 1-based t
             rows = np.arange(k + 5, t + 1)  # regression rows i
             dep = dy[rows - 2]
             cols = [np.ones(rows.size), y[rows - 2]]
             for j in range(1, k + 1):
                 cols.append(dy[rows - 2 - j])
             X = np.column_stack(cols)
-            coef, _, _, _ = np.linalg.lstsq(X, dep, rcond=None)
+            coef, _, rank, _ = np.linalg.lstsq(X, dep, rcond=None)
+            if rank < X.shape[1]:
+                continue
             phi = coef[2:]
             f = dy[t - 2] - sum(phi[j - 1] * dy[t - 2 - j] for j in range(1, k + 1))
             s[t - 2] = np.sign(f)

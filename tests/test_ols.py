@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import oracles
 from exuberance import DegenerateFitError, adf_stat, adf_tstat_pairs, fit_adf_window
-from exuberance import ols
+from exuberance import inference, ols, recursive, robust
 from exuberance.ols import (
     bsadf_backward,
     gls_adjust,
@@ -615,6 +615,152 @@ class TestLengthBlocks:
         assert ols._lengths(300, 1, 270) == budget // 300 > 1
         assert ols._lengths(30, 1, 30) == 30
         assert ols._lengths(60, 1, 4) == 4
+
+
+class TestLiveCells:
+    """The sweep evaluates only windows that start at or after y_1."""
+
+    @pytest.mark.parametrize("nl", [None, 1, 7])
+    def test_cells_reaching_the_kernel_are_the_windows(self, monkeypatch, nl):
+        # one series at T = 300, k = 2 (many-length blocks), and a panel;
+        # the kernel sees every window (s, e], s = 0..e-m0, once and no other
+        seen = []
+
+        def counted(C, slots, nobs, p, coefs=0):
+            seen.append(C.shape[1])
+            return tstats(C, slots, nobs, p, coefs)
+
+        tstats = ols._tstats
+        monkeypatch.setattr(ols, "_tstats", counted)
+        if nl is not None:
+            length_blocks(monkeypatch, nl)
+        y = 100 + np.cumsum(np.random.default_rng(31).standard_normal(300))
+        panel = 100 + np.cumsum(np.random.default_rng(32).standard_normal((40, 120)), axis=1)
+        for values, m0, k, sups in ((y, 34, 2, False), (y, 60, 0, True), (panel, 25, 1, False), (panel, 25, 0, True)):
+            seen.clear()
+            ols._backward(values, m0, "const", k, sups)
+            T = values.shape[-1]
+            assert sum(seen) == sum(e - m0 + 1 for e in range(m0, T + 1))
+
+
+def _reference_rule(C, slots, nobs, p):
+    """The scan's guards on every window in one pass, as the parent
+    engine applied them (no fast mask): ``(t, refit)`` of ``ols._tstats``."""
+    nobs = nobs[:, None]
+
+    def gram(i, j):
+        return C[slots[i, j]] if (i, j) in slots else nobs
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        usable = nobs >= p + 1
+        for i in range(p):
+            usable = usable & (gram(i, i) > 0)
+        D = [1.0 / np.sqrt(gram(i, i)) for i in range(p)]
+        L, pd, pivots = {}, usable, 1.0
+        for j in range(p):
+            if j:
+                piv = 1.0 - sum((L[j, m] ** 2 for m in range(1, j)), L[j, 0] ** 2)
+                pd = pd & (piv > 0)
+                L[j, j] = np.sqrt(piv)
+                pivots = pivots * piv if j > 1 else piv
+            for i in range(j + 1, p):
+                gh = gram(j, i) * D[i] * D[j]
+                L[i, j] = (gh - sum((L[i, m] * L[j, m] for m in range(1, j)), L[i, 0] * L[j, 0])) / L[j, j] if j else gh
+        z = [D[0] * C[slots[0, p]]]
+        for i in range(1, p):
+            z.append((D[i] * C[slots[i, p]] - sum((L[i, m] * z[m] for m in range(1, i)), L[i, 0] * z[0])) / L[i, i])
+        illcond = usable & ~pd
+        suspect = np.flatnonzero(pd & (pivots * ols.COND_LIMIT < p**p))
+        if suspect.size:
+            G = np.empty((suspect.size, p, p))
+            for i in range(p):
+                G[:, i, i] = 1.0
+                for j in range(i + 1, p):
+                    G[:, i, j] = G[:, j, i] = (gram(i, j) * D[i] * D[j]).ravel()[suspect]
+            lam = np.linalg.eigvalsh(G)
+            np.put(illcond, suspect[~(lam[:, 0] > 0) | (lam[:, -1] > ols.COND_LIMIT * lam[:, 0])], True)
+        sdd = C[slots[p, p]]
+        ssr = sdd - sum((zi * zi for zi in z[1:]), z[0] * z[0])
+        t = z[-1] / np.sqrt(ssr / (nobs - p))
+        refit = illcond | (pd & ~((ssr > 1e-5 * np.maximum(sdd, 1e-300)) & np.isfinite(t)))
+        t[~pd | refit] = np.nan
+    return t, refit
+
+
+class TestWorkspaces:
+    """Each scan makes its own workspaces: scans of every shape, run
+    inside one another, give what each gives alone, bit for bit."""
+
+    @staticmethod
+    def _calls():
+        rng = np.random.default_rng(41)
+        panel = 100 + np.cumsum(rng.standard_normal((30, 80)), axis=1)
+        walk = 100 + np.cumsum(rng.standard_normal(90))
+        stress = _block_panel(60)
+        return [
+            lambda: bsadf_backward(panel, 12, det="const", k=0),
+            lambda: gsadf_panel(panel, tau0=0.2, det="trend", k=1),
+            lambda: bsadf_backward(walk, 15, det="trend", k=2),
+            lambda: bsadf_backward(stress, 18, det="none", k=1),
+            lambda: bsadf_backward(stress, 18, det="trend", k=2),
+            lambda: gsadf_panel(stress, tau0=0.3, det="const", k=0),
+            lambda: sadf_prefix_stats(stress, 18, det="const", k=2),
+            lambda: recursive._hb_curves(stress, 0.2, k=1),
+            lambda: recursive._gls_curves(stress, 18, det="trend")[0],
+            lambda: inference.rolling_ar_coefficients(walk, 25).values,
+            lambda: inference.recursive_ar_coefficients(walk).values,
+            lambda: robust.sign_path(walk, filter_lags=2),
+        ]
+
+    @staticmethod
+    def _same(got, want):
+        for g, w in zip(got if isinstance(got, tuple) else (got,), want if isinstance(want, tuple) else (want,)):
+            assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+
+    def test_nested_scans_match_each_alone(self, monkeypatch):
+        calls = self._calls()
+        alone = [f() for f in calls]
+        nested, depth = iter(range(10**6)), [0]
+
+        def interleaved(*args, **kwargs):  # every kernel call first runs another whole scan
+            if not depth[0]:
+                depth[0] = 1
+                j = next(nested) % len(calls)
+                self._same(calls[j](), alone[j])
+                depth[0] = 0
+            return tstats(*args, **kwargs)
+
+        tstats = ols._tstats
+        monkeypatch.setattr(ols, "_tstats", interleaved)
+        for f, want in zip(calls, alone):
+            self._same(f(), want)
+        assert next(nested) > len(calls)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_stress_rows_refit_the_reference_set(self, monkeypatch):
+        # the fast mask passes a window only where the one-pass rule does
+        # not flag it; the windows it rejects are classified as that rule does
+        checked = {"refit": 0, "nan": 0}
+
+        def compared(C, slots, nobs, p, coefs=0):
+            want_t, want_refit = _reference_rule(C, slots, nobs, p)
+            t, refit = tstats(C, slots, nobs, p, coefs)
+            np.testing.assert_array_equal(refit, want_refit)
+            np.testing.assert_array_equal(t if not coefs else t[0], want_t)
+            checked["refit"] += int(refit.sum())
+            checked["nan"] += int((np.isnan(want_t) & ~want_refit).sum())
+            return t, refit
+
+        tstats = ols._tstats
+        monkeypatch.setattr(ols, "_tstats", compared)
+        stress = _block_panel(60)
+        for det, k in (("none", 1), ("const", 0), ("const", 2), ("trend", 2)):
+            bsadf_backward(stress, 18, det=det, k=k)
+            ols._backward(stress, 18, det, k, sups=True)
+            sadf_prefix_stats(stress, 18, det=det, k=k)
+        recursive._hb_curves(stress, 0.2, k=2)
+        recursive._gls_curves(stress, 18, det="const")
+        assert checked["refit"] > 0 and checked["nan"] > 0
 
 
 class TestGls:

@@ -100,6 +100,11 @@ class TestSignPath:
                 v, "demeaned" if "demeaned" in mode else "raw", k
             )
             np.testing.assert_allclose(got, want, atol=1e-12)
+        # whole filtered paths, on the walks of TestSignFilterReader
+        for seed in range(12):
+            w = _walk(900 + seed, 40)
+            for k in (1, 2, 3):
+                np.testing.assert_array_equal(sign_path(w, filter_lags=k), oracles.sign_path(w, "raw", k))
         # the filter's fits do not depend on the series' units or level
         want = sign_path(v, filter_lags=2)
         for f in (lambda v: v * 1e-21, lambda v: v * 1e-12, lambda v: v * 1e12, lambda v: v + 1e8):
