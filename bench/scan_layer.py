@@ -23,7 +23,7 @@ from exuberance import ols
 from exuberance.bootstrap import _REGISTRY, wild_bootstrap_pvalue
 from exuberance.datestamp import select_model_bic, two_step_stamp
 from exuberance.inference import recursive_ar_coefficients, rolling_ar_coefficients
-from exuberance.robust import sign_path
+from exuberance.robust import _tt_rows, sign_path
 
 
 def _walk(seed: int, shape) -> np.ndarray:
@@ -59,6 +59,9 @@ def cases() -> dict:
         "bsadf_backward panel 199x200 k=0": lambda: ols.bsadf_backward(wide, _m0(200), k=0),
         "sign_gsadf curves panel 100x200": lambda: _REGISTRY["sign_gsadf"].curves(robust, _m0(200)),
         "gstadf curves panel 100x200": lambda: _REGISTRY["gstadf"].curves(robust, _m0(200)),
+        "sign_gsadf scores panel 100x200": lambda: _REGISTRY["sign_gsadf"].curves(robust, _m0(200), sups=True),
+        "gstadf scores panel 100x200": lambda: _REGISTRY["gstadf"].curves(robust, _m0(200), sups=True),
+        "tt rows panel 100x200": lambda: _tt_rows(robust),
         "wild_bootstrap_pvalue gsadf T=200 B=199": lambda: wild_bootstrap_pvalue(y200, "gsadf", B=199, seed=1),
         "wild_bootstrap_pvalue hb_chow T=200 B=199": lambda: wild_bootstrap_pvalue(y200, "hb_chow", B=199, seed=1),
         "wild_bootstrap_pvalue sadf_gls const T=200 B=199": lambda: wild_bootstrap_pvalue(y200, "sadf_gls", B=199, seed=1),
