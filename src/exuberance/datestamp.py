@@ -690,9 +690,9 @@ def sign_stamp(
     if not 0 < epsilon <= 1:
         raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
     C = sign_path(v, mode=mode, filter_lags=filter_lags)
-    sxy, sxx, sdd = _sign_moments(C[None], strict=True)
+    sxy, sxx, sdd = _sign_moments(C[:, None], strict=True)
     # prefix variances of the sign regression, defined from window (0, e]
-    e_all = np.arange(T + 1)
+    e_all = np.arange(T + 1)[:, None]
     with np.errstate(invalid="ignore", divide="ignore"):
         s2 = (sdd - sxy * sxy / sxx) / (e_all - 1)
     s2[(sxx <= 0) | (e_all < 2)] = np.nan

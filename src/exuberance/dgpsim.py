@@ -273,42 +273,32 @@ def simulate(spec: DgpSpec, vol: VolPath | None = None, seed=None) -> Series:
         y += spec.y0 + drift * np.arange(1, T + 1)
         return Series(y, name=spec.kind)
 
-    if spec.kind == "pwy_bubble":
-        T_e, T_c = spec.dates()
-        rho = 1.0 + spec.explosive_rate()
-        # a zero localizing constant with no reinit offset degenerates to
-        # a pure random walk: there is no bubble, so nothing collapses
-        reinit = not (spec.c == 0.0 and spec.y_star == 0.0)
-        prev = spec.y0
-        for t in range(1, T + 1):
-            if t <= T_c:
-                coeff = rho if t >= T_e else 1.0
-                val = coeff * prev + eps[t - 1]
-            elif t == T_c + 1 and reinit:
-                base = spec.y0 if T_e < 1 else y[T_e - 1]
-                val = base + spec.y_star + eps[t - 1]
-            else:
-                val = prev + eps[t - 1]
-            y[t - 1] = val
-            prev = val
-        return Series(y, name=spec.kind)
-
-    # collapse_bubble
-    T_e, T_c, T_r = spec.dates()
-    up = 1.0 + spec.explosive_rate()
-    down = 1.0 - spec.collapse_rate()
-    drift = spec.mu * T**-spec.eta
-    prev = spec.y0
-    for t in range(1, T + 1):
-        if t < T_e or t > T_r:
-            val = drift + prev + eps[t - 1]
-        elif t <= T_c:
-            val = up * prev + eps[t - 1]
-        else:
-            val = down * prev + eps[t - 1]
-        y[t - 1] = val
-        prev = val
+    # unit roots before T_e and after T_r, explosive to T_c, collapsing to
+    # T_r; a pwy_bubble collapses at once (T_r = T_c) and is reinitialised
+    bubble = spec.kind == "pwy_bubble"
+    T_e, T_c, T_r = (*spec.dates(), spec.dates()[1])[:3]
+    up, down = 1.0 + spec.explosive_rate(), 1.0 if bubble else 1.0 - spec.collapse_rate()
+    drift = None if bubble else spec.mu * T**-spec.eta
+    lo = max(T_e, 1)
+    y[: lo - 1] = _walk(spec.y0, eps[: lo - 1], drift)
+    prev = y[lo - 2] if lo > 1 else spec.y0
+    for t in range(lo, T_r + 1):
+        prev = y[t - 1] = (up if t <= T_c else down) * prev + eps[t - 1]
+    # a zero localizing constant with no reinit offset degenerates to
+    # a pure random walk: there is no bubble, so nothing collapses
+    if bubble and not (spec.c == 0.0 and spec.y_star == 0.0):
+        prev = (spec.y0 if T_e < 1 else y[T_e - 1]) + spec.y_star
+    y[T_r:] = _walk(prev, eps[T_r:], drift)
     return Series(y, name=spec.kind)
+
+
+def _walk(prev: float, eps: np.ndarray, drift: float | None = None) -> np.ndarray:
+    """The unit-root stretch after ``prev``: each step prev + eps_t, or
+    (drift + prev) + eps_t with ``drift``, as one in-order cumsum over the
+    steps (drifts and innovations interleaved), bit for bit the recursion."""
+    k = 1 if drift is None else 2  # sums per step
+    steps = eps if k == 1 else np.column_stack([np.full(eps.size, drift), eps]).ravel()
+    return np.cumsum(np.r_[prev, steps])[k::k]
 
 
 @dataclass(frozen=True)

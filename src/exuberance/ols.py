@@ -512,8 +512,9 @@ def _rolling(Y: np.ndarray, window: int, det: str, k: int, coefs: bool = False):
 
 
 def _at(A: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """``A[:, idx]`` for an index of :func:`_sup_curve`, whose one-row indexes are ascending runs: a view."""
-    return A[:, None, idx[0, 0] : idx[0, 0] + idx.size] if len(idx) == 1 else A[:, idx]
+    """``A[idx]`` of a time-major (T+1, rows) array at an index (nl, ne, 1) of
+    :func:`_sup_curve`: a one-length index is an ascending run, a contiguous view."""
+    return A[None, idx[0, 0, 0] : idx[0, 0, 0] + idx.size] if len(idx) == 1 else A[idx[..., 0]]
 
 
 def _curve_out(curve: np.ndarray, m0: int, sups: bool):
@@ -527,29 +528,30 @@ def _sup_curve(stat, rows: int, m0: int, T: int, double: bool = True, sups: bool
     attaining it ((rows, T+1) arrays; NaN and start -1 where no window is
     defined).  Window lengths n run shortest first, nl of them per block
     (:func:`_lengths`: one once endpoints x rows fill the budget, many for
-    one series), over every endpoint at once: ``stat`` maps e (1, ne) and
-    s = e - n (nl, ne) to (rows, nl, ne), NaN where undefined; cells with
-    s < 0 are not read.  A tie goes to the longer window, the smaller
-    start.  A prefix curve (``double`` False) takes only s = 0, in one call.
-    ``sups`` keeps only each row's running maximum (NaN where no window)."""
+    one series), over every endpoint at once: ``stat`` maps e (1, ne, 1) and
+    s = e - n (nl, ne, 1) to time-major (nl, ne, rows), NaN where undefined;
+    cells with s < 0 are not read.  A tie goes to the longer window, the
+    smaller start.  A prefix curve (``double`` False) takes only s = 0, in
+    one call.  ``sups`` keeps only each row's running maximum (NaN where none)."""
     if not double:
         curve = np.full((rows, T + 1), np.nan)
-        curve[:, m0:] = stat(np.arange(m0, T + 1)[None], np.zeros((1, 1), dtype=np.int64))[:, 0]
+        st = stat(np.arange(m0, T + 1)[None, :, None], np.zeros((1, 1, 1), dtype=np.int64))[0].T
+        np.copyto(curve[:, m0:], st, where=~np.isnan(st))  # NaN cells keep the fill's NaN, sign bit and all
         return _curve_out(curve, m0, sups)
     best, curve = np.full(rows, np.nan), np.full((rows, (T + 1) * (not sups)), -np.inf)  # any window takes it; NaN where none did
     length = np.zeros(curve.shape, dtype=np.int64)
     n0 = m0
     while n0 <= T:
-        e = np.arange(n0, T + 1)[None]
+        e = np.arange(n0, T + 1)[None, :, None]
         nl = _lengths(e.size, rows, T + 1 - n0)
-        s = e - np.arange(n0, n0 + nl)[:, None]
+        s = e - np.arange(n0, n0 + nl)[:, None, None]
         st = stat(e, s)
         for n in range(n0, n0 + nl):  # from e = n on, where s >= 0; ties go to the longer window
             if sups:
-                np.fmax(best, np.fmax.reduce(st[:, n - n0, n - n0 :], axis=1), out=best)
+                np.fmax(best, np.fmax.reduce(st[n - n0, n - n0 :], axis=0), out=best)
                 continue
-            take = st[:, n - n0, n - n0 :] >= curve[:, n:]
-            np.copyto(curve[:, n:], st[:, n - n0, n - n0 :], where=take)
+            take = st[n - n0, n - n0 :].T >= curve[:, n:]
+            np.copyto(curve[:, n:], st[n - n0, n - n0 :].T, where=take)
             np.copyto(length[:, n:], n, where=take)
         n0 += nl
     curve[length == 0] = np.nan
@@ -575,12 +577,12 @@ def _backward(values, m0: int, det: str, k: int, sups: bool = False):  # bsadf_b
     block = _sweep(Y, det, k, m0)
 
     def stat(e, s):  # the sweep's blocks are the sup loop's; a cell with s < 0 is no window, and NaN
-        C, slots, ends, nobs = block(i0 := int(e[0, 0] - s[0, 0] - k - 2), len(s))
+        C, slots, ends, nobs = block(i0 := int(e[0, 0, 0] - s[0, 0, 0] - k - 2), len(s))
         t = _window_tstats(Y, C, slots, nobs, ends - nobs - k - 1, ends, det, k)
         if len(s) > 1:
             t, live = np.full((s.size, Y.shape[1]), np.nan), t
-            t[(nobs - i0 - 1) * e.size + ends - e[0, 0]] = live
-        return t.reshape(*s.shape, -1).transpose(2, 0, 1)
+            t[(nobs - i0 - 1) * e.size + ends - e[0, 0, 0]] = live
+        return t.reshape(len(s), e.size, -1)
 
     out = _sup_curve(stat, Y.shape[1], m0, Y.shape[0], True, sups)
     return out if sups else (out[0][0], out[1][0]) if single else out

@@ -52,17 +52,17 @@ def _check_bandwidth(T: int, bandwidth: float | None) -> float:
     return h
 
 
-def _gaussian_smooth(x: np.ndarray, T: int, h: float) -> np.ndarray:
-    """Kernel regression of x (indexed by t = 2..T) on the time fractions.
+def _gaussian_smooth(X: np.ndarray, h: float) -> np.ndarray:
+    """Kernel regression of the rows of X (rows, T-1; t = 2..T) on the time fractions.
 
     The Gaussian weight of t_j at t_i depends only on the lag j - i, so the
-    weighted sums are convolutions of x, and of ones, with one kernel over
-    the lags -(T-2)..T-2.
+    weighted sums are convolutions of each row, and of ones (once per
+    panel), with one kernel over the lags -(T-2)..T-2.
     """
-    n = T - 1
-    u = np.arange(1 - n, n, dtype=float) / (T * h)
+    n = X.shape[1]
+    u = np.arange(1 - n, n, dtype=float) / ((n + 1) * h)
     w = np.exp(-0.5 * u * u)
-    return np.convolve(x, w)[n - 1 : 2 * n - 1] / np.convolve(np.ones(n), w)[n - 1 : 2 * n - 1]
+    return np.stack([np.convolve(x, w, "valid") for x in X]) / np.convolve(np.ones(n), w, "valid")
 
 
 def kernel_variance(series, bandwidth: float | None = None) -> np.ndarray:
@@ -75,7 +75,7 @@ def kernel_variance(series, bandwidth: float | None = None) -> np.ndarray:
     if T < _MIN_KERNEL_SAMPLE:
         raise ValueError(f"kernel variance needs T >= {_MIN_KERNEL_SAMPLE}, got {T}")
     h = _check_bandwidth(T, bandwidth)
-    return _gaussian_smooth(np.diff(v) ** 2, T, h)
+    return _gaussian_smooth(np.diff(v)[None] ** 2, h)[0]
 
 
 def sbz(series, tau0: float | None = None, bandwidth: float | None = None) -> SupResult:
@@ -98,7 +98,7 @@ def _sbz_curves(Y: np.ndarray, m0: int, strict: bool = False, bandwidth: float |
     if T < _MIN_KERNEL_SAMPLE:
         raise ValueError(f"this statistic needs T >= {_MIN_KERNEL_SAMPLE}, got {T}")
     h = _check_bandwidth(T, bandwidth)
-    sig2 = np.stack([_gaussian_smooth(d**2, T, h) for d in np.diff(Y, axis=1)])
+    sig2 = _gaussian_smooth(np.diff(Y, axis=1) ** 2, h)
     ok = (sig2 > 0).all(axis=1)
     if strict and not ok.all():
         raise DegenerateFitError("local variance estimate vanished")
@@ -170,36 +170,35 @@ def _window_curves(window, double: bool):
 
 def _sign_moments(C: np.ndarray, strict: bool = False) -> np.ndarray:
     """Prefix sums over t = 1..e of x dC, x x and dC dC (x = C_{t-1}, dC =
-    C_t - C_{t-1}) of (rows, T+1) sign paths; rows t <= 1 add zero, so
-    differences cover any start.  ``strict`` refuses a flat row."""
-    if strict and not C.any(axis=1).all():
+    C_t - C_{t-1}) of time-major (T+1, rows) sign paths; rows t <= 1 add
+    zero, so differences cover any start.  ``strict`` refuses a flat row."""
+    if strict and not C.any(axis=0).all():
         raise DegenerateFitError("all increment signs are zero (flat series)")
-    dC, x = np.diff(C, axis=1), C[:, :-1]
-    return np.cumsum(np.pad(np.stack([x * dC, x * x, dC * dC]), ((0, 0), (0, 0), (1, 0))), axis=2)
+    dC, x = np.diff(C, axis=0), C[:-1]
+    return np.cumsum(np.pad(np.stack([x * dC, x * x, dC * dC]), ((0, 0), (1, 0), (0, 0))), axis=1)
 
 
 def _sign_window(C: np.ndarray, strict: bool = False):
-    """Closed form of the sign statistic on windows (s, e] of sign paths:
-    the path increments regressed on the lagged path with no intercept,
-    the residual variance divided by e - s - 1.  An exact fit gives +-inf
-    by the sign of the slope (NaN for a zero slope); a flat row is NaN."""
+    """Closed form of the sign statistic on windows (s, e] of time-major
+    sign paths: the path increments regressed on the lagged path with no
+    intercept, the residual variance divided by e - s - 1.  An exact fit (sse
+    <= 0) gives +-inf by the slope's sign, NaN for a zero slope; b = 0 is 0/0."""
     A, B, D = _sign_moments(C, strict)
 
-    def stat(e, s):
+    def stat(e, s):  # a / b * sqrt(b (e - s - 1) / max(d - a a / b, 0)), in place
         a, b, d = _at(A, e) - _at(A, s), _at(B, e) - _at(B, s), _at(D, e) - _at(D, s)
         with np.errstate(divide="ignore", invalid="ignore"):
-            delta = a / b
-            sse = d - a * a / b
-            st = np.where(sse > 0, delta * np.sqrt(b * (e - s - 1) / sse), np.sign(delta) * np.inf)
-        return np.where(b > 0, st, np.nan)
+            aa = np.divide(a * a, b)
+            sse = np.maximum(np.subtract(d, aa, out=d), 0.0, out=d)
+            np.sqrt(np.divide(np.multiply(b, e - s - 1.0, out=aa), sse, out=aa), out=aa)
+            return np.multiply(np.divide(a, b, out=a), aa, out=a)
 
     return stat
 
 
 def _sign_rows(Y: np.ndarray, strict: bool = False):
     """Sign closed form of a (rows, T) panel, on the raw sign paths."""
-    C = np.pad(np.cumsum(np.sign(np.diff(Y, axis=1)), axis=1), ((0, 0), (2, 0)))
-    return _sign_window(C, strict)
+    return _sign_window(np.pad(np.cumsum(np.sign(np.diff(Y.T, axis=0)), axis=0), ((2, 0), (0, 0))), strict)
 
 
 @dataclass
@@ -226,7 +225,7 @@ def sign_statistics(
     v = as_values(series)
     tau0, m0 = _resolve_tau0(v.size, tau0)
     C = sign_path(v, mode=mode, filter_lags=filter_lags)
-    args = _sign_window(C[None], strict=True), m0, v.size, tau0
+    args = _sign_window(C[:, None], strict=True), m0, v.size, tau0
     return SignStatistics(_sup("sign_sadf", False, *args), _sup("sign_bsadf", True, *args), C)
 
 
@@ -246,28 +245,56 @@ class VarianceProfile:
     bandwidth: float
 
     def g(self, q):
-        q_arr = np.atleast_1d(np.asarray(q, dtype=float))
+        q_arr = np.asarray(q, dtype=float)
         if np.any((q_arr < 0) | (q_arr > 1)):
             raise ValueError("profile inverse defined on [0, 1]")
-        T = self.grid.size - 1
-        j = np.searchsorted(self.eta, q_arr, side="left")
-        out = np.zeros_like(q_arr)
-        inner = j > 0
-        jj = np.minimum(j[inner], T)
-        e0 = self.eta[jj - 1]
-        e1 = self.eta[jj]
-        g0 = self.grid[jj - 1]
-        g1 = self.grid[jj]
-        flat = e1 == e0
-        frac = np.where(flat, 0.0, (q_arr[inner] - e0) / np.where(flat, 1.0, e1 - e0))
-        out[inner] = g0 + frac * (g1 - g0)
-        return out if np.ndim(q) else float(out[0])
+        out = _inverse(self.eta, self.grid, q_arr.ravel(), np.searchsorted(self.eta, q_arr.ravel(), side="left"))
+        return out.reshape(q_arr.shape) if np.ndim(q) else float(out[0])
 
     def transform_indices(self) -> np.ndarray:
         """1-based source index t' for each grid point t = 0..T (t' >= 1)."""
-        T = self.grid.size - 1
-        g = self.g(self.grid)
-        return np.maximum(np.floor(g * T + 1e-9).astype(np.int64), 1)
+        return _source_indices(self.eta[None])[0]
+
+
+def _inverse(eta, grid, q, j):
+    """The profile inverse at q from j, the count of profile values below q
+    (q and j stack along eta's rows): linear between the grid points that
+    bracket q, the leftmost preimage on a flat stretch; 0 where j = 0."""
+    jj = np.minimum(j, grid.size - 1)
+    e0, e1 = np.take_along_axis(eta, jj - 1, -1), np.take_along_axis(eta, jj, -1)
+    flat = e1 == e0
+    frac = np.where(flat, 0.0, (q - e0) / np.where(flat, 1.0, e1 - e0))
+    return np.where(j > 0, grid[jj - 1] + frac * (grid[jj] - grid[jj - 1]), 0.0)
+
+
+def _source_indices(eta: np.ndarray) -> np.ndarray:
+    """:meth:`VarianceProfile.transform_indices` of every row of a (rows,
+    T+1) panel of profiles at once: the count of a row's profile values
+    below each grid point, from where each value falls on the grid."""
+    rows, T = eta.shape[0], eta.shape[1] - 1
+    grid = np.arange(T + 1) / T
+    K = np.searchsorted(grid, eta, side="right") + (T + 2) * np.arange(rows)[:, None]
+    j = np.cumsum(np.bincount(K.ravel(), minlength=rows * (T + 2)).reshape(rows, T + 2), axis=1)[:, :-1]
+    return np.maximum(np.floor(_inverse(eta, grid, grid, j) * T + 1e-9).astype(np.int64), 1)
+
+
+def _profiles(Y: np.ndarray, bandwidth: float | None, strict: bool = False):
+    """Variance profiles of the rows of a (rows, T) panel in one pass:
+    ``(eta, om2, h)``, eta (rows, T+1).  A row whose innovation proxies
+    all vanish has om2 NaN and eta 0 but eta_T = 1 (strict: raises)."""
+    T = Y.shape[1]
+    if T < _MIN_KERNEL_SAMPLE:
+        raise ValueError(f"variance profile needs T >= {_MIN_KERNEL_SAMPLE}, got {T}")
+    h = _check_bandwidth(T, bandwidth)
+    dy = np.diff(Y, axis=1)
+    eps2 = (dy - _gaussian_smooth(dy, h)) ** 2
+    total = eps2.sum(axis=1, keepdims=True)
+    if strict and not (total > 0).all():
+        raise DegenerateFitError("all innovation proxies are zero")
+    eta = np.zeros((len(Y), T + 1))
+    np.divide(np.cumsum(eps2, axis=1), total, out=eta[:, 2:], where=total > 0)
+    eta[:, T] = 1.0
+    return eta, np.where(total[:, 0] > 0, total[:, 0] / T, np.nan), h
 
 
 def variance_profile(series, bandwidth: float | None = None) -> VarianceProfile:
@@ -278,24 +305,8 @@ def variance_profile(series, bandwidth: float | None = None) -> VarianceProfile:
     by the total, pinning eta(0) = 0 and eta(1) = 1.
     """
     v = as_values(series)
-    T = v.size
-    if T < _MIN_KERNEL_SAMPLE:
-        raise ValueError(f"variance profile needs T >= {_MIN_KERNEL_SAMPLE}, got {T}")
-    h = _check_bandwidth(T, bandwidth)
-    dy = np.diff(v)
-    eps2 = (dy - _gaussian_smooth(dy, T, h)) ** 2
-    total = float(eps2.sum())
-    if not total > 0:
-        raise DegenerateFitError("all innovation proxies are zero")
-    eta = np.zeros(T + 1)
-    eta[2:] = np.cumsum(eps2) / total
-    eta[T] = 1.0
-    return VarianceProfile(
-        grid=np.arange(T + 1) / T,
-        eta=eta,
-        omega_bar2=total / T,
-        bandwidth=h,
-    )
+    eta, om2, h = _profiles(v[None], bandwidth, strict=True)
+    return VarianceProfile(grid=np.arange(v.size + 1) / v.size, eta=eta[0], omega_bar2=float(om2[0]), bandwidth=h)
 
 
 @dataclass
@@ -307,41 +318,37 @@ class TimeTransformedTests:
     profile: VarianceProfile
 
 
-def _transformed(v: np.ndarray, bandwidth: float | None):
-    """(path, variance profile): the series resampled at the floor-mapped
-    inverse of its variance profile, shifted by its first value."""
-    prof = variance_profile(v, bandwidth=bandwidth)
-    ytil = v[prof.transform_indices() - 1]
-    return ytil - ytil[0], prof
-
-
-def _tt_window(ytil: np.ndarray, om2: np.ndarray):
+def _tt_window(Y: np.ndarray, eta: np.ndarray, om2: np.ndarray):
     """Closed form of the time-transformed statistic on windows (s, e] of
-    (rows, T+1) paths with average innovation variances ``om2``, one per row.
-    Endpoint levels are squared by libm's pow (``float_power``), start
-    levels by multiplication, as this scan always has: the two differ in
-    the last bit for about one value in a thousand."""
-    sq, sq_end, om2 = ytil**2, np.float_power(ytil, 2.0), om2.reshape(-1, 1, 1)
-    Q = np.cumsum(np.pad(sq[:, :-1], ((0, 0), (1, 0))), axis=1)
+    the rows of a (rows, T) panel, each resampled at the floor-mapped
+    inverse of its variance profile ``eta`` and shifted by its first value,
+    time-major; ``om2`` holds their average innovation variances, NaN for a
+    degenerate row.  Endpoint levels are squared by libm's pow
+    (``float_power``), start levels by multiplication, as this scan always
+    has: the two differ in the last bit for about one value in a thousand."""
+    ytil = np.take_along_axis(Y, _source_indices(eta) - 1, axis=1)
+    ytil = np.ascontiguousarray((ytil - ytil[:, :1]).T)
+    ytil[:, np.isnan(om2)] = np.nan
+    sq, sq_end = ytil**2, np.float_power(ytil, 2.0)
+    Q = np.cumsum(np.pad(sq[:-1], ((1, 0), (0, 0))), axis=0)
     scale = 2.0 * np.sqrt(om2)
 
-    def stat(e, s):
-        den = _at(Q, e) - _at(Q, s)
+    def stat(e, s):  # NaN where den is 0
+        den, st = _at(Q, e) - _at(Q, s), _at(sq_end, e) - _at(sq, s)
         with np.errstate(divide="ignore", invalid="ignore"):
-            st = (_at(sq_end, e) - _at(sq, s) - om2 * (e - s)) / (scale * np.sqrt(den))
-        return np.where(den > 0, st, np.nan)
+            np.subtract(st, np.multiply(om2, e - s + 0.0), out=st)
+            r = np.sqrt(den)
+            np.divide(st, np.multiply(scale, r, out=r), out=st)
+        np.copyto(st, np.nan, where=den == 0)
+        return st
 
     return stat
 
 
 def _tt_rows(Y: np.ndarray, strict: bool = False):
-    """Time-transformed closed form of a panel; a degenerate row is NaN (strict: raises)."""
-    ytil, om2 = np.full((len(Y), Y.shape[1] + 1), np.nan), np.full((len(Y), 1), np.nan)
-    for i, v in enumerate(Y):
-        with suppress(() if strict else DegenerateFitError):
-            ytil[i], prof = _transformed(v, None)
-            om2[i] = prof.omega_bar2
-    return _tt_window(ytil, om2)
+    """Time-transformed closed form of a panel, every row's variance
+    profile from one pass; a degenerate row is NaN (strict: raises)."""
+    return _tt_window(Y, *_profiles(Y, None, strict)[:2])
 
 
 def time_transformed_tests(
@@ -357,6 +364,6 @@ def time_transformed_tests(
     """
     v = as_values(series)
     tau0, m0 = _resolve_tau0(v.size, tau0)
-    ytil, prof = _transformed(v, bandwidth)
-    args = _tt_window(ytil[None], np.array([[prof.omega_bar2]])), m0, v.size, tau0
+    prof = variance_profile(v, bandwidth)
+    args = _tt_window(v[None], prof.eta[None], np.array([prof.omega_bar2])), m0, v.size, tau0
     return TimeTransformedTests(_sup("stadf", False, *args), _sup("gstadf", True, *args), prof)

@@ -614,3 +614,30 @@ class TestSizePower:
         assert loaded["critical_value"] == 2.0
         assert loaded["replications"] == 50
         assert isinstance(study, SizePowerStudy)
+
+
+class TestSimulateBits:
+    """Paths equal the per-t recursion of :func:`_replay` bit for bit: the
+    unit-root stretches are summed in order, as the recursion adds."""
+
+    VOL = VolPath.single_break(0.5, 1.0, 3.0)
+    SPECS = {
+        "bubble, reinit": dict(kind="pwy_bubble", T=120, tau_e=0.3, tau_c=0.6, c=1.5, alpha=0.6, y_star=4.0, y0=20.0),
+        "bubble, no reinit": dict(kind="pwy_bubble", T=120, tau_e=0.3, tau_c=0.6, c=0.0, alpha=0.6, y0=20.0),
+        "bubble to the end": dict(kind="pwy_bubble", T=200, tau_e=0.8, tau_c=1.0, c=1.0, alpha=0.6, y0=100.0),
+        "bubble from t = 1": dict(kind="pwy_bubble", T=60, tau_e=0.0, tau_c=0.5, c=1.0, alpha=0.6, y_star=2.0),
+        "bubble of one step": dict(kind="pwy_bubble", T=100, tau_e=0.5, tau_c=0.505, c=2.0, alpha=0.6, y0=-3.0),
+        "collapse, drift": dict(kind="collapse_bubble", T=150, tau_e=0.3, tau_c=0.5, tau_r=0.7, c1=2.0, alpha=0.55,
+                                c2=1.5, beta=0.45, mu=0.5, eta=0.8, y0=10.0),
+        "collapse, no drift": dict(kind="collapse_bubble", T=150, tau_e=0.0, tau_c=0.4, tau_r=0.6, delta1=0.05,
+                                   delta2=0.1, y0=10.0, innovations="student-t"),
+        "collapse to the end": dict(kind="collapse_bubble", T=90, tau_e=0.4, tau_c=0.8, tau_r=1.0, delta1=0.03,
+                                    delta2=0.2, mu=-0.7, y0=5.0),
+    }
+
+    @pytest.mark.parametrize("name", SPECS)
+    def test_equals_the_per_t_recursion(self, name):
+        for seed in (1, 2, 3):
+            for vol in (None, self.VOL):
+                spec = DgpSpec(**self.SPECS[name], seed=seed)
+                assert simulate(spec, vol).values.tobytes() == _replay(spec, vol).tobytes(), (name, seed)

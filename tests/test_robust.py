@@ -1,5 +1,8 @@
 """Volatility-robust statistics: oracle equality and exact invariances."""
 
+import warnings
+from contextlib import suppress
+
 import numpy as np
 import pytest
 
@@ -463,3 +466,204 @@ class TestCurvePanels:
                 seq = bt._REGISTRY[name].observe(v, self.TAU0, "const", 0).sequence
                 np.testing.assert_array_equal(curve[r, m0:], seq.values)
             np.testing.assert_array_equal(starts, np.where(np.isnan(curve), -1, 0))
+
+
+def _ref_smooth(x, T, h):
+    """The per-row kernel smoother: full convolutions of the row and of ones, sliced."""
+    n = T - 1
+    u = np.arange(1 - n, n, dtype=float) / (T * h)
+    w = np.exp(-0.5 * u * u)
+    return np.convolve(x, w)[n - 1 : 2 * n - 1] / np.convolve(np.ones(n), w)[n - 1 : 2 * n - 1]
+
+
+def _ref_transformed(v):
+    """(path, om2, eta, source indices) of one series, step by step: its variance profile,
+    the profile inverse by ``searchsorted`` at each grid point, the floor
+    map and the shifted resampled path."""
+    T = v.size
+    dy = np.diff(v)
+    eps2 = (dy - _ref_smooth(dy, T, T ** (-1.0 / 5.0))) ** 2
+    total = float(eps2.sum())
+    if not total > 0:
+        raise DegenerateFitError("all innovation proxies are zero")
+    eta = np.zeros(T + 1)
+    eta[2:] = np.cumsum(eps2) / total
+    eta[T] = 1.0
+    grid = np.arange(T + 1) / T
+    j = np.searchsorted(eta, grid, side="left")
+    g = np.zeros(T + 1)
+    inner = j > 0
+    jj = np.minimum(j[inner], T)
+    e0, e1 = eta[jj - 1], eta[jj]
+    flat = e1 == e0
+    frac = np.where(flat, 0.0, (grid[inner] - e0) / np.where(flat, 1.0, e1 - e0))
+    g[inner] = grid[jj - 1] + frac * (grid[jj] - grid[jj - 1])
+    idx = np.maximum(np.floor(g * T + 1e-9).astype(np.int64), 1)
+    ytil = v[idx - 1]
+    return ytil - ytil[0], total / T, eta, idx
+
+
+def _ref_at(A, idx):
+    return A[:, idx]
+
+
+def _raw_signs(Y):
+    """Row-major (rows, T+1) raw sign paths of a (rows, T) panel."""
+    return np.pad(np.cumsum(np.sign(np.diff(Y, axis=1)), axis=1), ((0, 0), (2, 0)))
+
+
+def _ref_sign_window(C):
+    """The sign closed form on row-major (rows, T+1) sign paths, IEEE
+    special cases spelled out with ``np.where``."""
+    dC, x = np.diff(C, axis=1), C[:, :-1]
+    A, B, D = np.cumsum(np.pad(np.stack([x * dC, x * x, dC * dC]), ((0, 0), (0, 0), (1, 0))), axis=2)
+
+    def stat(e, s):
+        a, b, d = _ref_at(A, e) - _ref_at(A, s), _ref_at(B, e) - _ref_at(B, s), _ref_at(D, e) - _ref_at(D, s)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            delta = a / b
+            sse = d - a * a / b
+            st = np.where(sse > 0, delta * np.sqrt(b * (e - s - 1) / sse), np.sign(delta) * np.inf)
+        return np.where(b > 0, st, np.nan)
+
+    return stat
+
+
+def _ref_tt_window(Y):
+    """The time-transformed closed form on row-major paths from :func:`_ref_transformed`, NaN for a degenerate row."""
+    ytil, om2 = np.full((len(Y), Y.shape[1] + 1), np.nan), np.full((len(Y), 1, 1), np.nan)
+    for i, v in enumerate(Y):
+        with suppress(DegenerateFitError):
+            ytil[i], om2[i] = _ref_transformed(v)[:2]
+    sq, sq_end = ytil**2, np.float_power(ytil, 2.0)
+    Q = np.cumsum(np.pad(sq[:, :-1], ((0, 0), (1, 0))), axis=1)
+    scale = 2.0 * np.sqrt(om2)
+
+    def stat(e, s):
+        den = _ref_at(Q, e) - _ref_at(Q, s)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            st = (_ref_at(sq_end, e) - _ref_at(sq, s) - om2 * (e - s)) / (scale * np.sqrt(den))
+        return np.where(den > 0, st, np.nan)
+
+    return stat
+
+
+def _ref_sups(stat, rows, m0, T, double):
+    """Curves, starts and row sups by brute force over the (rows, s, e) grid
+    of ``stat``: the largest value at each e, the smallest start among ties."""
+    e, s = np.arange(T + 1)[None], np.arange(T + 1)[:, None]
+    grid = stat(e, s if double else np.zeros((1, 1), dtype=np.int64))
+    grid = np.where((s <= e - m0) if double else (e >= m0) & (s == 0), grid, np.nan)
+    defined = ~np.isnan(grid)
+    curve = np.where(defined.any(axis=1), np.max(np.where(defined, grid, -np.inf), axis=1), np.nan)
+    first = np.argmax(defined & (grid == curve[:, None]), axis=1)
+    starts = np.where(np.isnan(curve), -1, first if double else 0)
+    return curve, starts, np.fmax.reduce(curve[:, m0:], axis=1)
+
+
+class TestPanelProfiles:
+    """Every row's variance profile from one panel pass equals the
+    step-by-step per-row construction of :func:`_ref_transformed` bit for bit."""
+
+    def _panels(self):
+        rng = np.random.default_rng(2024)
+        walks = 100.0 + np.cumsum(rng.standard_normal((12, 90)), axis=1)
+        breaks = np.cumsum(rng.standard_normal((8, 120)) * np.r_[np.ones(60), 3.0 * np.ones(60)], axis=1)
+        late = np.cumsum(rng.standard_normal((4, 120)) * np.r_[3.0 * np.ones(90), 0.2 * np.ones(30)], axis=1)
+        ints = np.cumsum(rng.integers(-3, 4, size=(8, 70)), axis=1).astype(float)
+        return {"walks": walks, "breaks": np.vstack([breaks, late]), "integers": ints,
+                "x1e-9": walks * 1e-9, "x1e12": walks * 1e12, "flat start": TestPanels()._panel()[:-1]}
+
+    def test_rows_equal_the_per_row_construction(self):
+        for name, Y in self._panels().items():
+            eta, om2, h = robust._profiles(Y, None)
+            idx = robust._source_indices(eta)
+            assert h == Y.shape[1] ** (-1.0 / 5.0) and idx.shape == eta.shape == (len(Y), Y.shape[1] + 1)
+            for i, v in enumerate(Y):
+                _, want_om2, want_eta, want_idx = _ref_transformed(v)
+                assert eta[i].tobytes() == want_eta.tobytes(), name
+                assert om2[i] == want_om2, name
+                np.testing.assert_array_equal(idx[i], want_idx)
+                prof = variance_profile(v)
+                assert prof.eta.tobytes() == want_eta.tobytes() and prof.omega_bar2 == want_om2
+                np.testing.assert_array_equal(prof.transform_indices(), want_idx)
+                dy = np.diff(v)
+                assert kernel_variance(v).tobytes() == _ref_smooth(dy**2, v.size, h).tobytes()
+
+    def test_flat_row_is_nan_without_a_warning(self):
+        Y = self._panels()["walks"][:4].copy()
+        Y[2] = 7.0
+        m0 = frac_to_index(0.3, Y.shape[1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            eta, om2, _ = robust._profiles(Y, None)
+            idx = robust._source_indices(eta)
+            curve = bt._REGISTRY["gstadf"].curves(Y, m0)[0]
+            scores = bt._REGISTRY["gstadf"].curves(Y, m0, sups=True)
+        assert np.isnan(om2[2]) and np.isnan(curve[2]).all() and np.isnan(scores[2])
+        assert ((idx[2] >= 1) & (idx[2] <= Y.shape[1])).all()  # a flat profile still maps inside the sample
+        for i in (0, 1, 3):
+            _, want_om2, _, want_idx = _ref_transformed(Y[i])
+            assert om2[i] == want_om2 and np.array_equal(idx[i], want_idx)
+            assert np.isfinite(scores[i])
+
+    def test_strict_raises(self):
+        Y = self._panels()["walks"][:3].copy()
+        Y[1] = -2.5
+        with pytest.raises(DegenerateFitError, match="all innovation proxies are zero"):
+            robust._profiles(Y, None, strict=True)
+        m0 = frac_to_index(0.3, Y.shape[1])
+        with pytest.raises(DegenerateFitError, match="all innovation proxies are zero"):
+            bt._REGISTRY["gstadf"].curves(Y, m0, strict=True)
+
+
+class TestTimeMajorScans:
+    """The time-major sign and time-transformed scans equal the row-major
+    closed forms above, with their IEEE special cases spelled out, on every
+    window, and so in curves, starts and row sups."""
+
+    def _panel(self):
+        # TestPanels' rows (ties, an exact-fit stretch, a flat start, a
+        # constant row), a down step after one up step then a flat stretch
+        # (sign windows that fit exactly with slope -1: -inf), and walks
+        T = TestPanels.T
+        rng = np.random.default_rng(5)
+        drop = np.concatenate([[0.0, 1.0], np.zeros(20), np.cumsum(rng.standard_normal(T - 22))])
+        walks = np.cumsum(rng.standard_normal((3, T)), axis=1)
+        return np.vstack([TestPanels()._panel(), drop, walks])
+
+    def test_closed_forms_on_every_window(self):
+        Y = self._panel()
+        T = Y.shape[1]
+        e, s = np.arange(T + 1), np.arange(T + 1)
+        live = s[:, None] <= e[None] - 2  # windows of two or more observations, as every scan reads
+        # beside the raw sign paths, geometric paths growing and decaying by
+        # 10% a step, whose exact-fit sse rounds to 0 or below: +inf and -inf
+        geometric = np.stack([1.1 ** np.arange(T + 1), 0.9 ** np.arange(T + 1)])
+        C = np.vstack([_raw_signs(Y), geometric])
+        eta, om2, _ = robust._profiles(Y, None)
+        pairs = (
+            (robust._sign_window(np.ascontiguousarray(C.T)), _ref_sign_window(C)),
+            (robust._tt_window(Y, eta, om2), _ref_tt_window(Y)),
+        )
+        for new, ref in pairs:
+            got = new(e[None, :, None], s[:, None, None]).transpose(2, 0, 1)
+            want = ref(e[None], s[:, None])
+            np.testing.assert_array_equal(got[:, live], want[:, live])
+        sign = _ref_sign_window(C)(e[None], s[:, None])[:, live]
+        assert np.isneginf(sign[:-1]).any() and np.isposinf(sign[-2]).any() and np.isneginf(sign[-1]).any()
+        assert np.isnan(sign[4]).all()  # b = 0: the lagged sign path of the constant row is 0
+
+    def test_curves_starts_and_sups(self):
+        Y = self._panel()
+        T = Y.shape[1]
+        m0 = frac_to_index(TestPanels.TAU0, T)
+        sign, tt = _ref_sign_window(_raw_signs(Y)), _ref_tt_window(Y)
+        for name, ref, double in (("sign_sadf", sign, False), ("sign_gsadf", sign, True),
+                                  ("stadf", tt, False), ("gstadf", tt, True)):
+            curve, starts, sups = _ref_sups(ref, len(Y), m0, T, double)
+            got_curve, got_starts = bt._REGISTRY[name].curves(Y, m0)
+            assert got_curve.tobytes() == curve.tobytes(), name
+            np.testing.assert_array_equal(got_starts, starts)
+            np.testing.assert_array_equal(bt._REGISTRY[name].curves(Y, m0, sups=True), sups)
+            assert np.isnan(sups[-5]) and np.isfinite(sups[:-5]).all(), name
