@@ -298,7 +298,7 @@ def _walk(prev: float, eps: np.ndarray, drift: float | None = None) -> np.ndarra
     steps (drifts and innovations interleaved), bit for bit the recursion."""
     k = 1 if drift is None else 2  # sums per step
     steps = eps if k == 1 else np.column_stack([np.full(eps.size, drift), eps]).ravel()
-    return np.cumsum(np.r_[prev, steps])[k::k]
+    return np.cumsum(np.concatenate(([prev], steps)))[k::k]
 
 
 @dataclass(frozen=True)

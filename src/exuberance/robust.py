@@ -333,7 +333,7 @@ def _tt_window(Y: np.ndarray, eta: np.ndarray, om2: np.ndarray):
     Q = np.cumsum(np.pad(sq[:-1], ((1, 0), (0, 0))), axis=0)
     scale = 2.0 * np.sqrt(om2)
 
-    def stat(e, s):  # NaN where den is 0
+    def stat(e, s):  # Q sums squares, so den >= 0: NaN where it is 0
         den, st = _at(Q, e) - _at(Q, s), _at(sq_end, e) - _at(sq, s)
         with np.errstate(divide="ignore", invalid="ignore"):
             np.subtract(st, np.multiply(om2, e - s + 0.0), out=st)
