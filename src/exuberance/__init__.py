@@ -2,194 +2,25 @@
 
 Detection (sup ADF families and robust variants), wild-bootstrap
 inference, episode date-stamping, post-detection diagnostics, and data
-generators for simulation studies.
+generators for simulation studies.  The package exports the ``__all__``
+list of each module; other helpers are reached by module path.
 """
 
-from .bootstrap import (
-    BootstrapReport,
-    BootstrapUnionReport,
-    CompositeCvReport,
-    SubsamplingCv,
-    bootstrap_union,
-    bsadf_window_max,
-    composite_monitor_cv,
-    multiplier_draws,
-    subsampling_cv,
-    wild_bootstrap_pvalue,
-)
-from .datestamp import (
-    BubbleModelFit,
-    CvSequence,
-    Episode,
-    ModelSelection,
-    bic_init,
-    default_min_duration,
-    episodes_to_csv,
-    episodes_to_json,
-    fit_bubble_model,
-    psy_stamp,
-    pwy_stamp,
-    rule_critical_value,
-    select_model_bic,
-    sign_stamp,
-    training_max_monitor,
-    two_step_stamp,
-)
-from .dgpsim import (
-    DGP_KINDS,
-    INNOVATIONS,
-    VOL_KINDS,
-    CvTable,
-    DgpSpec,
-    SizePowerStudy,
-    VolPath,
-    simulate,
-    size_power_study,
-    tabulate_critical_values,
-)
-from .exceptions import DataError, DegenerateFitError, ExuberanceError
-from .inference import (
-    CAUCHY_PERCENTILES,
-    CobubbleTest,
-    ContagionFit,
-    DriftExponent,
-    MigrationTest,
-    MildlyExplosiveCI,
-    cauchy_ci,
-    cauchy_critical_value,
-    cobubble_test,
-    contagion_delay,
-    drift_exponent,
-    migration_test,
-    recursive_ar_coefficients,
-    rolling_ar_coefficients,
-    t_ci,
-)
-from .ols import (
-    AdfFit,
-    adf_stat,
-    adf_tstat_pairs,
-    fit_adf_window,
-    gls_adjust,
-)
-from .recursive import (
-    EndOfSampleStats,
-    StatSequence,
-    SupResult,
-    UnionDecision,
-    end_of_sample_stats,
-    gsadf,
-    hb_sup_chow,
-    sadf,
-    sadf_gls,
-    union_of_rejections,
-)
-from .robust import (
-    SignStatistics,
-    TimeTransformedTests,
-    VarianceProfile,
-    kernel_variance,
-    sbz,
-    sign_path,
-    sign_statistics,
-    time_transformed_tests,
-    variance_profile,
-)
-from .series import (
-    Series,
-    WindowSpec,
-    default_min_window,
-    frac_to_index,
-    load_series,
-    save_series,
-)
+from . import bootstrap, datestamp, dgpsim, exceptions, inference, ols, recursive, robust, series
+from .bootstrap import *  # noqa: F403
+from .datestamp import *  # noqa: F403
+from .dgpsim import *  # noqa: F403
+from .exceptions import *  # noqa: F403
+from .inference import *  # noqa: F403
+from .ols import *  # noqa: F403
+from .recursive import *  # noqa: F403
+from .robust import *  # noqa: F403
+from .series import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "ExuberanceError",
-    "DataError",
-    "DegenerateFitError",
-    "Series",
-    "WindowSpec",
-    "frac_to_index",
-    "default_min_window",
-    "load_series",
-    "save_series",
-    "AdfFit",
-    "fit_adf_window",
-    "adf_stat",
-    "adf_tstat_pairs",
-    "gls_adjust",
-    "StatSequence",
-    "SupResult",
-    "sadf",
-    "gsadf",
-    "hb_sup_chow",
-    "sadf_gls",
-    "EndOfSampleStats",
-    "end_of_sample_stats",
-    "UnionDecision",
-    "union_of_rejections",
-    "SignStatistics",
-    "sign_path",
-    "sign_statistics",
-    "TimeTransformedTests",
-    "time_transformed_tests",
-    "VarianceProfile",
-    "variance_profile",
-    "kernel_variance",
-    "sbz",
-    "BootstrapReport",
-    "wild_bootstrap_pvalue",
-    "CompositeCvReport",
-    "composite_monitor_cv",
-    "bsadf_window_max",
-    "SubsamplingCv",
-    "subsampling_cv",
-    "BootstrapUnionReport",
-    "bootstrap_union",
-    "multiplier_draws",
-    "Episode",
-    "CvSequence",
-    "rule_critical_value",
-    "default_min_duration",
-    "pwy_stamp",
-    "psy_stamp",
-    "bic_init",
-    "BubbleModelFit",
-    "fit_bubble_model",
-    "ModelSelection",
-    "select_model_bic",
-    "two_step_stamp",
-    "sign_stamp",
-    "training_max_monitor",
-    "episodes_to_json",
-    "episodes_to_csv",
-    "CAUCHY_PERCENTILES",
-    "MildlyExplosiveCI",
-    "cauchy_critical_value",
-    "cauchy_ci",
-    "t_ci",
-    "DriftExponent",
-    "drift_exponent",
-    "recursive_ar_coefficients",
-    "rolling_ar_coefficients",
-    "MigrationTest",
-    "migration_test",
-    "ContagionFit",
-    "contagion_delay",
-    "CobubbleTest",
-    "cobubble_test",
-    "DGP_KINDS",
-    "VOL_KINDS",
-    "INNOVATIONS",
-    "VolPath",
-    "DgpSpec",
-    "simulate",
-    "CvTable",
-    "tabulate_critical_values",
-    "SizePowerStudy",
-    "size_power_study",
+    *(name for module in (exceptions, series, ols, recursive, robust, bootstrap, datestamp, inference, dgpsim)
+      for name in module.__all__),
 ]

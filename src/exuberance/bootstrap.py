@@ -17,7 +17,6 @@ driver with one member.  Chunking changes no draw and no value.
 
 from __future__ import annotations
 
-import csv
 from collections.abc import Callable
 from contextlib import suppress
 from dataclasses import dataclass, field
@@ -28,16 +27,10 @@ from . import ols, recursive, robust
 from .exceptions import DegenerateFitError
 from .ols import CHUNK_CELLS
 from .recursive import SupResult, _resolve_tau0
-from .series import DEFAULT_DET, DEFAULT_K, as_values
+from .series import DEFAULT_DET, DEFAULT_K, _write_csv, as_values
 
 __all__ = [
-    "MULTIPLIERS",
-    "STATISTICS",
-    "MIN_REPLICATIONS",
-    "MAX_DEGENERATE_SHARE",
-    "DEFAULT_MONITOR_SPAN",
     "multiplier_draws",
-    "replicate_rng",
     "BootstrapReport",
     "wild_bootstrap_pvalue",
     "CompositeCvReport",
@@ -273,11 +266,9 @@ class BootstrapReport:
 
     def dump_replicates(self, path: str) -> None:
         """Write the replicate values to CSV (blank cell for degenerate)."""
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["replicate", "value"])
-            for i, val in enumerate(self.replicates):
-                w.writerow([i, "" if np.isnan(val) else format(val, ".17g")])
+        _write_csv(path, ["replicate", "value"], (
+            [i, "" if np.isnan(val) else format(val, ".17g")] for i, val in enumerate(self.replicates)
+        ))
 
 
 def _degenerate_guard(n_bad: int, B: int, what: str) -> None:

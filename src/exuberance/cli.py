@@ -14,7 +14,6 @@ Exit codes: 0 when the run completed (a non-rejection is not an error),
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -57,7 +56,7 @@ from .inference import (
     rolling_ar_coefficients,
 )
 from .recursive import StatSequence, gsadf, sadf
-from .series import DEFAULT_DET, DEFAULT_K, _JsonFields, _jsonable, default_min_window, frac_to_index, load_series
+from .series import DEFAULT_DET, DEFAULT_K, _JsonFields, _jsonable, _write_csv, default_min_window, frac_to_index, load_series
 
 __all__ = [
     "RunConfig",
@@ -571,10 +570,7 @@ def emit_plot_data(report, path) -> int:
         for lo, hi in ranges:
             for i in range(lo, hi + 1):
                 rows.append([i, str(i), "", "", 1])
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "label", "statistic", "cv", "in_episode"])
-        writer.writerows(rows)
+    _write_csv(path, ["index", "label", "statistic", "cv", "in_episode"], rows)
     return len(rows)
 
 

@@ -12,7 +12,6 @@ information-criterion comparison.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -23,11 +22,9 @@ from . import ols, recursive
 from .exceptions import DegenerateFitError
 from .recursive import StatSequence, _resolve_tau0
 from .robust import _sign_moments, sign_path
-from .series import Series, as_values, frac_to_index
+from .series import Series, _write_csv, as_values, frac_to_index
 
 __all__ = [
-    "CV_SOURCES",
-    "BIC_PENALTY",
     "Episode",
     "CvSequence",
     "rule_critical_value",
@@ -159,38 +156,29 @@ def episodes_to_json(episodes) -> str:
 
 def episodes_to_csv(path, episodes, series: Series | None = None) -> None:
     """Write episodes as CSV; adds date labels when the series has them."""
-    labels = series.labels if series is not None and series.labels is not None else None
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        head = [
-            "origin",
-            "collapse",
-            "recovery",
-            "model",
-            "origin_index",
-            "collapse_index",
-            "recovery_index",
+    labels = series.labels if series is not None else None
+    head = ["origin", "collapse", "recovery", "model", "origin_index", "collapse_index", "recovery_index"]
+    if labels is not None:
+        head += ["origin_label", "collapse_label", "recovery_label"]
+    rows = []
+    for ep in episodes:
+        row = [
+            format(ep.origin, ".17g"),
+            format(ep.collapse, ".17g"),
+            "" if ep.recovery is None else format(ep.recovery, ".17g"),
+            "" if ep.model is None else ep.model,
+            ep.origin_index,
+            ep.collapse_index,
+            "" if ep.recovery_index is None else ep.recovery_index,
         ]
         if labels is not None:
-            head += ["origin_label", "collapse_label", "recovery_label"]
-        w.writerow(head)
-        for ep in episodes:
-            row = [
-                format(ep.origin, ".17g"),
-                format(ep.collapse, ".17g"),
-                "" if ep.recovery is None else format(ep.recovery, ".17g"),
-                "" if ep.model is None else ep.model,
-                ep.origin_index,
-                ep.collapse_index,
-                "" if ep.recovery_index is None else ep.recovery_index,
+            row += [
+                labels[ep.origin_index - 1],
+                labels[ep.collapse_index - 1],
+                "" if ep.recovery_index is None else labels[ep.recovery_index - 1],
             ]
-            if labels is not None:
-                row += [
-                    labels[ep.origin_index - 1],
-                    labels[ep.collapse_index - 1],
-                    "" if ep.recovery_index is None else labels[ep.recovery_index - 1],
-                ]
-            w.writerow(row)
+        rows.append(row)
+    _write_csv(path, head, rows)
 
 
 def _resolve_cv(seq: StatSequence, cv) -> CvSequence:

@@ -15,7 +15,6 @@ stores empirical quantiles in an immutable, self-describing table.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
@@ -26,7 +25,7 @@ import numpy as np
 
 from .bootstrap import _replicate_values, _resolve, replicate_rng
 from .exceptions import DataError, DegenerateFitError
-from .series import Series, _JsonFields, default_min_window, frac_to_index
+from .series import Series, _JsonFields, _write_csv, default_min_window, frac_to_index
 
 __all__ = [
     "DGP_KINDS",
@@ -411,17 +410,11 @@ class CvTable:
             raise DataError(f"{path} is a malformed critical-value table: {exc!r}") from exc
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["statistic", "T", "tau0", "det", "k", "level", "value"])
-            for T in self.sample_sizes:
-                for p in self.levels:
-                    w.writerow([
-                        self.statistic, T,
-                        "" if self.tau0 is None else format(self.tau0, ".17g"),
-                        self.det, self.k, format(p, ".17g"),
-                        format(self.values[(T, p)], ".17g"),
-                    ])
+        tau0 = "" if self.tau0 is None else format(self.tau0, ".17g")
+        _write_csv(path, ["statistic", "T", "tau0", "det", "k", "level", "value"], (
+            [self.statistic, T, tau0, self.det, self.k, format(p, ".17g"), format(self.values[(T, p)], ".17g")]
+            for T in self.sample_sizes for p in self.levels
+        ))
 
 
 def _table_value(table: CvTable, statistic, T: int, level: float, tau0, det, k) -> float:

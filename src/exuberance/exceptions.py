@@ -4,6 +4,8 @@ The CLI maps these onto exit codes: usage/contract problems exit 1, data
 problems exit 2.
 """
 
+__all__ = ["ExuberanceError", "DataError", "DegenerateFitError"]
+
 
 class ExuberanceError(Exception):
     """Base class for all package-specific errors."""

@@ -59,12 +59,7 @@ __all__ = [
     "fit_adf_window",
     "adf_stat",
     "adf_tstat_pairs",
-    "sadf_prefix_stats",
-    "bsadf_backward",
     "gls_adjust",
-    "tstat_ar_noconst",
-    "GLS_CBAR",
-    "COND_LIMIT",
 ]
 
 COND_LIMIT = 1.0e12

@@ -24,8 +24,6 @@ from .exceptions import DataError
 __all__ = [
     "Series",
     "WindowSpec",
-    "DETERMINISTICS",
-    "normalize_det",
     "frac_to_index",
     "default_min_window",
     "load_series",
@@ -257,19 +255,29 @@ def load_series(
     )
 
 
-def save_series(path: str, series: Series) -> None:
-    """Write a series as CSV; numbers carry 17 significant digits so that
-    ``load_series`` round-trips them bit-exactly."""
+def _write_csv(path, header, rows) -> None:
+    """Write a header and rows as UTF-8 CSV in the csv module's default dialect."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
-        if series.labels is not None:
-            w.writerow(["label", series.name])
-            for lab, v in zip(series.labels, series.values):
-                w.writerow([lab, format(v, ".17g")])
-        else:
-            w.writerow([series.name])
-            for v in series.values:
-                w.writerow([format(v, ".17g")])
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def save_series(path: str, series: Series) -> None:
+    """Write a series as CSV; numbers carry 17 significant digits so that
+    ``load_series`` round-trips them bit-exactly.  A name that parses as a
+    number would load back as a data row, so it raises DataError."""
+    try:
+        float(series.name)
+    except (TypeError, ValueError):
+        pass
+    else:
+        raise DataError(f"series name {series.name!r} reads as a number, so it cannot head a CSV column")
+    values = [format(v, ".17g") for v in series.values]
+    if series.labels is None:
+        _write_csv(path, [series.name], ([v] for v in values))
+    else:
+        _write_csv(path, ["label", series.name], zip(series.labels, values))
 
 
 def as_values(data: "Series | np.ndarray | list") -> np.ndarray:

@@ -143,6 +143,22 @@ class TestCsvIo:
         back = load_series(path)
         np.testing.assert_array_equal(back.values, vals)
 
+    @pytest.mark.parametrize("name", ["2020", "nan", "inf", " 1e3"])
+    @pytest.mark.parametrize("labels", [None, ["a", "b", "c"]])
+    def test_numeric_name_refused(self, tmp_path, name, labels):
+        # load_series would read such a header back as a data row
+        path = tmp_path / "s.csv"
+        with pytest.raises(DataError, match=repr(name)):
+            save_series(path, Series([1.5, 2.5, 3.25], labels=labels, name=name))
+        assert not path.exists()
+
+    def test_name_that_reads_as_text_round_trips(self, tmp_path):
+        path = tmp_path / "s.csv"
+        save_series(path, Series([1.5, 2.5, 3.25], labels=["a", "b", "c"], name="2020-price"))
+        back = load_series(path, label_column=0)
+        assert back.name == "2020-price" and back.labels == ["a", "b", "c"]
+        np.testing.assert_array_equal(back.values, [1.5, 2.5, 3.25])
+
     def test_headerless_single_column(self, tmp_path):
         path = tmp_path / "raw.csv"
         path.write_text("1.5\n2.5\n3.5\n")
