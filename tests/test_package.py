@@ -77,9 +77,3 @@ def test_helpers_import_by_module_path(module_name):
         assert hasattr(module, name)
         assert name not in module.__all__
         assert name not in exuberance.__all__
-
-
-def test_module_import_statement():
-    from exuberance.ols import bsadf_backward
-
-    assert callable(bsadf_backward)
