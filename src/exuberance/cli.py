@@ -18,6 +18,7 @@ import json
 import os
 import sys
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 
@@ -56,7 +57,7 @@ from .inference import (
     rolling_ar_coefficients,
 )
 from .recursive import StatSequence, gsadf, sadf
-from .series import DEFAULT_DET, DEFAULT_K, _JsonFields, _jsonable, _write_csv, default_min_window, frac_to_index, load_series
+from .series import DEFAULT_DET, DEFAULT_K, DETERMINISTICS, _JsonFields, _jsonable, _write_csv, default_min_window, frac_to_index, load_series
 
 __all__ = [
     "RunConfig",
@@ -75,10 +76,8 @@ SCHEMA_VERSION = 1
 #: command line nor a config file provides one.
 SEED_ENV_VAR = "EXUBERANCE_SEED"
 
-SUBCOMMANDS = ("test", "datestamp", "monitor", "simulate-cv", "study", "relate", "plot-data")
 DATESTAMP_METHODS = ("pwy", "psy", "two-step", "sign", "ssr-bic")
 RELATE_METHODS = ("migration", "contagion", "cobubble")
-DET_CHOICES = ("none", "const", "trend")
 
 class UsageError(ExuberanceError):
     """Raised for bad flags, bad config files, or incompatible options."""
@@ -145,9 +144,13 @@ class RunConfig(_JsonFields):
                 raise UsageError(f"config field {f.name!r} must be {f.type}, got {value!r}")
             if isinstance(value, list):  # a JSON array of a tuple field
                 object.__setattr__(self, f.name, tuple(value))
-        if self.subcommand not in SUBCOMMANDS:
+        if self.subcommand not in _COMMANDS:
             raise UsageError(
-                f"unknown subcommand {self.subcommand!r}; choose from {SUBCOMMANDS}"
+                f"unknown subcommand {self.subcommand!r}; choose from {tuple(_COMMANDS)}"
+            )
+        if self.cv not in ("rule", "bootstrap") and not self.cv.startswith("table:"):
+            raise UsageError(
+                f"--cv must be 'rule', 'bootstrap', or 'table:<path>', got {self.cv!r}"
             )
         if isinstance(self.tau0, str) and self.tau0 != "auto":
             raise UsageError(f"tau0 must be a number or 'auto', got {self.tau0!r}")
@@ -167,21 +170,17 @@ class RunConfig(_JsonFields):
 
 
 def _resolve_tau0(tau0, T: int) -> float:
-    if tau0 == "auto":
-        return default_min_window(T)
-    return float(tau0)
+    return default_min_window(T) if tau0 == "auto" else float(tau0)
 
 
 def _load_input(config: RunConfig, attr: str = "input"):
     path = getattr(config, attr)
     if path is None:
         raise UsageError(f"--{attr} is required for '{config.subcommand}'")
-    column = config.column
-    if isinstance(column, str) and column.lstrip("-").isdigit():
-        column = int(column)
-    label_column = config.label_column
-    if isinstance(label_column, str) and label_column.lstrip("-").isdigit():
-        label_column = int(label_column)
+    column, label_column = (
+        int(c) if isinstance(c, str) and c.lstrip("-").isdigit() else c
+        for c in (config.column, config.label_column)
+    )
     return load_series(path, column=column, label_column=label_column)
 
 
@@ -203,21 +202,19 @@ def _check_stat_options(config: RunConfig) -> None:
         )
 
 
-def _sequence_dict(seq, series=None, cv=None) -> dict:
+def _sequence_dict(seq, series, cv) -> dict:
     ends = np.rint(np.asarray(seq.tau2, dtype=float) * seq.nobs).astype(int)
     out = {
         "kind": seq.kind,
         "tau0": float(seq.tau0),
         "nobs": int(seq.nobs),
         "index": ends.tolist(),
-        "values": _jsonable(np.asarray(seq.values, dtype=float)),
+        "values": seq.values,
     }
-    labels = getattr(series, "labels", None)
-    if labels is not None:
+    if series.labels is not None:
         # grid point i is observation i (1-based); hb_chow's break index 0 has none
-        out["labels"] = [str(labels[i - 1]) if i > 0 else None for i in ends]
-    if cv is not None:
-        out["cv"] = _jsonable(cv)
+        out["labels"] = [str(series.labels[i - 1]) if i > 0 else None for i in ends]
+    out["cv"] = cv
     return out
 
 
@@ -226,8 +223,7 @@ def _run_test(config: RunConfig) -> dict:
     T = len(series)
     tau0 = _resolve_tau0(config.tau0, T)
     _check_stat_options(config)
-    p_value = None
-    n_degenerate = 0
+    p_value, n_degenerate = None, 0
     if config.cv == "bootstrap":
         rep = wild_bootstrap_pvalue(
             series, config.stat, tau0=tau0, B=config.B,
@@ -241,13 +237,9 @@ def _run_test(config: RunConfig) -> dict:
         res = _REGISTRY[config.stat].observe(series, tau0, config.det, config.k)
         if config.cv == "rule":
             cv = rule_critical_value(T)
-        elif config.cv.startswith("table:"):
+        else:
             table = CvTable.from_json(config.cv[len("table:"):])
             cv = _table_value(table, config.stat, T, config.level, tau0, config.det, config.k)
-        else:
-            raise UsageError(
-                f"--cv must be 'rule', 'bootstrap', or 'table:<path>', got {config.cv!r}"
-            )
         reject = res.value > cv
 
     return {
@@ -256,8 +248,8 @@ def _run_test(config: RunConfig) -> dict:
         "statistic": config.stat,
         "observed": res.value,
         "tau0": tau0,
-        "argmax": _jsonable(res.argmax),
-        "window": _jsonable(res.window),
+        "argmax": res.argmax,
+        "window": res.window,
         "cv_source": config.cv.partition(":")[0],
         "critical_value": float(cv),
         "p_value": p_value,
@@ -292,13 +284,11 @@ def _run_datestamp(config: RunConfig) -> dict:
             "this estimator does not run ADF-style regressions"
         )
     if method == "pwy":
-        res = sadf(series, tau0=tau0, det=config.det, k=config.k)
-        episodes = pwy_stamp(res.sequence)
-        seq = res.sequence
+        seq = sadf(series, tau0=tau0, det=config.det, k=config.k).sequence
+        episodes = pwy_stamp(seq)
     elif method == "psy":
-        res = gsadf(series, tau0=tau0, det=config.det, k=config.k)
-        episodes = psy_stamp(res.sequence)
-        seq = res.sequence
+        seq = gsadf(series, tau0=tau0, det=config.det, k=config.k).sequence
+        episodes = psy_stamp(seq)
     elif method == "two-step":
         episodes = two_step_stamp(series, tau0=tau0, det=config.det, k=config.k)
     elif method == "sign":
@@ -308,9 +298,9 @@ def _run_datestamp(config: RunConfig) -> dict:
         episodes = [selection.episode]
         extra = {
             "model": selection.model,
-            "bic": _jsonable(selection.bic),
-            "ssr": _jsonable(selection.ssr),
-            "break_dates": _jsonable(selection.dates),
+            "bic": selection.bic,
+            "ssr": selection.ssr,
+            "break_dates": selection.dates,
         }
     cv = rule_critical_value(T)
     return {
@@ -335,9 +325,7 @@ def _run_monitor(config: RunConfig) -> dict:
         k=config.k, det=config.det, multiplier=config.multiplier, seed=config.seed,
     )
     m0, end = report.window
-    maxvals, _ = ols.bsadf_backward(
-        np.asarray(series.values, dtype=float)[:end], m0, det=config.det, k=config.k
-    )
+    maxvals, _ = ols.bsadf_backward(series.values[:end], m0, det=config.det, k=config.k)
     index = np.arange(m0, end + 1)
     seq = StatSequence("monitor_bsadf", report.tau0, index / T, maxvals[m0:], T)
     cv = report.critical_value
@@ -355,7 +343,7 @@ def _run_monitor(config: RunConfig) -> dict:
         "seed": report.seed,
         "multiplier": report.multiplier,
         "n_degenerate": report.n_degenerate,
-        "observed_max": _jsonable(np.nanmax(seq.values)) if np.any(~np.isnan(seq.values)) else None,
+        "observed_max": np.nanmax(seq.values) if np.any(~np.isnan(seq.values)) else None,
         "alarms": alarms,
         "first_alarm": alarms[0] if alarms else None,
         "reject": bool(alarms),
@@ -367,11 +355,10 @@ def _run_simulate_cv(config: RunConfig) -> dict:
     if config.sizes is None:
         raise UsageError("--sizes is required for 'simulate-cv' (e.g. --sizes 100,200)")
     _check_stat_options(config)
-    tau0 = None if config.tau0 == "auto" else float(config.tau0)
     table = tabulate_critical_values(
         config.stat,
         config.sizes,
-        tau0=tau0,
+        tau0=None if config.tau0 == "auto" else float(config.tau0),
         det=config.det,
         k=config.k,
         levels=config.levels or (0.90, 0.95, 0.99),
@@ -383,37 +370,28 @@ def _run_simulate_cv(config: RunConfig) -> dict:
     return {"table": table.to_dict(), "table_out": config.table_out}
 
 
-def _build_spec(raw: dict | None, which: str) -> DgpSpec:
-    if raw is None:
-        raise UsageError(f"--{which} is required for 'study' (inline JSON or a file path)")
-    try:
-        return DgpSpec(**raw)
-    except TypeError as exc:
-        raise UsageError(f"bad --{which}: {exc}") from exc
-
-
-def _build_vol(raw: dict | None, which: str) -> VolPath | None:
+def _build(cls, raw: dict | None, which: str):
+    """``cls(**raw)`` from the JSON object of option ``--<which>``; None when it is absent."""
     if raw is None:
         return None
     try:
-        return VolPath(**raw)
+        return cls(**raw)
     except TypeError as exc:
         raise UsageError(f"bad --{which}: {exc}") from exc
 
 
 def _run_study(config: RunConfig) -> dict:
     _check_stat_options(config)
-    null_spec = _build_spec(config.null_spec, "null-spec")
-    alt_spec = _build_spec(config.alt_spec, "alt-spec") if config.alt_spec else null_spec
-    cv = None
-    if config.cv.startswith("table:"):
-        cv = CvTable.from_json(config.cv[len("table:"):])
-    elif config.cv == "bootstrap":
+    if config.null_spec is None:
+        raise UsageError("--null-spec is required for 'study' (inline JSON or a file path)")
+    null_spec = _build(DgpSpec, config.null_spec, "null-spec")
+    alt_spec = _build(DgpSpec, config.alt_spec, "alt-spec") if config.alt_spec else null_spec
+    if config.cv == "bootstrap":
         raise UsageError(
             "'study' calibrates critical values by simulation; use --cv rule "
             "(internal tabulation) or --cv table:<path>"
         )
-    tau0 = None if config.tau0 == "auto" else float(config.tau0)
+    cv = None if config.cv == "rule" else CvTable.from_json(config.cv[len("table:"):])
     study = size_power_study(
         config.stat,
         null_spec,
@@ -421,12 +399,12 @@ def _run_study(config: RunConfig) -> dict:
         replications=config.replications or 1000,
         level=1.0 - config.level,
         seed=config.seed,
-        tau0=tau0,
+        tau0=None if config.tau0 == "auto" else float(config.tau0),
         det=config.det,
         k=config.k,
         cv=cv,
-        null_vol=_build_vol(config.null_vol, "null-vol"),
-        alt_vol=_build_vol(config.alt_vol, "alt-vol"),
+        null_vol=_build(VolPath, config.null_vol, "null-vol"),
+        alt_vol=_build(VolPath, config.alt_vol, "alt-vol"),
         cv_replications=config.cv_replications,
     )
     return study.to_dict()
@@ -458,18 +436,17 @@ def _run_relate(config: RunConfig) -> dict:
             rolling_ar_coefficients(second, window),
             range(0, config.d_max + 1),
         )
-        return {"method": method, **res.to_dict()}
-    # migration
-    if config.origin_x is None or config.origin_y is None:
+    elif config.origin_x is None or config.origin_y is None:
         raise UsageError(
             "migration needs the two origination dates: --origin-x and --origin-y "
             "(1-based observation indices)"
         )
-    res = migration_test(
-        recursive_ar_coefficients(first, tau0=tau0),
-        recursive_ar_coefficients(second, tau0=tau0),
-        config.origin_x, config.origin_y, scale=config.scale,
-    )
+    else:
+        res = migration_test(
+            recursive_ar_coefficients(first, tau0=tau0),
+            recursive_ar_coefficients(second, tau0=tau0),
+            config.origin_x, config.origin_y, scale=config.scale,
+        )
     return {"method": method, **res.to_dict()}
 
 
@@ -478,27 +455,13 @@ def _run_plot_data(config: RunConfig) -> dict:
         raise UsageError("--input is required for 'plot-data' (a report JSON path)")
     if config.out is None:
         raise UsageError("--out is required for 'plot-data' (the CSV destination)")
-    n = emit_plot_data(config.input, config.out)
-    return {"rows": n, "csv": config.out}
-
-
-_DISPATCH = {
-    "test": _run_test,
-    "datestamp": _run_datestamp,
-    "monitor": _run_monitor,
-    "simulate-cv": _run_simulate_cv,
-    "study": _run_study,
-    "relate": _run_relate,
-    "plot-data": _run_plot_data,
-}
+    return {"rows": emit_plot_data(config.input, config.out), "csv": config.out}
 
 
 def run_config(config: RunConfig) -> dict:
-    """Execute one configured run and return the report as a dict."""
-    runner = _DISPATCH.get(config.subcommand)
-    if runner is None:  # pragma: no cover - guarded by RunConfig
-        raise UsageError(f"unknown subcommand {config.subcommand!r}")
-    result = runner(config)
+    """Execute one configured run and return the report as a dict, with
+    every non-finite number of the result as None (JSON null)."""
+    result = _jsonable(_COMMANDS[config.subcommand].run(config))
     return {
         "schema": SCHEMA_VERSION,
         "kind": "exuberance-report",
@@ -508,23 +471,27 @@ def run_config(config: RunConfig) -> dict:
     }
 
 
-def render_report(report: dict) -> str:
-    return json.dumps(report, indent=2, allow_nan=False) + "\n"
+def _number_cell(value) -> str:
+    return "" if value is None else repr(float(value))
 
 
 def _episode_ranges(episodes) -> list[tuple[int, int]]:
     ranges = []
     for ep in episodes:
         start = ep.get("origin_index")
-        if start is None:
-            continue
-        end = ep.get("recovery_index")
-        if end is None:
-            end = ep.get("collapse_index")
-        if end is None:
-            end = start
-        ranges.append((int(start), int(end)))
+        ends = (ep.get("recovery_index"), ep.get("collapse_index"), start)
+        if start is not None:
+            ranges.append((int(start), int(next(end for end in ends if end is not None))))
     return ranges
+
+
+def _read_json(path, what: str):
+    """Load a JSON file; an unreadable one is a DataError naming it as ``what``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise DataError(f"cannot read {what} {path}: {exc}") from exc
 
 
 def emit_plot_data(report, path) -> int:
@@ -535,11 +502,7 @@ def emit_plot_data(report, path) -> int:
     index ranges.  Returns the number of data rows written.
     """
     if isinstance(report, (str, os.PathLike)):
-        try:
-            with open(report, encoding="utf-8") as fh:
-                report = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise DataError(f"cannot read report {report}: {exc}") from exc
+        report = _read_json(report, "report")
     if not isinstance(report, dict):
         raise DataError("emit_plot_data expects a report dict or a report path")
     result = report.get("result", report)
@@ -548,28 +511,16 @@ def emit_plot_data(report, path) -> int:
     if seq is None and not episodes:
         raise DataError("report contains no statistic sequence or episodes to plot")
     ranges = _episode_ranges(episodes)
-
-    def flagged(i: int) -> int:
-        return int(any(lo <= i <= hi for lo, hi in ranges))
-
-    rows = []
-    if seq is not None:
-        index = seq["index"]
-        values = seq["values"]
-        labels = seq.get("labels") or [str(i) for i in index]
-        cv = seq.get("cv")
-        cvs = cv if isinstance(cv, list) else [cv] * len(index)
-        for i, lab, val, c in zip(index, labels, values, cvs):
-            rows.append([
-                i, lab,
-                "" if val is None else repr(float(val)),
-                "" if c is None else repr(float(c)),
-                flagged(i),
-            ])
+    if seq is None:
+        rows = [[i, str(i), "", "", 1] for lo, hi in ranges for i in range(lo, hi + 1)]
     else:
-        for lo, hi in ranges:
-            for i in range(lo, hi + 1):
-                rows.append([i, str(i), "", "", 1])
+        index, cv = seq["index"], seq.get("cv")
+        labels = seq.get("labels") or [str(i) for i in index]
+        cvs = cv if isinstance(cv, list) else [cv] * len(index)
+        rows = [
+            [i, lab, _number_cell(val), _number_cell(c), int(any(lo <= i <= hi for lo, hi in ranges))]
+            for i, lab, val, c in zip(index, labels, seq["values"], cvs)
+        ]
     _write_csv(path, ["index", "label", "statistic", "cv", "in_episode"], rows)
     return len(rows)
 
@@ -582,32 +533,20 @@ def _json_or_path(text: str) -> dict:
             return json.loads(text)
         except json.JSONDecodeError as exc:
             raise UsageError(f"bad inline JSON: {exc}") from exc
-    try:
-        with open(text, encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataError(f"cannot read JSON from {text}: {exc}") from exc
+    return _read_json(text, "JSON from")
 
 
-def _int_list(text: str) -> tuple[int, ...]:
+def _list_of(kind, noun: str, text: str) -> tuple:
+    """A comma-separated list of ``kind`` values (``noun`` names the kind in errors)."""
     try:
-        return tuple(int(part) for part in text.split(",") if part.strip())
+        return tuple(kind(part) for part in text.split(",") if part.strip())
     except ValueError as exc:
-        raise UsageError(f"expected a comma-separated integer list, got {text!r}") from exc
-
-
-def _float_list(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(part) for part in text.split(",") if part.strip())
-    except ValueError as exc:
-        raise UsageError(f"expected a comma-separated number list, got {text!r}") from exc
+        raise UsageError(f"expected a comma-separated {noun} list, got {text!r}") from exc
 
 
 def _tau0_arg(text: str):
-    if text == "auto":
-        return "auto"
     try:
-        return float(text)
+        return text if text == "auto" else float(text)
     except ValueError as exc:
         raise UsageError(f"--tau0 must be a number or 'auto', got {text!r}") from exc
 
@@ -619,89 +558,129 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# Option groups shared by several subcommands, as (flag, add_argument keywords).
+_COMMON = (
+    ("--config", dict(help="config or report JSON to re-run")),
+    ("--out", dict(help="report destination (stdout when omitted)")),
+    ("--seed", dict(type=int, help=f"RNG seed (default ${SEED_ENV_VAR} or 0)")),
+)
+_DATA = (
+    ("--input", dict(help="CSV series file")),
+    ("--column", dict(help="value column name or index")),
+    ("--label-column", dict(help="label column name or index")),
+)
+_STAT = (("--stat", dict(choices=STATISTICS, help="statistic (default gsadf)")),)
+_TAU0 = (("--tau0", dict(type=_tau0_arg, help="minimum window fraction or 'auto'")),)
+_STATOPTS = _TAU0 + (
+    ("--det", dict(choices=DETERMINISTICS, help="deterministic terms (default const)")),
+    ("--k", dict(type=int, help="ADF lag order (default 0)")),
+)
+_LEVEL = (("--level", dict(type=float, help="confidence level (default 0.95)")),)
+_BOOT = (
+    ("--B", dict(type=int, help="bootstrap replications (default 499)")),
+    ("--multiplier", dict(choices=MULTIPLIERS, help="wild multiplier (default gaussian)")),
+) + _LEVEL
+
+
+def _f4(x) -> str:
+    """A report number to four decimals; null stands for a non-finite one."""
+    return "null" if x is None else f"{x:.4f}"
+
+
+@dataclass(frozen=True)
+class _Command:
+    """One subcommand: its runner, its ``--help`` line, the summary line of
+    its result, and its options (shared groups first) in ``--help`` order."""
+
+    run: Callable[[RunConfig], dict]
+    help: str
+    summary: Callable[[dict], str]
+    options: tuple
+    # plot-data's --out names its CSV, so it prints its summary, never the report
+    out_is_report: bool = True
+
+
+_COMMANDS = {
+    "test": _Command(
+        _run_test, "one right-tailed test with a cv or bootstrap decision",
+        lambda r: f"{r['statistic']} = {_f4(r['observed'])} | cv({r['cv_source']}) = "
+        f"{_f4(r['critical_value'])} | reject = {r['reject']}",
+        _COMMON + _DATA + _STAT + _STATOPTS + _BOOT
+        + (("--cv", dict(help="rule | table:<path> | bootstrap (default rule)")),),
+    ),
+    "datestamp": _Command(
+        _run_datestamp, "stamp explosive episodes",
+        lambda r: f"{r['method']}: {r['n_episodes']} episode(s)",
+        _COMMON + _DATA + _STATOPTS + (
+            ("--method", dict(choices=DATESTAMP_METHODS, help="default psy")),
+            ("--epsilon", dict(type=float, help="sign-dating trim (default 0.01)")),
+            ("--cv", dict(help=argparse.SUPPRESS)),
+        ),
+    ),
+    "monitor": _Command(
+        _run_monitor, "composite sequential monitoring over a control window",
+        lambda r: f"monitor cv = {_f4(r['critical_value'])} | first alarm = {r['first_alarm']}",
+        _COMMON + _DATA + _STATOPTS + _BOOT
+        + (("--Tb", dict(type=int, help="monitoring window length (default 24)")),),
+    ),
+    "simulate-cv": _Command(
+        _run_simulate_cv, "tabulate Monte Carlo critical values",
+        lambda r: f"tabulated {len(r['table']['records'])} critical values",
+        _COMMON + _STAT + _STATOPTS + (
+            ("--sizes", dict(type=lambda text: _list_of(int, "integer", text), help="sample sizes, e.g. 100,200,400")),
+            ("--levels", dict(type=lambda text: _list_of(float, "number", text), help="quantile levels (default 0.9,0.95,0.99)")),
+            ("--replications", dict(type=int, help="Monte Carlo draws (default 2000)")),
+            ("--table-out", dict(help="also write the table alone to this path")),
+        ),
+    ),
+    "study": _Command(
+        _run_study, "size/power study under configurable generators",
+        lambda r: f"size = {_f4(r['size'])} | power = {_f4(r['power'])}",
+        _COMMON + _STAT + _STATOPTS + _LEVEL + (
+            ("--replications", dict(type=int, help="study replications (default 1000)")),
+            ("--cv-replications", dict(type=int, help="internal tabulation draws")),
+            ("--cv", dict(help="rule (= simulate internally) | table:<path>")),
+            ("--null-spec", dict(help="null DGP (inline JSON or file)")),
+            ("--alt-spec", dict(help="alternative DGP (default: null)")),
+            ("--null-vol", dict(help="null volatility path JSON")),
+            ("--alt-vol", dict(help="alternative volatility path JSON")),
+        ),
+    ),
+    "relate": _Command(
+        _run_relate, "migration, contagion-delay, or co-bubble analysis of two series",
+        lambda r: f"{r['method']} done",
+        _COMMON + _DATA + _BOOT + (
+            ("--input2", dict(help="second CSV series file")),
+            ("--method", dict(choices=RELATE_METHODS)),
+        ) + _TAU0 + (
+            ("--delay", dict(type=int, help="co-bubble alignment delay (default 0)")),
+            ("--d-max", dict(type=int, help="largest contagion delay scanned (default 12)")),
+            ("--origin-x", dict(type=int, help="first series origination index")),
+            ("--origin-y", dict(type=int, help="second series origination index")),
+            ("--scale", dict(type=float, help="migration normalization (default log window)")),
+        ),
+    ),
+    "plot-data": _Command(
+        _run_plot_data, "emit a report's sequence/episodes as tidy CSV",
+        lambda r: f"wrote {r['rows']} rows to {r['csv']}",
+        _COMMON + (("--input", dict(help="report JSON path")),),
+        out_is_report=False,
+    ),
+}
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="exuberance", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    common = _Parser(add_help=False)
-    common.add_argument("--config", help="config or report JSON to re-run")
-    common.add_argument("--out", help="report destination (stdout when omitted)")
-    common.add_argument("--seed", type=int, help=f"RNG seed (default ${SEED_ENV_VAR} or 0)")
-
-    data = _Parser(add_help=False)
-    data.add_argument("--input", help="CSV series file")
-    data.add_argument("--column", help="value column name or index")
-    data.add_argument("--label-column", help="label column name or index")
-
-    stat = _Parser(add_help=False)
-    stat.add_argument("--stat", choices=STATISTICS, help="statistic (default gsadf)")
-
-    statopts = _Parser(add_help=False)
-    statopts.add_argument("--tau0", type=_tau0_arg, help="minimum window fraction or 'auto'")
-    statopts.add_argument("--det", choices=DET_CHOICES, help="deterministic terms (default const)")
-    statopts.add_argument("--k", type=int, help="ADF lag order (default 0)")
-
-    boot = _Parser(add_help=False)
-    boot.add_argument("--B", type=int, help="bootstrap replications (default 499)")
-    boot.add_argument("--multiplier", choices=MULTIPLIERS, help="wild multiplier (default gaussian)")
-    boot.add_argument("--level", type=float, help="confidence level (default 0.95)")
-
-    p = sub.add_parser("test", parents=[common, data, stat, statopts, boot],
-                       help="one right-tailed test with a cv or bootstrap decision")
-    p.add_argument("--cv", help="rule | table:<path> | bootstrap (default rule)")
-
-    p = sub.add_parser("datestamp", parents=[common, data, statopts],
-                       help="stamp explosive episodes")
-    p.add_argument("--method", choices=DATESTAMP_METHODS, help="default psy")
-    p.add_argument("--epsilon", type=float, help="sign-dating trim (default 0.01)")
-    p.add_argument("--cv", help=argparse.SUPPRESS)
-
-    p = sub.add_parser("monitor", parents=[common, data, statopts, boot],
-                       help="composite sequential monitoring over a control window")
-    p.add_argument("--Tb", type=int, help="monitoring window length (default 24)")
-
-    p = sub.add_parser("simulate-cv", parents=[common, stat, statopts],
-                       help="tabulate Monte Carlo critical values")
-    p.add_argument("--sizes", type=_int_list, help="sample sizes, e.g. 100,200,400")
-    p.add_argument("--levels", type=_float_list, help="quantile levels (default 0.9,0.95,0.99)")
-    p.add_argument("--replications", type=int, help="Monte Carlo draws (default 2000)")
-    p.add_argument("--table-out", help="also write the table alone to this path")
-
-    p = sub.add_parser("study", parents=[common, stat, statopts],
-                       help="size/power study under configurable generators")
-    p.add_argument("--level", type=float, help="confidence level (default 0.95)")
-    p.add_argument("--replications", type=int, help="study replications (default 1000)")
-    p.add_argument("--cv-replications", type=int, help="internal tabulation draws")
-    p.add_argument("--cv", help="rule (= simulate internally) | table:<path>")
-    p.add_argument("--null-spec", help="null DGP (inline JSON or file)")
-    p.add_argument("--alt-spec", help="alternative DGP (default: null)")
-    p.add_argument("--null-vol", help="null volatility path JSON")
-    p.add_argument("--alt-vol", help="alternative volatility path JSON")
-
-    p = sub.add_parser("relate", parents=[common, data, boot],
-                       help="migration, contagion-delay, or co-bubble analysis of two series")
-    p.add_argument("--input2", help="second CSV series file")
-    p.add_argument("--method", choices=RELATE_METHODS)
-    p.add_argument("--tau0", type=_tau0_arg, help="minimum window fraction or 'auto'")
-    p.add_argument("--delay", type=int, help="co-bubble alignment delay (default 0)")
-    p.add_argument("--d-max", type=int, help="largest contagion delay scanned (default 12)")
-    p.add_argument("--origin-x", type=int, help="first series origination index")
-    p.add_argument("--origin-y", type=int, help="second series origination index")
-    p.add_argument("--scale", type=float, help="migration normalization (default log window)")
-
-    p = sub.add_parser("plot-data", parents=[common],
-                       help="emit a report's sequence/episodes as tidy CSV")
-    p.add_argument("--input", help="report JSON path")
-
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for flag, kwargs in command.options:
+            p.add_argument(flag, **kwargs)
     return parser
 
 
 def _load_config_file(path: str) -> dict:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataError(f"cannot read config {path}: {exc}") from exc
+    raw = _read_json(path, "config")
     if isinstance(raw, dict) and "config" in raw and "subcommand" not in raw:
         raw = raw["config"]
     if not isinstance(raw, dict):
@@ -731,6 +710,7 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         if isinstance(merged.get(name), str):
             merged[name] = _json_or_path(merged[name])
     if merged.get("seed") is None:
+        merged.pop("seed", None)
         env = os.environ.get(SEED_ENV_VAR)
         if env is not None:
             try:
@@ -739,33 +719,7 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
                 raise UsageError(
                     f"{SEED_ENV_VAR} must be an integer, got {env!r}"
                 ) from exc
-        else:
-            merged.pop("seed", None)
     return RunConfig.from_dict(merged)
-
-
-def _summary_line(report: dict) -> str:
-    cfg = report["config"]
-    res = report["result"]
-    sc = cfg["subcommand"]
-    if sc == "test":
-        return (
-            f"{res['statistic']} = {res['observed']:.4f} | cv({res['cv_source']}) = "
-            f"{res['critical_value']:.4f} | reject = {res['reject']}"
-        )
-    if sc == "datestamp":
-        return f"{res['method']}: {res['n_episodes']} episode(s)"
-    if sc == "monitor":
-        where = res["first_alarm"]
-        return f"monitor cv = {res['critical_value']:.4f} | first alarm = {where}"
-    if sc == "simulate-cv":
-        t = res["table"]
-        return f"tabulated {len(t['records'])} critical values"
-    if sc == "study":
-        return f"size = {res['size']:.4f} | power = {res['power']:.4f}"
-    if sc == "relate":
-        return f"{res['method']} done"
-    return f"wrote {res['rows']} rows to {res['csv']}"
 
 
 def main(argv=None) -> int:
@@ -776,23 +730,21 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         config = _merge_config(args)
         report = run_config(config)
-        payload = render_report(report)
-        if config.out and config.subcommand != "plot-data":
+        payload = json.dumps(report, indent=2, allow_nan=False) + "\n"
+        command = _COMMANDS[config.subcommand]
+        if not command.out_is_report:
+            print(command.summary(report["result"]))
+        elif config.out:
             with open(config.out, "w", encoding="utf-8") as fh:
                 fh.write(payload)
-            print(f"{_summary_line(report)} | report: {config.out}")
-        elif config.subcommand == "plot-data":
-            print(_summary_line(report))
+            print(f"{command.summary(report['result'])} | report: {config.out}")
         else:
             sys.stdout.write(payload)
         return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (DataError, DegenerateFitError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (DataError, DegenerateFitError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except (ExuberanceError, ValueError) as exc:

@@ -265,14 +265,21 @@ def _write_csv(path, header, rows) -> None:
 
 def save_series(path: str, series: Series) -> None:
     """Write a series as CSV; numbers carry 17 significant digits so that
-    ``load_series`` round-trips them bit-exactly.  A name that parses as a
-    number would load back as a data row, so it raises DataError."""
+    ``load_series`` round-trips them bit-exactly.  A name or label that would
+    not load back as itself raises DataError: an empty name (it loads as
+    ``"y"``), a name that parses as a number (it loads as a data row), and a
+    name or label with leading or trailing whitespace (``load_series`` strips it)."""
+    if not series.name:
+        raise DataError(f"series name {series.name!r} is empty, so it would load back as 'y'")
     try:
         float(series.name)
     except (TypeError, ValueError):
         pass
     else:
         raise DataError(f"series name {series.name!r} reads as a number, so it cannot head a CSV column")
+    for what, text in [("series name", series.name), *(("label", label) for label in series.labels or ())]:
+        if text != text.strip():
+            raise DataError(f"{what} {text!r} has leading or trailing whitespace, which load_series strips")
     values = [format(v, ".17g") for v in series.values]
     if series.labels is None:
         _write_csv(path, [series.name], ([v] for v in values))

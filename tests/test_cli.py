@@ -723,3 +723,38 @@ class TestDeterminism:
         assert rep1["result"] == rep2["result"]
         assert rep1["config"] == rep2["config"]
         assert rep1["kind"] == "exuberance-report"
+
+
+class TestNonFiniteReports:
+    """The engine reads an exactly fitting window as +inf; reports write it as null."""
+
+    @pytest.fixture
+    def stretch_csv(self, tmp_path):
+        # a walk with a noiseless 4% exponential stretch of 20 observations
+        rng = np.random.default_rng(5)
+        head = 100 + np.cumsum(rng.standard_normal(40))
+        stretch = head[-1] * 1.04 ** np.arange(1, 21)
+        tail = stretch[-1] + np.cumsum(rng.standard_normal(40))
+        return _write_csv(tmp_path / "stretch.csv", np.concatenate([head, stretch, tail]))
+
+    @pytest.mark.parametrize("cv", [["--cv", "rule"], ["--cv", "bootstrap", "--B", "99"]])
+    def test_exact_fit_writes_null(self, stretch_csv, tmp_path, capsys, cv):
+        out = tmp_path / "r.json"
+        assert main(["test", "--stat", "gsadf", "--input", stretch_csv, *cv, "--out", str(out)]) == 0
+        rep = _read(out)["result"]
+        assert rep["observed"] is None and rep["reject"] is True
+        assert np.isfinite(rep["critical_value"])
+        assert capsys.readouterr().out.startswith(f"gsadf = null | cv({cv[1]}) = ")
+
+    def test_study_refuses_unknown_cv(self, tmp_path, capsys):
+        argv = ["study", "--stat", "sadf", "--replications", "20", "--cv-replications", "100",
+                "--null-spec", '{"kind": "rw_drift", "T": 40}']
+        message = "usage error: --cv must be 'rule', 'bootstrap', or 'table:<path>', got 'nope'\n"
+        assert main([*argv, "--cv", "nope"]) == 1
+        assert capsys.readouterr().err == message
+        config = tmp_path / "study.json"
+        config.write_text(json.dumps({"subcommand": "study", "cv": "nope"}))
+        assert main([*argv, "--config", str(config)]) == 1
+        assert capsys.readouterr().err == message
+        with pytest.raises(UsageError, match="got 'nope'"):
+            RunConfig(subcommand="study", cv="nope")

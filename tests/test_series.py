@@ -1,6 +1,7 @@
 """Series container, window arithmetic, CSV round-trips and JSON reports."""
 
 import json
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -158,6 +159,21 @@ class TestCsvIo:
         back = load_series(path, label_column=0)
         assert back.name == "2020-price" and back.labels == ["a", "b", "c"]
         np.testing.assert_array_equal(back.values, [1.5, 2.5, 3.25])
+
+    @pytest.mark.parametrize("name, labels, offending", [
+        ("", None, "''"),
+        ("", ["a", "b", "c"], "''"),
+        (" price ", [" a", "b ", "c"], "' price '"),
+        ("price", [" a", "b", "c"], "' a'"),
+        ("price", ["a", "b ", "c"], "'b '"),
+        ("price", ["a", " ", "c"], "' '"),
+    ])
+    def test_name_or_label_that_would_not_load_back_refused(self, tmp_path, name, labels, offending):
+        # load_series strips every field and calls an empty header "y"
+        path = tmp_path / "s.csv"
+        with pytest.raises(DataError, match=re.escape(offending)):
+            save_series(path, Series([1.5, 2.5, 3.25], labels=labels, name=name))
+        assert not path.exists()
 
     def test_headerless_single_column(self, tmp_path):
         path = tmp_path / "raw.csv"
