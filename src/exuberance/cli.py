@@ -170,7 +170,9 @@ class RunConfig(_JsonFields):
 
 
 def _resolve_tau0(tau0, T: int) -> float:
-    return default_min_window(T) if tau0 == "auto" else float(tau0)
+    if tau0 == "auto":
+        return default_min_window(T)
+    return float(tau0)
 
 
 def _load_input(config: RunConfig, attr: str = "input"):
@@ -223,7 +225,8 @@ def _run_test(config: RunConfig) -> dict:
     T = len(series)
     tau0 = _resolve_tau0(config.tau0, T)
     _check_stat_options(config)
-    p_value, n_degenerate = None, 0
+    p_value = None
+    n_degenerate = 0
     if config.cv == "bootstrap":
         rep = wild_bootstrap_pvalue(
             series, config.stat, tau0=tau0, B=config.B,
@@ -545,8 +548,10 @@ def _list_of(kind, noun: str, text: str) -> tuple:
 
 
 def _tau0_arg(text: str):
+    if text == "auto":
+        return "auto"
     try:
-        return text if text == "auto" else float(text)
+        return float(text)
     except ValueError as exc:
         raise UsageError(f"--tau0 must be a number or 'auto', got {text!r}") from exc
 
@@ -679,15 +684,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load_config_file(path: str) -> dict:
-    raw = _read_json(path, "config")
-    if isinstance(raw, dict) and "config" in raw and "subcommand" not in raw:
-        raw = raw["config"]
-    if not isinstance(raw, dict):
-        raise DataError(f"config {path} is not a JSON object")
-    return raw
-
-
 def _merge_config(args: argparse.Namespace) -> RunConfig:
     names = {f.name for f in fields(RunConfig)}
     explicit = {
@@ -697,7 +693,11 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     }
     merged: dict = {}
     if getattr(args, "config", None):
-        base = _load_config_file(args.config)
+        base = _read_json(args.config, "config")
+        if isinstance(base, dict) and "config" in base and "subcommand" not in base:
+            base = base["config"]  # a report re-runs from its config block
+        if not isinstance(base, dict):
+            raise DataError(f"config {args.config} is not a JSON object")
         if base.get("subcommand") not in (None, args.subcommand):
             raise UsageError(
                 f"config file is for subcommand {base['subcommand']!r}, "

@@ -266,9 +266,8 @@ def _write_csv(path, header, rows) -> None:
 def save_series(path: str, series: Series) -> None:
     """Write a series as CSV; numbers carry 17 significant digits so that
     ``load_series`` round-trips them bit-exactly.  A name or label that would
-    not load back as itself raises DataError: an empty name (it loads as
-    ``"y"``), a name that parses as a number (it loads as a data row), and a
-    name or label with leading or trailing whitespace (``load_series`` strips it)."""
+    load back as something else raises DataError: an empty name, a name that
+    parses as a number, and leading or trailing whitespace."""
     if not series.name:
         raise DataError(f"series name {series.name!r} is empty, so it would load back as 'y'")
     try:
