@@ -54,9 +54,6 @@ _N_DATES = {1: 1, 2: 2, 3: 2, 4: 3}
 
 DEFAULT_MIN_SEGMENT = 3
 
-# cells of one block of the regime search's (dates x peaks) grid
-_SEARCH_CELLS = 1 << 13
-
 
 def rule_critical_value(T: int) -> float:
     """Slowly diverging critical value (2/3)·log(log² T) for date stamping.
@@ -427,49 +424,6 @@ def _fit_regimes(v: np.ndarray, model: int, a: int, b: int, c: int) -> BubbleMod
     )
 
 
-def _segment_ssr_engine(v: np.ndarray):
-    """Closed-form per-segment regression SSRs from prefix cross-moments.
-
-    The regime-dummy regression decouples across disjoint regimes, so the
-    full-candidate SSR is a sum of per-segment two-parameter regression
-    SSRs plus raw squared differences outside the regimes.  Returns
-    (seg_ssr(s, e) vectorized over e, prefix of squared differences).
-    """
-    w = v - v.mean()
-    dy = np.diff(w)
-    lag = w[:-1]
-    z = np.zeros(1)
-    P1 = np.concatenate([z, np.cumsum(np.ones_like(dy))])
-    Py = np.concatenate([z, np.cumsum(lag)])
-    Pyy = np.concatenate([z, np.cumsum(lag * lag)])
-    Pd = np.concatenate([z, np.cumsum(dy)])
-    Pdd = np.concatenate([z, np.cumsum(dy * dy)])
-    Pyd = np.concatenate([z, np.cumsum(lag * dy)])
-
-    def seg(s, e):
-        # SSR of dy on [1, lagged level] over rows t = s+1..e (1-based);
-        # +inf where the segment is too short or collinear
-        lo = np.asarray(s, dtype=np.int64) - 1
-        hi = np.asarray(e, dtype=np.int64) - 1
-        n = P1[hi] - P1[lo]
-        sy = Py[hi] - Py[lo]
-        syy = Pyy[hi] - Pyy[lo]
-        sd = Pd[hi] - Pd[lo]
-        sdd = Pdd[hi] - Pdd[lo]
-        syd = Pyd[hi] - Pyd[lo]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            cyy = syy - sy * sy / n
-            cyd = syd - sy * sd / n
-            cdd = sdd - sd * sd / n
-            out = cdd - cyd * cyd / cyy
-        # the level is collinear with the intercept when its centred sum of
-        # squares vanishes beside its raw one; a tiny negative SSR is a zero fit
-        bad = (n < 2) | ~(cyy > 1e-12 * syy)
-        return np.where(bad, np.inf, np.maximum(out, 0.0))
-
-    return seg, Pdd
-
-
 @dataclass
 class ModelSelection:
     """Winning regime model with its dates and the per-model comparison.
@@ -488,63 +442,93 @@ class ModelSelection:
     fit: BubbleModelFit
 
 
-def _search_models(v, min_seg, seg, Pdd):
+def _segment_ssrs(v: np.ndarray, ms: int):
+    """seg(a, b), the SSR of dy on [1, y_(t-1)] over rows t = a+1..b, of
+    every segment of ms..T-ms rows ending at b >= 2 ms: yields ``(i0, nl,
+    b, n, seg)`` per block of lengths n = i0+1..i0+nl, in the layout of
+    one backward sweep (:func:`ols._sweep`).  Segment (a, b] is the ADF
+    window (a-1, b] at const, k = 0, its sums anchored at y_b; seg is the
+    2x2 closed form cdd - cyd^2 / cyy, a tiny negative value 0 and +inf
+    where the level is collinear with the intercept (cyy <= 1e-12 syy)."""
+    T = v.size
+    block, i0 = ols._sweep(v[:, None], "const", 0, 2 * ms), ms - 1
+    while i0 < T - ms:
+        nl = ols._lengths(T - max(2 * ms, i0 + 2) + 1, 1, T - ms - i0)
+        C, slots, b, n = block(i0, nl)
+        sy, sd, syy, syd, sdd = (C[slots[ij], :, 0] for ij in ((0, 1), (0, 2), (1, 1), (1, 2), (2, 2)))
+        cyy, cyd, seg, nobs = sy * sy, sy * sd, sd * sd, n + 0.0
+        for centred, raw in ((cyy, syy), (cyd, syd), (seg, sdd)):  # cyy = syy - sy^2 / n, ...
+            np.subtract(raw, np.divide(centred, nobs, out=centred), out=centred)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            seg -= np.divide(np.multiply(cyd, cyd, out=cyd), cyy, out=cyd)
+        np.maximum(seg, 0.0, out=seg)
+        np.copyto(seg, np.inf, where=~(cyy > 1e-12 * syy))
+        yield i0, nl, b, n, seg
+        i0 += nl
+
+
+def _search_models(v, min_seg):
     """Minimum-SSR admissible dates of every regime model in one pass.
 
-    A candidate's SSR is head(a) + seg(a, b) + rest(b) with head(a) =
-    Pdd[a-1], so the best origin for a peak b is shared by all models:
-    f(b) = min over a >= ms, b - a >= ms, v_a < v_b of head(a) + seg(a, b).
-    The models differ only in the rest after the peak: nothing (model 1,
-    b = T), the raw tail (model 2), one collapse regime to T with
-    v_b > v_T (model 3), or g(b) = min over c in [b+ms, T-ms] with
-    v_c < v_b of seg(b, c) + tail(c) (model 4).  One loop over blocks of
-    peaks builds f and g, each block a (dates x peaks) grid of at most
-    ``_SEARCH_CELLS`` cells.  Ties go to the smallest (a, b, c).  Returns
-    {model: (ssr, (a, b, c))} for the models with an admissible
-    candidate, in the layout of :class:`ModelSelection`: b = c = T in
-    model 1, c = b in model 2, c = T in model 3.
+    A candidate's SSR is head(a) + seg(a, b) + rest(b), head(a) the raw
+    squared differences of rows 2..a, so every model shares the best
+    origin of a peak b, f(b) = min over a >= ms, b - a >= ms, v_a < v_b
+    of head(a) + seg(a, b).  The rest after the peak is nothing (model 1,
+    b = T), the raw tail (model 2), seg(b, T) with v_b > v_T (model 3), or
+    g(b) = min over c in [b+ms, T-ms], v_c < v_b of seg(b, c) + tail(c)
+    (model 4).  Each block of :func:`_segment_ssrs` updates f by its
+    segments ending at each peak (ties to the longer, the smaller a) and
+    g by those starting there (ties to the shorter, the smaller c); ties
+    between peaks go to the smallest (a, b).  Returns {model: (ssr, (a,
+    b, c))} for the models with an admissible candidate, in the layout of
+    :class:`ModelSelection`.
     """
-    T = v.size
-    ms = min_seg
-    total = Pdd[T - 1]
-    bs = np.arange(2 * ms, T + 1, dtype=np.int64)
-    f, g = np.empty(bs.size), np.full(bs.size, np.inf)
-    fa, gc = np.empty(bs.size, dtype=np.int64), np.empty(bs.size, dtype=np.int64)
-    # admissible dates as origins a (ms..max(b)-ms) or recoveries c
-    # (min(b)+ms..T-ms, none leaves g +inf) in a column, scored against a
-    # block of peaks b (a row) at once
-    cand = np.arange(1, T + 1, dtype=np.int64)[:, None]
-    below = v[cand - 1]
-    head, tail = Pdd[cand - 1], total - Pdd[cand - 1]
-    step = max(1, _SEARCH_CELLS // T)
-    for j in range(0, bs.size, step):
-        b = bs[None, j : j + step]
-        blk = slice(j, j + step)
-        r = slice(ms - 1, b[0, -1] - ms)
-        ssr = np.where((cand[r] <= b - ms) & (below[r] < v[b - 1]), head[r] + seg(cand[r], b), np.inf)
-        f[blk], fa[blk] = ssr.min(axis=0), cand[r][ssr.argmin(axis=0), 0]
-        r = slice(b[0, 0] + ms - 1, T - ms)
-        if r.start < r.stop:
-            ssr = np.where((cand[r] >= b + ms) & (below[r] < v[b - 1]), seg(b, cand[r]) + tail[r], np.inf)
-            g[blk], gc[blk] = ssr.min(axis=0), cand[r][ssr.argmin(axis=0), 0]
-    inner = bs <= T - ms
-    rests = {
-        1: np.where(bs == T, 0.0, np.inf),
-        2: np.where(inner, total - Pdd[bs - 1], np.inf),
-        3: np.where(inner & (v[bs - 1] > v[T - 1]), seg(bs, T), np.inf),
-        4: g,
-    }
+    T, ms = v.size, min_seg
+    d2 = np.diff(v) ** 2
+    # by date j = 1..T, at row j + P of each view: y_j, and head(j) and
+    # tail(j), +inf where j is no admissible origin or recovery; NaN outside
+    P, pad = T + 1, np.full(T + 1, np.nan)
+    y, head, tail = (
+        np.lib.stride_tricks.sliding_window_view(np.r_[pad, x, pad, pad], P)
+        for x in (
+            np.r_[np.nan, v],
+            np.r_[np.full(ms, np.inf), np.cumsum(d2)[ms - 2 :]],
+            np.r_[np.inf, np.cumsum(d2[::-1])[::-1][: T - ms], np.full(ms, np.inf)],
+        )
+    )
+    f, g, to_end = np.full((3, T + 1), np.inf)  # by peak
+    flen, glen = np.zeros((2, T + 1), dtype=np.int64)  # the lengths attaining f and g
+    for i0, nl, b, n, seg in _segment_ssrs(v, ms):
+        # one grid, two views: by start, S[l, a - lo] = seg(a, a+i0+1+l); by
+        # end, longest first, E[r, b - e0] = seg(b-i0-nl+r, b), so a = lo+r+b-e0
+        e0, ne = b[0], T - b[0] + 1
+        lo, span = e0 - i0 - nl, ne + nl
+        S = np.full(nl * span, np.inf)
+        S[n * (span - 1) + b - (i0 + 1) * span - lo] = seg
+        E, S = S[nl - 1 : nl - 1 + nl * (span - 1)].reshape(nl, span - 1)[::-1, :ne], S.reshape(nl, span)
+        to_end[T - i0 - nl : T - i0] = E[:, -1]
+        # peaks from 2 ms with a recovery a+i0+1 <= T - ms
+        k = max(0, 2 * ms - lo)
+        w = max(0, T - ms - i0 - lo - k)
+        F, G = np.full((nl, ne), np.inf), np.full((nl, w), np.inf)
+        a, c = lo + P, lo + k + i0 + 1 + P
+        np.add(E, head[a : a + nl, :ne], out=F, where=y[a : a + nl, :ne] < y[e0 + P, :ne])
+        np.add(S[:, k : k + w], tail[c : c + nl, :w], out=G, where=y[c : c + nl, :w] < y[a + k, :w])
+        for best, size, grid, at, origin in ((f, flen, F, e0, True), (g, glen, G, lo + k, False)):
+            i = grid.argmin(axis=0)
+            new, run = grid[i, np.arange(grid.shape[1])], best[at : at + grid.shape[1]]
+            take = new <= run if origin else new < run
+            np.copyto(run, new, where=take)
+            np.copyto(size[at : at + grid.shape[1]], i0 + nl - i if origin else i0 + 1 + i, where=take)
+    bs = np.arange(2 * ms, T + 1)
+    rests = (np.where(bs == T, 0.0, np.inf), tail[P, bs], np.where(v[bs - 1] > v[T - 1], to_end[bs], np.inf), g[bs])
     found = {}
-    for m, rest in rests.items():
-        ssr = f + rest
-        best = np.min(ssr, initial=np.inf)
-        if not np.isfinite(best):
-            continue
-        tied = np.flatnonzero(ssr == best)
-        j = int(tied[np.argmin(fa[tied])])
-        a, b = int(fa[j]), int(bs[j])
-        c = {1: T, 2: b, 3: T, 4: int(gc[j])}[m]
-        found[m] = (float(best), (a, b, c))
+    for m, rest in enumerate(rests, 1):
+        ssr = f[bs] + rest
+        if np.isfinite(top := np.min(ssr, initial=np.inf)):
+            tied = bs[ssr == top]
+            b = int(tied[np.argmin(tied - flen[tied])])
+            found[m] = (float(top), (b - int(flen[b]), b, (T, b, T, b + int(glen[b]))[m - 1]))
     return found
 
 
@@ -578,7 +562,7 @@ def select_model_bic(
     for m in models:
         if m not in BIC_PENALTY:
             raise ValueError(f"unknown model {m}")
-    found = _search_models(v, min_seg, *_segment_ssr_engine(v))
+    found = _search_models(v, min_seg)
     bics: dict[int, float] = {}
     ssrs: dict[int, float] = {}
     dates: dict[int, tuple[int, ...]] = {}

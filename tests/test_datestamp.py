@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 import oracles
-from exuberance import recursive
+from exuberance import ols, recursive
 from exuberance.datestamp import (
     BIC_PENALTY,
+    _segment_ssrs,
     CvSequence,
     Episode,
     bic_init,
@@ -682,6 +683,33 @@ class TestSelectModelBic:
                 )
         assert n == 39  # 14 cases x 4 models, less those without an admissible candidate
 
+    @pytest.mark.parametrize("nl", [1, 2, 7])
+    def test_length_blocks_change_no_date(self, monkeypatch, nl):
+        # the oracle cases fit one block of segment lengths; in blocks of nl
+        # lengths, exact ties between origins or recoveries fall in
+        # different blocks and must still go to the smallest date
+        want = [self._selection(v, ms) for v, ms in _model_search_cases()]
+        monkeypatch.setattr(ols, "_lengths", lambda ne, rows, left: min(nl, ne, left))
+        assert [self._selection(v, ms) for v, ms in _model_search_cases()] == want
+
+    def test_recovery_tie_goes_to_the_smallest_date(self):
+        # model 4 fits (3, 7, 10) and (3, 7, 11) equally well in exact
+        # arithmetic; prefix sums of the demeaned series read the later one
+        v = np.array([1, 2, 1, 2, 1, 1, 2, 2, 1, 1, 1, 0, 0, 0], dtype=float)
+        for model in (2, 3, 4):  # model 1 has no origin below y_T = 0
+            o_ssr, o_dates = oracles.bubble_model_search(v, model, min_seg=3)
+            sel = select_model_bic(v, min_seg=3, models=(model,))
+            assert sel.dates[model] == o_dates[: len(sel.dates[model])]
+            assert sel.ssr[model] == pytest.approx(o_ssr, rel=1e-12)
+
+    @staticmethod
+    def _selection(v, ms):
+        try:
+            sel = select_model_bic(v, min_seg=ms)
+        except DegenerateFitError:
+            return None
+        return sel.model, sel.dates, sel.ssr
+
     def test_bic_formula(self):
         v = _walk(21, 80)
         v[30:55] += np.linspace(0, 10, 25)
@@ -761,6 +789,91 @@ class TestSelectModelBic:
             select_model_bic(v, models=(9,))
         with pytest.raises(DegenerateFitError):
             select_model_bic(_walk(2, 5))
+
+
+#: Largest error of a segment or candidate SSR against a reference, as a
+#: share of dy'dy over the same rows: the largest measured on the inputs
+#: of TestSegmentSsrs, 5.2e-14 (the 5% bubble), rounded up to a power of
+#: ten.  The candidate SSRs of TestSearchOptimality measured 5.2e-16 of it
+#: against the dense fit, and the prefix-sum engine the search used
+#: before was off by up to 1.8e-7 on the same segments.
+SSR_BOUND = 1e-13
+
+
+def _segment_reference(v, a, b):
+    """Long-double two-pass SSR of dy on [1, y_(t-1)] over rows t =
+    a+1..b, and dy'dy over them, for segments (a, b] of one length."""
+    x = v.astype(np.longdouble)
+    t = a[:, None] + np.arange(1, b[0] - a[0] + 1)
+    dy, lag = x[t - 1] - x[t - 2], x[t - 2]
+    dc, lc = dy - dy.mean(axis=1, keepdims=True), lag - lag.mean(axis=1, keepdims=True)
+    cyy, cyd, cdd = (lc * lc).sum(axis=1), (lc * dc).sum(axis=1), (dc * dc).sum(axis=1)
+    return cdd - cyd * cyd / cyy, (dy * dy).sum(axis=1)
+
+
+class TestSegmentSsrs:
+    def test_every_segment_matches_long_double_reference(self):
+        # a walk at a high level, 3% and 5% bubbles from 100 (from t = 105
+        # to 165, then back to the pre-bubble level), the 3% one at + 1e4
+        T, ms = 300, 3
+        walk = 100 + np.cumsum(np.random.default_rng(71).standard_normal(T))
+        b3, b5 = (
+            _bubble_walk(np.random.default_rng(seed), T, growth, [(0.35, 0.55)], y0=100.0)
+            for seed, growth in ((72, 1.03), (73, 1.05))
+        )
+        want = {(b - n, b) for n in range(ms, T - ms + 1) for b in range(max(2 * ms, n + 1), T + 1)}
+        for v in (walk + 1e6, b3, b5, b3 + 1e4):
+            seen = set()
+            for _, _, b, n, seg in _segment_ssrs(v, ms):
+                seen.update(zip((b - n).tolist(), b.tolist()))
+                for length in np.unique(n):
+                    at = n == length
+                    ref, dd = _segment_reference(v, b[at] - length, b[at])
+                    assert np.isfinite(seg[at]).all()
+                    assert (np.abs(seg[at] - ref) <= SSR_BOUND * dd).all()
+            assert seen == want
+
+
+def _two_step_bubble(seed, T=300):
+    """A collapsing bubble as ``datestamp-two-step`` draws them: a unit
+    root from 100, growth at 1.03 on a < t <= a+45 from a in [105, 135),
+    decay at 0.96 on a+45 < t <= a+60, N(0, 1) innovations."""
+    rng = np.random.default_rng(seed)
+    a = int(rng.integers(105, 135))
+    e = rng.standard_normal(T)
+    y, prev = np.empty(T), 100.0
+    for t in range(1, T + 1):
+        prev = (1.03 if a < t <= a + 45 else 0.96 if a + 45 < t <= a + 60 else 1.0) * prev + e[t - 1]
+        y[t - 1] = prev
+    return y
+
+
+class TestSearchOptimality:
+    @pytest.mark.parametrize("seed", range(2201, 2207))
+    def test_models_fit_their_dates_and_no_neighbour_fits_better(self, seed):
+        y, ms = _two_step_bubble(seed), 3
+        T, scale = y.size, SSR_BOUND * float(np.diff(y) @ np.diff(y))
+        sel = select_model_bic(y, min_seg=ms)
+
+        def triple(model, dates):
+            return {1: lambda a: (a, T, T), 2: lambda a, b: (a, b, b),
+                    3: lambda a, b: (a, b, T), 4: lambda a, b, c: (a, b, c)}[model](*dates)
+
+        def dense(model, abc):
+            return fit_bubble_model(y, model, tuple(d / T for d in abc), min_seg=ms)
+
+        for m, dates in sel.dates.items():
+            assert abs(sel.ssr[m] - dense(m, triple(m, dates)).ssr) <= scale, m
+        best = dense(sel.model, sel.fit.dates).ssr
+        wins = sel.dates[sel.model]
+        for step in np.ndindex(*(3,) * len(wins)):
+            moved = tuple(d + s - 1 for d, s in zip(wins, step))
+            try:
+                fit = dense(sel.model, triple(sel.model, moved))
+            except ValueError:  # too short a regime, or dates out of order
+                continue
+            if fit.valid:
+                assert fit.ssr >= best - scale, moved
 
 
 class TestTwoStep:
