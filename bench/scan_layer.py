@@ -70,6 +70,7 @@ def cases() -> dict:
         ),
         "two_step_stamp bubble T=300 k=2": lambda: two_step_stamp(bubble, k=2),
         "select_model_bic bubble T=300": lambda: select_model_bic(bubble),
+        "select_model_bic walk T=600": lambda: select_model_bic(y600),
         "recursive_ar_coefficients T=600": lambda: recursive_ar_coefficients(y600),
         "rolling_ar_coefficients T=600 window=60": lambda: rolling_ar_coefficients(y600, 60),
         "sign_path T=600 k=2": lambda: sign_path(y600, filter_lags=2),

@@ -515,11 +515,10 @@ def _search_models(v, min_seg):
         np.add(E, head[a : a + nl, :ne], out=F, where=y[a : a + nl, :ne] < y[e0 + P, :ne])
         np.add(S[:, k : k + w], tail[c : c + nl, :w], out=G, where=y[c : c + nl, :w] < y[a + k, :w])
         for best, size, grid, at, origin in ((f, flen, F, e0, True), (g, glen, G, lo + k, False)):
-            i = grid.argmin(axis=0)
-            new, run = grid[i, np.arange(grid.shape[1])], best[at : at + grid.shape[1]]
-            take = new <= run if origin else new < run
-            np.copyto(run, new, where=take)
-            np.copyto(size[at : at + grid.shape[1]], i0 + nl - i if origin else i0 + 1 + i, where=take)
+            new, run = grid.min(axis=0), best[at : at + grid.shape[1]]
+            take = np.flatnonzero(new <= run if origin else new < run)
+            i = grid[:, take].argmin(axis=0)
+            run[take], size[at + take] = new[take], i0 + nl - i if origin else i0 + 1 + i
     bs = np.arange(2 * ms, T + 1)
     rests = (np.where(bs == T, 0.0, np.inf), tail[P, bs], np.where(v[bs - 1] > v[T - 1], to_end[bs], np.inf), g[bs])
     found = {}

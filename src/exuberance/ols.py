@@ -24,7 +24,9 @@ pass.  Each Gram matrix is equilibrated to unit diagonal and factored;
 the level coefficient's t-ratio follows without forming the inverse, and
 the coefficients a reader asks for by one back-substitution (the AR
 sequences of ``inference``, the sign filter of ``robust``).  The sup-Chow
-and GLS curve builders in ``recursive`` use ``_terms`` and ``_tstats`` too.
+and GLS curve builders in ``recursive`` use ``_terms`` and ``_tstats`` too,
+and the regime search of ``datestamp`` reads every segment SSR from the
+const, k = 0 sums of one backward sweep (``_sweep``).
 
 The moment route is guarded.  A window whose equilibrated Gram has
 condition number above ``COND_LIMIT`` (1e12) or is not numerically
