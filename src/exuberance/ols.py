@@ -324,13 +324,15 @@ def _sweep(Y: np.ndarray, det: str, k: int, e_lo: int, back: int = 0):
         if nl == 1:
             C = _terms((ne, R), det, k, lambda j: d[top - j : top - j + ne], Y[top : top + ne], float(i0), Ya[e0 - 1 :], S[:, e0:], True)[0]
             return C, slots, np.arange(e0, T + 1), np.full(ne, i0 + 1)
-        l, q = np.nonzero(np.arange(ne) >= np.arange(nl)[:, None] - (e0 - k - 2 - i0))  # the windows from y_1 on
+        cnt = ne - np.maximum(0, np.arange(nl) - (e0 - k - 2 - i0))  # the windows from y_1 on: each length's last cnt ends
+        l, ends = np.repeat(np.arange(nl), cnt), np.cumsum(cnt)
+        q = np.arange(l.size) - np.repeat(ends - ne, cnt)
         P = P if P.shape[1] >= l.size else np.empty((len(S), max(l.size, CHUNK_CELLS // 4 // R), R))  # a block's budget, or more
-        row, cnt = top + q - l, np.bincount(l)
+        row = top + q - l
         C = _terms((l.size, R), det, k, lambda j: d[row - j], Y[row], (i0 + l)[:, None] + 0.0, Ya[e0 - 1 + q], P[:, : l.size])[0]
         C[:n, :ne] += S[:n, e0:]
-        for m, end in enumerate(np.cumsum(cnt)[:-1], 1):  # each length's windows end at its predecessor's last cnt[m]
-            C[:n, end : end + cnt[m]] += C[:n, end - cnt[m] : end]
+        for end, c in zip(ends[:-1].tolist(), cnt[1:].tolist()):  # each length's windows end at its predecessor's last c
+            C[:n, end : end + c] += C[:n, end - c : end]
         S[:n, T + 1 - cnt[-1] :] = C[:n, l.size - cnt[-1] :]
         return C, slots, e0 + q, i0 + 1 + l
 
