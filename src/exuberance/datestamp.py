@@ -507,14 +507,14 @@ def _search_models(v, min_seg):
         S[n * (span - 1) + b - (i0 + 1) * span - lo] = seg
         E, S = S[nl - 1 : nl - 1 + nl * (span - 1)].reshape(nl, span - 1)[::-1, :ne], S.reshape(nl, span)
         to_end[T - i0 - nl : T - i0] = E[:, -1]
-        # peaks from 2 ms with a recovery a+i0+1 <= T - ms
-        k = max(0, 2 * ms - lo)
-        w = max(0, T - ms - i0 - lo - k)
+        # peaks from 2 ms with a recovery a+i0+1 <= T - ms: columns skip..skip+w of S
+        skip = max(0, 2 * ms - lo)
+        w = max(0, T - ms - i0 - lo - skip)
         F, G = np.full((nl, ne), np.inf), np.full((nl, w), np.inf)
-        a, c = lo + P, lo + k + i0 + 1 + P
+        a, c = lo + P, lo + skip + i0 + 1 + P
         np.add(E, head[a : a + nl, :ne], out=F, where=y[a : a + nl, :ne] < y[e0 + P, :ne])
-        np.add(S[:, k : k + w], tail[c : c + nl, :w], out=G, where=y[c : c + nl, :w] < y[a + k, :w])
-        for best, size, grid, at, origin in ((f, flen, F, e0, True), (g, glen, G, lo + k, False)):
+        np.add(S[:, skip : skip + w], tail[c : c + nl, :w], out=G, where=y[c : c + nl, :w] < y[a + skip, :w])
+        for best, size, grid, at, origin in ((f, flen, F, e0, True), (g, glen, G, lo + skip, False)):
             new, run = grid.min(axis=0), best[at : at + grid.shape[1]]
             take = np.flatnonzero(new <= run if origin else new < run)
             i = grid[:, take].argmin(axis=0)

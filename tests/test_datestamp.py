@@ -694,7 +694,7 @@ class TestSelectModelBic:
 
     def test_recovery_tie_goes_to_the_smallest_date(self):
         # model 4 fits (3, 7, 10) and (3, 7, 11) equally well in exact
-        # arithmetic; prefix sums of the demeaned series read the later one
+        # arithmetic, so the earlier recovery wins
         v = np.array([1, 2, 1, 2, 1, 1, 2, 2, 1, 1, 1, 0, 0, 0], dtype=float)
         for model in (2, 3, 4):  # model 1 has no origin below y_T = 0
             o_ssr, o_dates = oracles.bubble_model_search(v, model, min_seg=3)
@@ -794,9 +794,7 @@ class TestSelectModelBic:
 #: Largest error of a segment or candidate SSR against a reference, as a
 #: share of dy'dy over the same rows: the largest measured on the inputs
 #: of TestSegmentSsrs, 5.2e-14 (the 5% bubble), rounded up to a power of
-#: ten.  The candidate SSRs of TestSearchOptimality measured 5.2e-16 of it
-#: against the dense fit, and the prefix-sum engine the search used
-#: before was off by up to 1.8e-7 on the same segments.
+#: ten.  The candidate SSRs of TestSearchOptimality measured 5.2e-16.
 SSR_BOUND = 1e-13
 
 
