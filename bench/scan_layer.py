@@ -22,6 +22,7 @@ import numpy as np
 from exuberance import ols
 from exuberance.bootstrap import _REGISTRY, wild_bootstrap_pvalue
 from exuberance.datestamp import select_model_bic, two_step_stamp
+from exuberance.dgpsim import DgpSpec, VolPath, size_power_study
 from exuberance.inference import recursive_ar_coefficients, rolling_ar_coefficients
 from exuberance.robust import _tt_rows, sign_path
 
@@ -51,6 +52,15 @@ def cases() -> dict:
     y300, y600, y200 = _walk(1, 300), _walk(2, 600), _walk(3, 200)
     panel, wide, robust = _walk(4, (163, 200)), _walk(6, (199, 200)), _walk(7, (100, 200))
     bubble = _bubble(5, 300)
+    # a study's null walks under a volatility break against a late bubble,
+    # the cv tabulated from 100 homoskedastic walks
+    null, alt = DgpSpec(kind="rw_drift", T=200), DgpSpec(kind="pwy_bubble", T=200, tau_e=0.8, tau_c=1.0, c=1.0, alpha=0.6, y0=100.0)
+
+    def study(stat):
+        return lambda: size_power_study(
+            stat, null, alt, replications=100, seed=1, cv_replications=100, null_vol=VolPath.single_break(0.5, 1.0, 3.0)
+        )
+
     return {
         "bsadf_backward T=300 k=0": lambda: ols.bsadf_backward(y300, _m0(300), k=0),
         "bsadf_backward T=300 k=2": lambda: ols.bsadf_backward(y300, _m0(300), k=2),
@@ -62,6 +72,8 @@ def cases() -> dict:
         "sign_gsadf scores panel 100x200": lambda: _REGISTRY["sign_gsadf"].curves(robust, _m0(200), sups=True),
         "gstadf scores panel 100x200": lambda: _REGISTRY["gstadf"].curves(robust, _m0(200), sups=True),
         "tt rows panel 100x200": lambda: _tt_rows(robust),
+        "size_power_study sign_gsadf T=200 R=100 break": study("sign_gsadf"),
+        "size_power_study gstadf T=200 R=100 break": study("gstadf"),
         "wild_bootstrap_pvalue gsadf T=200 B=199": lambda: wild_bootstrap_pvalue(y200, "gsadf", B=199, seed=1),
         "wild_bootstrap_pvalue hb_chow T=200 B=199": lambda: wild_bootstrap_pvalue(y200, "hb_chow", B=199, seed=1),
         "wild_bootstrap_pvalue sadf_gls const T=200 B=199": lambda: wild_bootstrap_pvalue(y200, "sadf_gls", B=199, seed=1),

@@ -207,24 +207,26 @@ def _resolve(statistic) -> tuple[str, _Statistic]:
     return key, _REGISTRY[key]
 
 
-def _replicate_values(n: int, T: int, path, score) -> np.ndarray:
-    """Score replicate paths ``path(r)`` (length T), r = 0..n-1, in chunks.
-
-    ``score`` maps a (rows, T) panel to one value (or row of values) per
+def _replicate_values(n: int, T: int, rows, score) -> np.ndarray:
+    """Score replicate paths r = 0..n-1 (length T) in chunks, each built
+    as one panel: ``rows(r0, r1)`` gives the (r1 - r0, T) panel of paths
+    r0..r1-1, and ``score`` maps it to one value (or row of values) per
     path; the results are stacked in replicate order.
     """
-    rows = max(1, CHUNK_CELLS // T)
-    return np.concatenate([
-        score(np.stack([path(r) for r in range(c0, min(n, c0 + rows))]))
-        for c0 in range(0, n, rows)
-    ])
+    step = max(1, CHUNK_CELLS // T)
+    return np.concatenate([score(rows(r0, min(n, r0 + step))) for r0 in range(0, n, step)])
+
+
+def _multipliers(seed: int, r0: int, r1: int, n: int, kind: str) -> np.ndarray:
+    """The (r1 - r0, n) multipliers of wild replicates r0..r1-1, row r from its own stream."""
+    return np.stack([multiplier_draws(replicate_rng(seed, r), n, kind) for r in range(r0, r1)])
 
 
 def _null_resample(v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Build one wild-bootstrap series: y*_1 = 0, y*_t = sum_{i<=t} w_i dy_i."""
-    ystar = np.empty(v.size)
-    ystar[0] = 0.0
-    np.cumsum(w * np.diff(v), out=ystar[1:])
+    """Wild-bootstrap series y*_1 = 0, y*_t = sum_{i<=t} w_i dy_i, one per
+    row of multipliers ``w`` (T - 1 of them, or a panel of such rows)."""
+    ystar = np.zeros(w.shape[:-1] + v.shape)
+    np.cumsum(w * np.diff(v), axis=-1, out=ystar[..., 1:])
     return ystar
 
 
@@ -233,7 +235,7 @@ def _wild_replicates(v, members, tau0, B, multiplier, seed, det) -> tuple[np.nda
     paths at k = 0, and each member's degenerate count, guarded."""
     replicates = _replicate_values(
         B, v.size,
-        lambda r: _null_resample(v, multiplier_draws(replicate_rng(seed, r), v.size - 1, multiplier)),
+        lambda r0, r1: _null_resample(v, _multipliers(seed, r0, r1, v.size - 1, multiplier)),
         lambda Y: np.column_stack([stat.scores(Y, tau0, det, 0) for _, stat in members]),
     )
     n_degenerate = np.isnan(replicates).sum(axis=0).astype(np.int64)
@@ -424,29 +426,20 @@ def composite_monitor_cv(
     # residuals at the same indices up to the window end.
     e_used = resid[: end - k - 1]
 
-    def path(r):
-        w = multiplier_draws(replicate_rng(seed, r), e_used.size, multiplier)
-        dystar = np.empty(end - 1)
-        dystar[:k] = dy[:k]
-        if k == 0:
-            dystar[:] = w * e_used
-        else:
-            shocks = w * e_used
-            for t in range(k, end - 1):
-                acc = shocks[t - k]
-                for j in range(1, k + 1):
-                    acc += phi[j - 1] * dystar[t - j]
-                dystar[t] = acc
-        ystar = np.empty(end)
-        ystar[0] = v[0]
-        np.cumsum(dystar, out=ystar[1:])
-        ystar[1:] += v[0]
+    def paths(r0, r1):  # the lag recursion runs over every row at once, in the order of one row's
+        dystar = np.empty((r1 - r0, end - 1))
+        dystar[:, :k] = dy[:k]
+        np.multiply(_multipliers(seed, r0, r1, e_used.size, multiplier), e_used, out=dystar[:, k:])
+        for t in range(k, end - 1):
+            for j in range(1, k + 1):
+                dystar[:, t] += phi[j - 1] * dystar[:, t - j]
+        ystar = np.empty((r1 - r0, end))
+        ystar[:, 0] = v[0]
+        np.cumsum(dystar, axis=1, out=ystar[:, 1:])
+        ystar[:, 1:] += v[0]
         return ystar
 
-    def score(Y):
-        return ols._backward(Y, m0, det, 0, sups=True)
-
-    replicate_max = _replicate_values(B, end, path, score)
+    replicate_max = _replicate_values(B, end, paths, lambda Y: ols._backward(Y, m0, det, 0, sups=True))
     n_bad = int(np.isnan(replicate_max).sum())
     _degenerate_guard(n_bad, B, "windowed backward sup statistic")
     cv = float(np.nanquantile(replicate_max, level, method="higher"))

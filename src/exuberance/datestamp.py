@@ -668,10 +668,10 @@ def sign_stamp(
         s2 = (sdd - sxy * sxy / sxx) / (e_all - 1)
     s2[(sxx <= 0) | (e_all < 2)] = np.nan
 
-    def stat(e, s):
+    def stat(e, s, n):
         num = e * ols._at(s2, e) - np.where(s > 0, s * ols._at(s2, s), 0.0)
         with np.errstate(invalid="ignore", divide="ignore"):
-            s2c = num / (e - s - 1)
+            s2c = num / (n - 1)
             b = ols._at(sxx, e) - ols._at(sxx, s)
             st = ((ols._at(sxy, e) - ols._at(sxy, s)) / b) / np.sqrt(s2c**epsilon / b)
         return np.where((b > 0) & (s2c > 0), st, np.nan)

@@ -246,12 +246,6 @@ def _draw_innovations(spec: DgpSpec, rng: np.random.Generator) -> np.ndarray:
     return rng.standard_t(spec.df, spec.T) / scale
 
 
-def _resolve_rng(spec: DgpSpec, seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(spec.seed if seed is None else seed)
-
-
 def simulate(spec: DgpSpec, vol: VolPath | None = None, seed=None) -> Series:
     """Generate one path of the process described by ``spec``.
 
@@ -260,17 +254,25 @@ def simulate(spec: DgpSpec, vol: VolPath | None = None, seed=None) -> Series:
     (spec, vol, seed); ``seed`` overrides ``spec.seed`` and may be an
     integer or a Generator (for callers managing their own streams).
     """
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(spec.seed if seed is None else seed)
+    return Series(_paths(spec, vol, [rng])[0], name=spec.kind)
+
+
+def _paths(spec: DgpSpec, vol: VolPath | None, rngs) -> np.ndarray:
+    """The (rows, T) panel of paths of ``spec``, row i drawing its
+    innovations from the generator ``rngs[i]``: the volatility scaling, the
+    bubble recursion and the unit-root stretches then run over every row at
+    once, each row bit for bit its own :func:`simulate`."""
     vol = VolPath.constant() if vol is None else vol
-    rng = _resolve_rng(spec, seed)
     T = spec.T
-    eps = vol.path(T) * _draw_innovations(spec, rng)
-    y = np.empty(T)
+    eps = vol.path(T) * np.stack([_draw_innovations(spec, rng) for rng in rngs])
+    y, start = np.empty_like(eps), np.full(len(eps), float(spec.y0))
 
     if spec.kind == "rw_drift":
         drift = spec.mu * T**-spec.eta
-        np.cumsum(eps, out=y)
+        np.cumsum(eps, axis=1, out=y)
         y += spec.y0 + drift * np.arange(1, T + 1)
-        return Series(y, name=spec.kind)
+        return y
 
     # unit roots before T_e and after T_r, explosive to T_c, collapsing to
     # T_r; a pwy_bubble collapses at once (T_r = T_c) and is reinitialised
@@ -279,25 +281,26 @@ def simulate(spec: DgpSpec, vol: VolPath | None = None, seed=None) -> Series:
     up, down = 1.0 + spec.explosive_rate(), 1.0 if bubble else 1.0 - spec.collapse_rate()
     drift = None if bubble else spec.mu * T**-spec.eta
     lo = max(T_e, 1)
-    y[: lo - 1] = _walk(spec.y0, eps[: lo - 1], drift)
-    prev = y[lo - 2] if lo > 1 else spec.y0
+    y[:, : lo - 1] = _walk(start, eps[:, : lo - 1], drift)
+    prev = y[:, lo - 2] if lo > 1 else start
     for t in range(lo, T_r + 1):
-        prev = y[t - 1] = (up if t <= T_c else down) * prev + eps[t - 1]
+        prev = y[:, t - 1] = (up if t <= T_c else down) * prev + eps[:, t - 1]
     # a zero localizing constant with no reinit offset degenerates to
     # a pure random walk: there is no bubble, so nothing collapses
     if bubble and not (spec.c == 0.0 and spec.y_star == 0.0):
-        prev = (spec.y0 if T_e < 1 else y[T_e - 1]) + spec.y_star
-    y[T_r:] = _walk(prev, eps[T_r:], drift)
-    return Series(y, name=spec.kind)
+        prev = (start if T_e < 1 else y[:, T_e - 1]) + spec.y_star
+    y[:, T_r:] = _walk(prev, eps[:, T_r:], drift)
+    return y
 
 
-def _walk(prev: float, eps: np.ndarray, drift: float | None = None) -> np.ndarray:
-    """The unit-root stretch after ``prev``: each step prev + eps_t, or
-    (drift + prev) + eps_t with ``drift``, as one in-order cumsum over the
-    steps (drifts and innovations interleaved), bit for bit the recursion."""
+def _walk(prev: np.ndarray, eps: np.ndarray, drift: float | None = None) -> np.ndarray:
+    """The unit-root stretches after ``prev``, one per row of ``eps``: each
+    step prev + eps_t, or (drift + prev) + eps_t with ``drift``, as one
+    in-order cumsum over the steps (drifts and innovations interleaved),
+    bit for bit the recursion."""
     k = 1 if drift is None else 2  # sums per step
-    steps = eps if k == 1 else np.column_stack([np.full(eps.size, drift), eps]).ravel()
-    return np.cumsum(np.concatenate(([prev], steps)))[k::k]
+    steps = eps if k == 1 else np.stack([np.full_like(eps, drift), eps], axis=2).reshape(len(eps), -1)
+    return np.cumsum(np.concatenate((prev[:, None], steps), axis=1), axis=1)[:, k::k]
 
 
 @dataclass(frozen=True)
@@ -441,11 +444,6 @@ def _table_value(table: CvTable, statistic, T: int, level: float, tau0, det, k) 
         raise DataError(exc.args[0]) from exc
 
 
-def _null_walk(T: int, rng: np.random.Generator) -> np.ndarray:
-    """Driftless random-walk null with unit Gaussian innovations."""
-    return np.cumsum(rng.standard_normal(T))
-
-
 def tabulate_critical_values(
     statistic,
     sample_sizes,
@@ -497,9 +495,9 @@ def tabulate_critical_values(
         )
     values: dict = {}
     for T in sizes:
-        stats = _replicate_values(
+        stats = _replicate_values(  # driftless random walks with unit Gaussian innovations
             replications, T,
-            lambda r: _null_walk(T, replicate_rng(seed, T, r)),
+            lambda r0, r1: np.cumsum(np.stack([replicate_rng(seed, T, r).standard_normal(T) for r in range(r0, r1)]), axis=1),
             lambda Y: stat.scores(Y, tau0, det, k),
         )
         good = stats[np.isfinite(stats)]
@@ -541,10 +539,11 @@ class SizePowerStudy(_JsonFields):
 
 
 def _rejection_arm(spec, vol, stat, tau0, det, k, cv, seed, arm, replications):
-    def path(r):
-        return simulate(spec, vol, seed=replicate_rng(seed, arm, r)).values
-
-    stats = _replicate_values(replications, spec.T, path, lambda Y: stat.scores(Y, tau0, det, k))
+    stats = _replicate_values(
+        replications, spec.T,
+        lambda r0, r1: _paths(spec, vol, [replicate_rng(seed, arm, r) for r in range(r0, r1)]),
+        lambda Y: stat.scores(Y, tau0, det, k),
+    )
     rejections = int(np.sum(np.isfinite(stats) & (stats > cv)))
     return rejections, int(np.isnan(stats).sum())
 

@@ -343,14 +343,14 @@ def _tstats(C: np.ndarray, slots: dict, nobs: np.ndarray, p: int, coefs: int = 0
     """Level t-ratios of a batch of windows from their cross moments.
 
     ``C[slot, w]`` holds window w's moments (one column per series) and
-    ``nobs[w]`` its observation count.  The Gram matrix is equilibrated
-    to unit diagonal and factored as L L'; with the level last its
-    t-ratio is z_p / sigma, where z = L^-1 D Z'dy.  Returns ``(t,
-    refit)``: t is NaN where the window cannot support the fit or needs
-    a dense refit, and ``refit`` marks windows whose equilibrated Gram is
-    not numerically positive definite or has condition number above
-    ``COND_LIMIT``, whose residual sum of squares is within cancellation
-    error of zero (ssr <= 1e-5 dy'dy) or whose ratio is not finite.
+    ``nobs[w]`` its observation count (an int ``nobs``: every window's).
+    The Gram matrix is equilibrated to unit diagonal and factored as L L';
+    with the level last its t-ratio is z_p / sigma, where z = L^-1 D Z'dy.
+    Returns ``(t, refit)``: t is NaN where the window cannot support the
+    fit or needs a dense refit, and ``refit`` marks windows whose
+    equilibrated Gram is not numerically positive definite or has condition
+    number above ``COND_LIMIT``, whose residual sum of squares is within
+    cancellation error of zero (ssr <= 1e-5 dy'dy) or whose ratio is not finite.
     With ``coefs`` = c > 0, t stacks the t-ratios over the last c coefficients D L'^-1 z.
 
     D, L, z, ssr and t go to scratch entries after ``C``'s slots (made
@@ -360,7 +360,7 @@ def _tstats(C: np.ndarray, slots: dict, nobs: np.ndarray, p: int, coefs: int = 0
     bound within ``COND_LIMIT`` (a zero diagonal or a nonpositive pivot
     spoils ssr or the bound); only the rest are classified one by one.
     """
-    nobs, shape = nobs[:, None], C.shape[1:]
+    nobs, shape = nobs[:, None] if np.ndim(nobs) else nobs, C.shape[1:]
     first, need = max(slots.values()) + 1, len(slots) + p + 4  # D, L, the pivots' product, z, ssr, t, two temporaries
     work = iter(C[first : first + need] if len(C) >= first + need else np.empty((need,) + shape))
     acc, tmp = next(work), next(work)
@@ -506,8 +506,8 @@ def _prefix(Y: np.ndarray, det: str, k: int, m0: int, coefs: bool = False):
 
 def _rolling(Y: np.ndarray, window: int, det: str, k: int, coefs: bool = False):
     """As :func:`_prefix`, for the windows (e - window, e], e = window..T: one sweep block, intercepts at y_(e-window+1)."""
-    C, slots, ends, nobs = _sweep(Y, det, k, window, window - 1)(window - k - 2, 1)
-    return _window_tstats(Y, C, slots, nobs, ends - window, ends, det, k, coefs)
+    C, slots, ends, _ = _sweep(Y, det, k, window, window - 1)(window - k - 2, 1)
+    return _window_tstats(Y, C, slots, window - k - 1, ends - window, ends, det, k, coefs)
 
 
 def _at(A: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -523,18 +523,22 @@ def _curve_out(curve: np.ndarray, m0: int, sups: bool):
 
 def _sup_curve(stat, rows: int, m0: int, T: int, double: bool = True, sups: bool = False):
     """The package's one sup loop: for e = m0..T, the sup over starts
-    s = 0..e-m0 of ``stat(e, s)`` per row, and the smallest start
+    s = 0..e-m0 of ``stat(e, s, n)`` per row, and the smallest start
     attaining it ((rows, T+1) arrays; NaN and start -1 where no window is
     defined).  Window lengths n run shortest first, nl of them per block
     (:func:`_lengths`: one once endpoints x rows fill the budget, many for
-    one series), over every endpoint at once: ``stat`` maps e (1, ne, 1) and
-    s = e - n (nl, ne, 1) to time-major (nl, ne, rows), NaN where undefined;
-    cells with s < 0 are not read.  A tie goes to the longer window, the
-    smaller start.  A prefix curve (``double`` False) takes only s = 0, in
-    one call.  ``sups`` keeps only each row's running maximum (NaN where none)."""
+    one series), over every endpoint at once: ``stat`` maps e (1, ne, 1),
+    s = e - n (nl, ne, 1) and the lengths n = e - s, an int when the block
+    holds one length (else an array), to time-major (nl, ne, rows), NaN
+    where undefined, an array this loop may overwrite; cells with s < 0 are
+    not read.  Each block's best value and its longest attaining length per
+    endpoint come from one reduction over its lengths, and a tie goes to the
+    longer window, the smaller start.  A prefix curve (``double`` False)
+    takes only s = 0, in one call.  ``sups`` keeps only each row's running
+    maximum (NaN where none)."""
     if not double:
-        curve = np.full((rows, T + 1), np.nan)
-        st = stat(np.arange(m0, T + 1)[None, :, None], np.zeros((1, 1, 1), dtype=np.int64))[0].T
+        curve, e = np.full((rows, T + 1), np.nan), np.arange(m0, T + 1)[None, :, None]
+        st = stat(e, np.zeros((1, 1, 1), dtype=np.int64), e)[0].T
         np.copyto(curve[:, m0:], st, where=~np.isnan(st))  # NaN cells keep the fill's NaN, sign bit and all
         return _curve_out(curve, m0, sups)
     best, curve = np.full(rows, np.nan), np.full((rows, (T + 1) * (not sups)), -np.inf)  # any window takes it; NaN where none did
@@ -543,15 +547,20 @@ def _sup_curve(stat, rows: int, m0: int, T: int, double: bool = True, sups: bool
     while n0 <= T:
         e = np.arange(n0, T + 1)[None, :, None]
         nl = _lengths(e.size, rows, T + 1 - n0)
-        s = e - np.arange(n0, n0 + nl)[:, None, None]
-        st = stat(e, s)
-        for n in range(n0, n0 + nl):  # from e = n on, where s >= 0; ties go to the longer window
-            if sups:
-                np.fmax(best, np.fmax.reduce(st[n - n0, n - n0 :], axis=0), out=best)
-                continue
-            take = st[n - n0, n - n0 :].T >= curve[:, n:]
-            np.copyto(curve[:, n:], st[n - n0, n - n0 :].T, where=take)
-            np.copyto(length[:, n:], n, where=take)
+        n = np.arange(n0, n0 + nl)[:, None, None]
+        st = stat(e, e - n, int(n0) if nl == 1 else n)
+        top, at = st[0], 0
+        if nl > 1:
+            st[n[:, 0] > e[0, :, 0]] = np.nan  # s < 0: no window
+            if not sups:  # the longest length attaining the block's best, read from st: -0.0 keeps its sign
+                at = nl - 1 - np.argmax((st == np.fmax.reduce(st, axis=0))[::-1], axis=0)
+                top = np.take_along_axis(st, at[None], 0)[0]
+        if sups:
+            np.fmax(best, np.fmax.reduce(np.fmax.reduce(st, axis=1), axis=0), out=best)
+        else:
+            take = top.T >= curve[:, n0:]  # NaN never takes; a tie goes to the longer window
+            np.copyto(curve[:, n0:], top.T, where=take)
+            np.copyto(length[:, n0:], n0 + np.transpose(at), where=take)
         n0 += nl
     curve[length == 0] = np.nan
     return best if sups else (curve, np.where(length > 0, np.arange(T + 1) - length, -1))
@@ -575,12 +584,12 @@ def _backward(values, m0: int, det: str, k: int, sups: bool = False):  # bsadf_b
     m0 = max(m0, _min_window_len(det, k))  # shorter windows cannot support the fit
     block = _sweep(Y, det, k, m0)
 
-    def stat(e, s):  # the sweep's blocks are the sup loop's; a cell with s < 0 is no window, and NaN
+    def stat(e, s, n):  # the sweep's blocks are the sup loop's; one length n reads with one nobs
         C, slots, ends, nobs = block(i0 := int(e[0, 0, 0] - s[0, 0, 0] - k - 2), len(s))
-        t = _window_tstats(Y, C, slots, nobs, ends - nobs - k - 1, ends, det, k)
-        if len(s) > 1:
-            t, live = np.full((s.size, Y.shape[1]), np.nan), t
-            t[(nobs - i0 - 1) * e.size + ends - e[0, 0, 0]] = live
+        if np.ndim(n) == 0:
+            return _window_tstats(Y, C, slots, n - k - 1, ends - n, ends, det, k)[None]
+        t = np.full((s.size, Y.shape[1]), np.nan)  # a cell with s < 0 is no window, and NaN
+        t[(nobs - i0 - 1) * e.size + ends - e[0, 0, 0]] = _window_tstats(Y, C, slots, nobs, ends - nobs - k - 1, ends, det, k)
         return t.reshape(len(s), e.size, -1)
 
     out = _sup_curve(stat, Y.shape[1], m0, Y.shape[0], True, sups)

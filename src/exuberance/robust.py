@@ -185,12 +185,12 @@ def _sign_window(C: np.ndarray, strict: bool = False):
     <= 0) gives +-inf by the slope's sign, NaN for a zero slope; b = 0 is 0/0."""
     A, B, D = _sign_moments(C, strict)
 
-    def stat(e, s):  # a / b * sqrt(b (e - s - 1) / max(d - a a / b, 0)), in place
+    def stat(e, s, n=None):  # a / b * sqrt(b (n - 1) / max(d - a a / b, 0)), in place; n = e - s
         a, b, d = _at(A, e) - _at(A, s), _at(B, e) - _at(B, s), _at(D, e) - _at(D, s)
         with np.errstate(divide="ignore", invalid="ignore"):
             aa = np.divide(a * a, b)
             sse = np.maximum(np.subtract(d, aa, out=d), 0.0, out=d)
-            np.sqrt(np.divide(np.multiply(b, e - s - 1.0, out=aa), sse, out=aa), out=aa)
+            np.sqrt(np.divide(np.multiply(b, (e - s if n is None else n) - 1.0, out=aa), sse, out=aa), out=aa)
             return np.multiply(np.divide(a, b, out=a), aa, out=a)
 
     return stat
@@ -259,12 +259,22 @@ class VarianceProfile:
 def _inverse(eta, grid, q, j):
     """The profile inverse at q from j, the count of profile values below q
     (q and j stack along eta's rows): linear between the grid points that
-    bracket q, the leftmost preimage on a flat stretch; 0 where j = 0."""
+    bracket q, the leftmost preimage on a flat stretch; 0 where j = 0.
+    Its steps run in place, so few arrays of j's shape live at once."""
     jj = np.minimum(j, grid.size - 1)
-    e0, e1 = np.take_along_axis(eta, jj - 1, -1), np.take_along_axis(eta, jj, -1)
-    flat = e1 == e0
-    frac = np.where(flat, 0.0, (q - e0) / np.where(flat, 1.0, e1 - e0))
-    return np.where(j > 0, grid[jj - 1] + frac * (grid[jj] - grid[jj - 1]), 0.0)
+    width = np.take_along_axis(eta, jj, -1)
+    jj -= 1
+    frac = np.take_along_axis(eta, jj, -1)
+    np.subtract(width, frac, out=width)  # e1 - e0, 0 exactly where e1 = e0
+    np.subtract(q, frac, out=frac)
+    flat = width == 0
+    np.divide(frac, width, out=frac, where=~flat)
+    frac[flat] = 0.0
+    lo = grid[jj]
+    np.multiply(frac, np.subtract(grid[np.add(jj, 1, out=jj)], lo, out=width), out=frac)
+    frac += lo
+    frac[j == 0] = 0.0
+    return frac
 
 
 def _source_indices(eta: np.ndarray) -> np.ndarray:
@@ -273,9 +283,12 @@ def _source_indices(eta: np.ndarray) -> np.ndarray:
     below each grid point, from where each value falls on the grid."""
     rows, T = eta.shape[0], eta.shape[1] - 1
     grid = np.arange(T + 1) / T
-    K = np.searchsorted(grid, eta, side="right") + (T + 2) * np.arange(rows)[:, None]
-    j = np.cumsum(np.bincount(K.ravel(), minlength=rows * (T + 2)).reshape(rows, T + 2), axis=1)[:, :-1]
-    return np.maximum(np.floor(_inverse(eta, grid, grid, j) * T + 1e-9).astype(np.int64), 1)
+    j = np.bincount(
+        (np.searchsorted(grid, eta, side="right") + (T + 2) * np.arange(rows)[:, None]).ravel(), minlength=rows * (T + 2)
+    ).reshape(rows, T + 2)
+    g = _inverse(eta, grid, grid, np.cumsum(j, axis=1, out=j)[:, :-1])
+    idx = np.floor(np.add(np.multiply(g, T, out=g), 1e-9, out=g), out=g).astype(np.int64)
+    return np.maximum(idx, 1, out=idx)
 
 
 def _profiles(Y: np.ndarray, bandwidth: float | None, strict: bool = False):
@@ -333,10 +346,10 @@ def _tt_window(Y: np.ndarray, eta: np.ndarray, om2: np.ndarray):
     Q = np.cumsum(np.pad(sq[:-1], ((1, 0), (0, 0))), axis=0)
     scale = 2.0 * np.sqrt(om2)
 
-    def stat(e, s):  # Q sums squares, so den >= 0: NaN where it is 0
+    def stat(e, s, n=None):  # Q sums squares, so den >= 0: NaN where it is 0; n = e - s
         den, st = _at(Q, e) - _at(Q, s), _at(sq_end, e) - _at(sq, s)
         with np.errstate(divide="ignore", invalid="ignore"):
-            np.subtract(st, np.multiply(om2, e - s + 0.0), out=st)
+            np.subtract(st, np.multiply(om2, (e - s if n is None else n) + 0.0), out=st)
             r = np.sqrt(den)
             np.divide(st, np.multiply(scale, r, out=r), out=st)
         np.copyto(st, np.nan, where=den == 0)

@@ -549,3 +549,36 @@ class TestBootstrapUnion:
             un = bt.bootstrap_union(v, tests=("sadf", "sbz"), B=99, seed=i)
             rejections += un.reject
         assert 0.005 <= rejections / reps <= 0.125
+
+
+class TestOneRowChunks:
+    """Wild and composite replicates built one row per chunk give the
+    bytes of the default chunks, so building a chunk as one panel changes
+    no draw: the multipliers, the resampled paths, the lag recursion."""
+
+    @staticmethod
+    def _runs():
+        v = _walk(71, 90, scale=np.where(np.arange(90) < 45, 1.0, 3.0))
+        wild = [
+            bt.wild_bootstrap_pvalue(v, stat, B=99, seed=13, multiplier=kind).replicates.tobytes()
+            for stat, kind in (("gsadf", "gaussian"), ("sadf", "rademacher"), ("sign_gsadf", "skewed"),
+                               ("gstadf", "gaussian"), ("hb_chow", "gaussian"))
+        ]
+        composite = [
+            bt.composite_monitor_cv(v, span=30, B=60, k=k, seed=14, multiplier=kind).replicate_max.tobytes()
+            for k, kind in ((0, "gaussian"), (1, "rademacher"), (3, "skewed"))
+        ]
+        return wild, composite
+
+    def test_wild_and_composite_replicates(self, monkeypatch):
+        want = self._runs()
+        monkeypatch.setattr(bt, "CHUNK_CELLS", 1)
+        assert self._runs() == want
+
+    def test_panel_resample_rows_equal_the_series_rule(self):
+        v = _walk(72, 40)
+        W = np.stack([bt.multiplier_draws(bt.replicate_rng(3, r), 39, "gaussian") for r in range(5)])
+        panel = bt._null_resample(v, W)
+        for r in range(5):
+            assert panel[r].tobytes() == bt._null_resample(v, W[r]).tobytes()
+            np.testing.assert_allclose(panel[r], _replicate_path(v, 3, r), rtol=1e-12, atol=1e-12)

@@ -7,6 +7,8 @@ import warnings
 import numpy as np
 import pytest
 
+from exuberance import bootstrap as bt
+from exuberance import dgpsim
 from exuberance.dgpsim import (
     DGP_KINDS,
     CvTable,
@@ -641,3 +643,54 @@ class TestSimulateBits:
             for vol in (None, self.VOL):
                 spec = DgpSpec(**self.SPECS[name], seed=seed)
                 assert simulate(spec, vol).values.tobytes() == _replay(spec, vol).tobytes(), (name, seed)
+
+
+class TestPathPanels:
+    """The study arms' path builder: row r of one panel equals
+    :func:`simulate` from row r's generator byte for byte, whatever the
+    chunk of rows it is built in."""
+
+    SPECS = {
+        **TestSimulateBits.SPECS,
+        "walk": dict(kind="rw_drift", T=80, y0=5.0),
+        "walk, drift": dict(kind="rw_drift", T=80, mu=1.5, eta=0.6, y0=-2.0),
+    }
+
+    @pytest.mark.parametrize("name", SPECS)
+    def test_rows_equal_simulate(self, name):
+        seeds = (4, 5, 6, 7, 8)
+        for innovations in ("gaussian", "student-t"):
+            spec = DgpSpec(**{**self.SPECS[name], "innovations": innovations, "df": 5.0})
+            for vol in (None, TestSimulateBits.VOL):
+                panel = dgpsim._paths(spec, vol, [np.random.default_rng(s) for s in seeds])
+                assert panel.shape == (len(seeds), spec.T)
+                for row, s in zip(panel, seeds):
+                    want = simulate(spec, vol, seed=np.random.default_rng(s)).values
+                    assert row.tobytes() == want.tobytes(), (name, innovations, vol, s)
+
+
+class TestOneRowChunks:
+    """Replicate panels built one row per chunk give the bytes of the
+    default chunks, so building a chunk as one panel changes no draw."""
+
+    @staticmethod
+    def _runs():
+        null = DgpSpec(kind="rw_drift", T=60)
+        alt = DgpSpec(kind="collapse_bubble", T=60, tau_e=0.4, tau_c=0.6, tau_r=0.7, delta1=0.04, delta2=0.1,
+                      mu=0.3, eta=0.5, y0=10.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            tables = [tabulate_critical_values(stat, [40, 60], replications=120, seed=3).values
+                      for stat in ("gsadf", "sign_gsadf", "gstadf")]
+        studies = [
+            size_power_study(stat, null, alt, replications=40, seed=2, cv_replications=100,
+                             null_vol=VolPath.single_break(0.5, 1.0, 3.0), alt_vol=VolPath.trend(1.0, 2.0)).to_json()
+            for stat in ("sadf", "sign_gsadf", "gstadf")
+        ]
+        return tables, studies
+
+    def test_tabulation_and_studies(self, monkeypatch):
+        want = self._runs()
+        monkeypatch.setattr(bt, "CHUNK_CELLS", 1)
+        assert bt._replicate_values(3, 60, lambda r0, r1: np.full((r1 - r0, 60), float(r0)), lambda Y: Y[:, 0]).tolist() == [0, 1, 2]
+        assert self._runs() == want

@@ -902,3 +902,71 @@ def test_property_backward_scan_matches_dense(data, det, k, nb):
         else:
             assert abs(maxvals[e] - sup) <= tol * max(1.0, abs(sup))
         assert abs(dense[argmax_s[e]] - sup) <= tol * max(1.0, abs(sup)) or dense[argmax_s[e]] == sup
+
+
+class TestOneLength:
+    """A block of one window length reads its windows with one nobs, and
+    only the sup loop says when a block holds one length."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_scalar_nobs_gives_the_array_bits(self):
+        # every one-length block of the stress rows, t-ratios, refit flags
+        # and coefficients, from an int nobs and from nobs per window
+        Y = np.ascontiguousarray(_block_panel(60).T)
+        refits = nans = 0
+        for det, k in (("none", 1), ("const", 0), ("const", 2), ("trend", 2)):
+            p, block = ols._nparams(det, k), ols._sweep(Y, det, k, 18)
+            for i0 in range(60 - k - 2):
+                C, slots, ends, nobs = block(i0, 1)
+                assert (nobs == i0 + 1).all()
+                for coefs in (0, k + 1):
+                    t, refit = ols._tstats(C.copy(), slots, nobs, p, coefs)
+                    t1, refit1 = ols._tstats(C.copy(), slots, i0 + 1, p, coefs)
+                    assert t1.tobytes() == t.tobytes() and refit1.tobytes() == refit.tobytes()
+                refits += int(refit.sum())
+                nans += int(np.isnan(t[0]).sum())
+        assert refits > 0 and nans > 0
+
+    def test_sup_loop_passes_the_length_of_one_length_blocks(self, monkeypatch):
+        # 22 lengths in blocks of 3 leave a last block of one; the prefix
+        # call's one row of starts holds many lengths, one per endpoint
+        calls = []
+
+        def stat(e, s, n):
+            calls.append((len(s), n))
+            assert np.all(n == e - s)
+            return np.zeros((len(s), e.size, 2))
+
+        for nl, double in ((1, True), (3, True), (1, False)):
+            calls.clear()
+            length_blocks(monkeypatch, nl)
+            ols._sup_curve(stat, 2, 10, 31, double)
+            ones = [isinstance(n, int) for _, n in calls]
+            assert ones == [double and size == 1 for size, _ in calls]
+            assert any(ones) == double
+
+    def test_scans_read_one_length_blocks_with_an_int_nobs(self, monkeypatch):
+        seen = []
+
+        def counted(C, slots, nobs, p, coefs=0):
+            seen.append(np.ndim(nobs))
+            return tstats(C, slots, nobs, p, coefs)
+
+        tstats = ols._tstats
+        monkeypatch.setattr(ols, "_tstats", counted)
+        # a bootstrap-sized panel takes one length per block until few
+        # endpoints are left, then many
+        panel = 100 + np.cumsum(np.random.default_rng(33).standard_normal((100, 120)), axis=1)
+        ols._backward(panel, 25, "const", 0, sups=True)
+        assert seen[0] == 0 and set(seen) == {0, 1}
+        seen.clear()
+        length_blocks(monkeypatch, 1)
+        bsadf_backward(panel[:3], 25, det="trend", k=1)
+        assert set(seen) == {0}
+        seen.clear()
+        inference.rolling_ar_coefficients(panel[0], 30)
+        assert seen == [0]
+        seen.clear()
+        starts = np.array([5, 0, 40, 3])
+        adf_tstat_pairs(panel[0], starts, starts + np.array([30, 50, 30, 31]))
+        assert set(seen) == {1}
