@@ -17,6 +17,7 @@ driver with one member.  Chunking changes no draw and no value.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Callable
 from contextlib import suppress
 from dataclasses import dataclass, field
@@ -71,6 +72,49 @@ def replicate_rng(seed: int, *key: int) -> np.random.Generator:
     set does not depend on execution order.
     """
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+
+
+def _replicate_rngs(seed: int, key: tuple, r0: int, r1: int):
+    """The generators ``replicate_rng(seed, *key, r)``, r = r0..r1-1, as one
+    Generator re-seeded before each is yielded (draw from it before taking
+    the next).  NumPy's SeedSequence hash (the seed's 32-bit words, padded
+    with zeros to its pool of 4, then the key's) and PCG64 seeding run for
+    every r at once: the same draws, at about a third of the cost."""
+    seed = operator.index(seed)
+    if seed < 0 or not all(0 <= k < 1 << 32 for k in key + (r0, r1 - 1)):  # not one word each: numpy's own path
+        yield from (replicate_rng(seed, *key, r) for r in range(r0, r1))
+        return
+    words = [seed >> b & 0xFFFFFFFF for b in range(0, max(1, seed.bit_length()), 32)]
+    E = np.empty((r1 - r0, max(4, len(words)) + len(key) + 1), dtype=np.uint32)
+    E[:, :-1] = words + [0] * (4 - len(words)) + list(key)
+    E[:, -1] = np.arange(r0, r1)
+    h = [0x43B0D7E5, 0x931E8875]  # the running hash constant and its multiplier
+
+    def hashmix(v):
+        v = v ^ np.uint32(h[0])
+        h[0] = h[0] * h[1] & 0xFFFFFFFF
+        v = v * np.uint32(h[0])
+        return v ^ v >> 16
+
+    def mix(x, y):
+        x = np.uint32(0xCA01F9DD) * x - np.uint32(0x4973F715) * y
+        return x ^ x >> 16
+
+    pool = [hashmix(E[:, i]) for i in range(4)]
+    for i in range(4):
+        for j in (j for j in range(4) if j != i):
+            pool[j] = mix(pool[j], hashmix(pool[i]))
+    for i in range(4, E.shape[1]):
+        for j in range(4):
+            pool[j] = mix(pool[j], hashmix(E[:, i]))
+    h = [0x8B51F9DD, 0x58F38DED]
+    g = np.random.Generator(bits := np.random.PCG64(0))
+    for w in np.stack([hashmix(pool[i % 4]) for i in range(8)], axis=1).astype(np.uint64).tolist():
+        # PCG64 seeding from the two 128-bit words s and i: inc = 2 i + 1, state = (inc + s) M + inc
+        s, inc = w[1] << 96 | w[0] << 64 | w[3] << 32 | w[2], (w[5] << 97 | w[4] << 65 | w[7] << 33 | w[6] << 1 | 1) % (1 << 128)
+        state = {"state": ((inc + s) * 0x2360ED051FC65DA44385DF649FCCF645 + inc) % (1 << 128), "inc": inc}
+        bits.state = {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
+        yield g
 
 
 def _check_draws(B: int, multiplier: str, least: int = MIN_REPLICATIONS) -> None:
@@ -219,7 +263,7 @@ def _replicate_values(n: int, T: int, rows, score) -> np.ndarray:
 
 def _multipliers(seed: int, r0: int, r1: int, n: int, kind: str) -> np.ndarray:
     """The (r1 - r0, n) multipliers of wild replicates r0..r1-1, row r from its own stream."""
-    return np.stack([multiplier_draws(replicate_rng(seed, r), n, kind) for r in range(r0, r1)])
+    return np.stack([multiplier_draws(rng, n, kind) for rng in _replicate_rngs(seed, (), r0, r1)])
 
 
 def _null_resample(v: np.ndarray, w: np.ndarray) -> np.ndarray:

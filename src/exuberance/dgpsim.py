@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bootstrap import _replicate_values, _resolve, replicate_rng
+from .bootstrap import _replicate_rngs, _replicate_values, _resolve
 from .exceptions import DataError, DegenerateFitError
 from .series import Series, _JsonFields, _write_csv, default_min_window, frac_to_index
 
@@ -260,7 +260,7 @@ def simulate(spec: DgpSpec, vol: VolPath | None = None, seed=None) -> Series:
 
 def _paths(spec: DgpSpec, vol: VolPath | None, rngs) -> np.ndarray:
     """The (rows, T) panel of paths of ``spec``, row i drawing its
-    innovations from the generator ``rngs[i]``: the volatility scaling, the
+    innovations from the i-th generator of ``rngs``: the volatility scaling, the
     bubble recursion and the unit-root stretches then run over every row at
     once, each row bit for bit its own :func:`simulate`."""
     vol = VolPath.constant() if vol is None else vol
@@ -497,7 +497,7 @@ def tabulate_critical_values(
     for T in sizes:
         stats = _replicate_values(  # driftless random walks with unit Gaussian innovations
             replications, T,
-            lambda r0, r1: np.cumsum(np.stack([replicate_rng(seed, T, r).standard_normal(T) for r in range(r0, r1)]), axis=1),
+            lambda r0, r1: np.cumsum(np.stack([rng.standard_normal(T) for rng in _replicate_rngs(seed, (T,), r0, r1)]), axis=1),
             lambda Y: stat.scores(Y, tau0, det, k),
         )
         good = stats[np.isfinite(stats)]
@@ -541,7 +541,7 @@ class SizePowerStudy(_JsonFields):
 def _rejection_arm(spec, vol, stat, tau0, det, k, cv, seed, arm, replications):
     stats = _replicate_values(
         replications, spec.T,
-        lambda r0, r1: _paths(spec, vol, [replicate_rng(seed, arm, r) for r in range(r0, r1)]),
+        lambda r0, r1: _paths(spec, vol, _replicate_rngs(seed, (arm,), r0, r1)),
         lambda Y: stat.scores(Y, tau0, det, k),
     )
     rejections = int(np.sum(np.isfinite(stats) & (stats > cv)))

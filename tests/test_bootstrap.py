@@ -582,3 +582,22 @@ class TestOneRowChunks:
         for r in range(5):
             assert panel[r].tobytes() == bt._null_resample(v, W[r]).tobytes()
             np.testing.assert_allclose(panel[r], _replicate_path(v, 3, r), rtol=1e-12, atol=1e-12)
+
+
+class TestBatchedStreams:
+    """The chunk builders' streams, seeded for a whole chunk at once, give
+    the draws of ``replicate_rng`` (NumPy's own SeedSequence and PCG64)."""
+
+    @pytest.mark.parametrize("seed", [0, 5, 2**32 - 1, 2**32, 2**64 + 3, 2**127 + 99, 2**160 + 5, np.int64(9)])
+    def test_draws_equal_replicate_rng(self, seed):
+        def draws(g):
+            return np.r_[g.standard_normal(6), g.integers(0, 2, size=5), g.standard_t(5.0, 3)].tobytes()
+
+        for key in [(), (0,), (2,), (200,), (3, 4), (2**32,)]:
+            for r0, r1 in [(0, 4), (163, 170), (2**32 - 2, 2**32 + 1)]:
+                got = [draws(g) for g in bt._replicate_rngs(seed, key, r0, r1)]
+                assert got == [draws(bt.replicate_rng(int(seed), *key, r)) for r in range(r0, r1)], (key, r0)
+
+    def test_a_negative_seed_raises_as_replicate_rng_does(self):
+        with pytest.raises(ValueError):
+            next(bt._replicate_rngs(-1, (), 0, 3))

@@ -667,3 +667,25 @@ class TestTimeMajorScans:
             np.testing.assert_array_equal(got_starts, starts)
             np.testing.assert_array_equal(bt._REGISTRY[name].curves(Y, m0, sups=True), sups)
             assert np.isnan(sups[-5]) and np.isfinite(sups[:-5]).all(), name
+
+
+class TestProfileInverse:
+    """The in-place profile inverse equals the interpolation written with
+    one array per step, bit for bit, on and off the grid."""
+
+    @staticmethod
+    def _reference(eta, grid, q):
+        j = np.searchsorted(eta, q, side="left")
+        jj = np.minimum(j, grid.size - 1)
+        e0, e1 = eta[jj - 1], eta[jj]
+        flat = e1 == e0
+        frac = np.where(flat, 0.0, (q - e0) / np.where(flat, 1.0, e1 - e0))
+        return np.where(j > 0, grid[jj - 1] + frac * (grid[jj] - grid[jj - 1]), 0.0)
+
+    def test_inverse_matches_the_reference(self):
+        v = 100 + np.cumsum(np.random.default_rng(44).standard_normal(80) * np.r_[np.ones(40), np.full(40, 3.0)])
+        v[20:30] = v[19]  # a flat stretch: the leftmost preimage
+        p = variance_profile(v)
+        q = np.r_[0.0, p.eta, np.linspace(0.0, 1.0, 97), 1.0]
+        assert p.g(q).tobytes() == self._reference(p.eta, p.grid, q).tobytes()
+        assert p.g(0.0) == 0.0 and p.g(1.0) <= 1.0
