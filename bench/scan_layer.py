@@ -23,7 +23,7 @@ from exuberance import ols
 from exuberance.bootstrap import _REGISTRY, wild_bootstrap_pvalue
 from exuberance.datestamp import select_model_bic, two_step_stamp
 from exuberance.dgpsim import DgpSpec, VolPath, size_power_study
-from exuberance.inference import recursive_ar_coefficients, rolling_ar_coefficients
+from exuberance.inference import cobubble_test, recursive_ar_coefficients, rolling_ar_coefficients
 from exuberance.robust import _tt_rows, sign_path
 
 
@@ -80,6 +80,7 @@ def cases() -> dict:
         "wild_bootstrap_pvalue sadf_gls trend T=200 B=199": lambda: wild_bootstrap_pvalue(
             y200, "sadf_gls", B=199, seed=1, det="trend"
         ),
+        "cobubble_test T=300 B=199": lambda: cobubble_test(bubble, y300, B=199, seed=1),
         "two_step_stamp bubble T=300 k=2": lambda: two_step_stamp(bubble, k=2),
         "select_model_bic bubble T=300": lambda: select_model_bic(bubble),
         "select_model_bic walk T=600": lambda: select_model_bic(y600),

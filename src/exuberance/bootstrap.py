@@ -3,10 +3,12 @@ subsampling calibration for explosive-root test statistics.
 
 The wild bootstrap regenerates the series under the unit-root null by
 cumulating multiplier-scaled first differences, so the replicate
-distribution inherits the observed heteroskedasticity pattern.  Every
-replicate stream comes from one keyed rule, :func:`replicate_rng`:
-running replicates serially, in any order, or in parallel produces
-bitwise-identical draws.
+distribution inherits the observed heteroskedasticity pattern.  One
+driver, :func:`_replicate_values`, seeds every Monte Carlo loop of the
+package from one keyed rule, :func:`replicate_rng`: (seed, r) for the
+wild p-value, the union, composite monitoring and co-bubble, (seed, T, r)
+for tabulation, (seed, arm, r) for study arms.  Running replicates in any
+order or in parallel produces bitwise-identical draws.
 
 Each entry point resolves its statistic once (:func:`_resolve`) and
 scores replicate paths in panel chunks: a registered sup statistic in
@@ -66,11 +68,9 @@ def _resolve_seed(seed: int | None) -> int:
 
 
 def replicate_rng(seed: int, *key: int) -> np.random.Generator:
-    """Independent generator keyed by ``(seed, *key)``: ``(r,)`` for wild
-    replicate r, ``(T, r)`` for tabulation draw r at size T, ``(arm, r)``
-    for path r of a study arm.  The key is the spawn key, so a replicate
-    set does not depend on execution order.
-    """
+    """Independent generator keyed by ``(seed, *key)``, the keys the module
+    docstring lists: the key is the spawn key, so a replicate set does not
+    depend on execution order."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
@@ -251,19 +251,19 @@ def _resolve(statistic) -> tuple[str, _Statistic]:
     return key, _REGISTRY[key]
 
 
-def _replicate_values(n: int, T: int, rows, score) -> np.ndarray:
-    """Score replicate paths r = 0..n-1 (length T) in chunks, each built
-    as one panel: ``rows(r0, r1)`` gives the (r1 - r0, T) panel of paths
-    r0..r1-1, and ``score`` maps it to one value (or row of values) per
-    path; the results are stacked in replicate order.
+def _replicate_values(seed: int, key: tuple, n: int, T: int, draw, score) -> np.ndarray:
+    """Score replicates r = 0..n-1 (paths of length T) in chunks: ``draw``
+    maps the generators ``replicate_rng(seed, *key, r)`` of r = r0..r1-1,
+    taken in order, to their (r1 - r0, T) panel of paths, and ``score`` maps
+    it to one value (or row of values) per path, stacked in replicate order.
     """
     step = max(1, CHUNK_CELLS // T)
-    return np.concatenate([score(rows(r0, min(n, r0 + step))) for r0 in range(0, n, step)])
+    return np.concatenate([score(draw(_replicate_rngs(seed, key, r0, min(n, r0 + step)))) for r0 in range(0, n, step)])
 
 
-def _multipliers(seed: int, r0: int, r1: int, n: int, kind: str) -> np.ndarray:
-    """The (r1 - r0, n) multipliers of wild replicates r0..r1-1, row r from its own stream."""
-    return np.stack([multiplier_draws(rng, n, kind) for rng in _replicate_rngs(seed, (), r0, r1)])
+def _multipliers(rngs, n: int, kind: str) -> np.ndarray:
+    """One row of n multipliers from each generator of ``rngs``."""
+    return np.stack([multiplier_draws(rng, n, kind) for rng in rngs])
 
 
 def _null_resample(v: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -278,8 +278,8 @@ def _wild_replicates(v, members, tau0, B, multiplier, seed, det) -> tuple[np.nda
     """(B, members) wild-null replicates, every member scoring the same
     paths at k = 0, and each member's degenerate count, guarded."""
     replicates = _replicate_values(
-        B, v.size,
-        lambda r0, r1: _null_resample(v, _multipliers(seed, r0, r1, v.size - 1, multiplier)),
+        seed, (), B, v.size,
+        lambda rngs: _null_resample(v, _multipliers(rngs, v.size - 1, multiplier)),
         lambda Y: np.column_stack([stat.scores(Y, tau0, det, 0) for _, stat in members]),
     )
     n_degenerate = np.isnan(replicates).sum(axis=0).astype(np.int64)
@@ -470,20 +470,19 @@ def composite_monitor_cv(
     # residuals at the same indices up to the window end.
     e_used = resid[: end - k - 1]
 
-    def paths(r0, r1):  # the lag recursion runs over every row at once, in the order of one row's
-        dystar = np.empty((r1 - r0, end - 1))
-        dystar[:, :k] = dy[:k]
-        np.multiply(_multipliers(seed, r0, r1, e_used.size, multiplier), e_used, out=dystar[:, k:])
+    def paths(rngs):  # the lag recursion runs over every row at once, in the order of one row's
+        w = _multipliers(rngs, e_used.size, multiplier)
+        dystar = np.hstack([np.broadcast_to(dy[:k], (len(w), k)), w * e_used])
         for t in range(k, end - 1):
             for j in range(1, k + 1):
                 dystar[:, t] += phi[j - 1] * dystar[:, t - j]
-        ystar = np.empty((r1 - r0, end))
+        ystar = np.empty((len(w), end))
         ystar[:, 0] = v[0]
         np.cumsum(dystar, axis=1, out=ystar[:, 1:])
         ystar[:, 1:] += v[0]
         return ystar
 
-    replicate_max = _replicate_values(B, end, paths, lambda Y: ols._backward(Y, m0, det, 0, sups=True))
+    replicate_max = _replicate_values(seed, (), B, end, paths, lambda Y: ols._backward(Y, m0, det, 0, sups=True))
     n_bad = int(np.isnan(replicate_max).sum())
     _degenerate_guard(n_bad, B, "windowed backward sup statistic")
     cv = float(np.nanquantile(replicate_max, level, method="higher"))
@@ -551,16 +550,9 @@ def subsampling_cv(training, m: int = 10, quantile: float = 0.95) -> Subsampling
         raise ValueError(f"training span {n} must be at least 2m = {2 * m}")
     if not 0.0 < quantile <= 1.0:
         raise ValueError(f"quantile must lie in (0, 1], got {quantile}")
-    report = recursive.end_of_sample_stats(v, m=m, training_span=n)
-    sub = report.training
-    s_vals = np.array([t.s for t in sub])
-    r_vals = np.array([t.r for t in sub])
-    sw_vals = np.array([t.s_w for t in sub])
-    warning = None
-    if len(sub) < 20:
-        warning = (
-            f"only {len(sub)} subsamples available; quantile estimates are coarse"
-        )
+    dy = np.diff(v)
+    s_vals, r_vals, sw_vals = map(np.array, zip(*(recursive._eos_window(dy, m, j) for j in range(1, n - m + 1))))
+    warning = f"only {s_vals.size} subsamples available; quantile estimates are coarse" if s_vals.size < 20 else None
     sw_ok = sw_vals[~np.isnan(sw_vals)]
     return SubsamplingCv(
         cv_s=float(np.quantile(s_vals, quantile)),
@@ -568,7 +560,7 @@ def subsampling_cv(training, m: int = 10, quantile: float = 0.95) -> Subsampling
         cv_sw=float(np.quantile(sw_ok, quantile)) if sw_ok.size else np.nan,
         m=m,
         quantile=quantile,
-        n_subsamples=len(sub),
+        n_subsamples=s_vals.size,
         warning=warning,
         subsample_s=s_vals,
         subsample_r=r_vals,

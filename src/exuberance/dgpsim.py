@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bootstrap import _replicate_rngs, _replicate_values, _resolve
+from .bootstrap import _replicate_values, _resolve, _resolve_seed
 from .exceptions import DataError, DegenerateFitError
 from .series import Series, _JsonFields, _write_csv, default_min_window, frac_to_index
 
@@ -452,7 +452,7 @@ def tabulate_critical_values(
     k: int = 0,
     levels=(0.90, 0.95, 0.99),
     replications: int = 2000,
-    seed: int = 0,
+    seed: int | None = 0,
 ) -> CvTable:
     """Simulate the random-walk null and tabulate statistic quantiles.
 
@@ -474,9 +474,10 @@ def tabulate_critical_values(
     replications : int
         Monte Carlo draws per sample size; below 1000 a warning flags
         the table as not table grade.
-    seed : int
-        Base seed; replicate streams are keyed by (seed, T, r) so the
-        table does not depend on the order of ``sample_sizes``.
+    seed : int, optional
+        Base seed, nonnegative; None draws a fresh one, recorded in the
+        table.  Replicate streams are keyed by (seed, T, r) so the table
+        does not depend on the order of ``sample_sizes``.
     """
     name, stat = _resolve(statistic)
     det, k = stat.runs_with(det, k)
@@ -486,6 +487,7 @@ def tabulate_critical_values(
     levels = tuple(sorted(float(p) for p in levels))
     _require(all(0.0 < p < 1.0 for p in levels), "levels must lie in (0, 1)")
     _require(replications >= 100, f"need replications >= 100, got {replications}")
+    seed = _resolve_seed(seed)
     if replications < TABLE_GRADE_REPLICATIONS:
         warnings.warn(
             f"{replications} replications is below table grade "
@@ -496,8 +498,8 @@ def tabulate_critical_values(
     values: dict = {}
     for T in sizes:
         stats = _replicate_values(  # driftless random walks with unit Gaussian innovations
-            replications, T,
-            lambda r0, r1: np.cumsum(np.stack([rng.standard_normal(T) for rng in _replicate_rngs(seed, (T,), r0, r1)]), axis=1),
+            seed, (T,), replications, T,
+            lambda rngs: np.cumsum(np.stack([rng.standard_normal(T) for rng in rngs]), axis=1),
             lambda Y: stat.scores(Y, tau0, det, k),
         )
         good = stats[np.isfinite(stats)]
@@ -540,8 +542,8 @@ class SizePowerStudy(_JsonFields):
 
 def _rejection_arm(spec, vol, stat, tau0, det, k, cv, seed, arm, replications):
     stats = _replicate_values(
-        replications, spec.T,
-        lambda r0, r1: _paths(spec, vol, _replicate_rngs(seed, (arm,), r0, r1)),
+        seed, (arm,), replications, spec.T,
+        lambda rngs: _paths(spec, vol, rngs),
         lambda Y: stat.scores(Y, tau0, det, k),
     )
     rejections = int(np.sum(np.isfinite(stats) & (stats > cv)))
@@ -554,7 +556,7 @@ def size_power_study(
     alt_spec: DgpSpec,
     replications: int = 1000,
     level: float = 0.05,
-    seed: int = 0,
+    seed: int | None = 0,
     tau0: float | None = None,
     det: str = "const",
     k: int = 0,
@@ -569,11 +571,14 @@ def size_power_study(
     of the homoskedastic random-walk null.  ``cv`` may be a number, a
     CvTable holding the matching entry, or None to tabulate internally
     with ``cv_replications`` draws (degenerate replications count as
-    non-rejections).  Standard errors are binomial.
+    non-rejections).  Standard errors are binomial.  ``seed`` (None: drawn
+    fresh and recorded) keys path r of the null (arm 1) and the
+    alternative (arm 2) by (seed, arm, r), the tabulation by (seed, T, r).
     """
     name, stat = _resolve(statistic)
     _require(0.0 < level < 1.0, f"significance level must lie in (0, 1), got {level}")
     _require(replications >= 20, f"need replications >= 20, got {replications}")
+    seed = _resolve_seed(seed)
     quantile = 1.0 - level
     if cv is None:
         reps = cv_replications if cv_replications is not None else TABLE_GRADE_REPLICATIONS

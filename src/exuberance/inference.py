@@ -7,7 +7,8 @@ estimation for contagion, and a residual-based co-movement test with a
 wild-bootstrap p-value.
 
 All operations are pure functions of their inputs; randomness enters
-only through explicit seeds.
+only through explicit seeds: co-movement replicate r through the stream
+keyed (seed, r) by the package's one replicate driver.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bootstrap import _check_draws, _resolve_seed, multiplier_draws, replicate_rng
+from .bootstrap import _check_draws, _multipliers, _replicate_values, _resolve_seed
 from .exceptions import DataError, DegenerateFitError
 from .ols import _least_squares, _prefix, _rolling, fit_adf_window
 from .recursive import StatSequence, _resolve_tau0
@@ -552,11 +553,10 @@ def cobubble_test(
         observed = _cusum_ratio(resid, T)
         # a basis of unit-norm columns keeps a tiny-valued x beside the intercept
         U = np.linalg.svd(X / np.linalg.norm(X, axis=0), full_matrices=False)[0]
-        for r in range(B):
-            w = multiplier_draws(replicate_rng(base_seed, r), n, multiplier)
-            ystar = fitted + w * resid
-            rstar = ystar - U @ (ystar @ U)
-            replicates[r] = _cusum_ratio(rstar, T)
+        replicates = _replicate_values(  # each row projected by itself: a panel matmul rounds differently
+            base_seed, (), B, n, lambda rngs: fitted + _multipliers(rngs, n, multiplier) * resid,
+            lambda Y: np.array([_cusum_ratio(y - U @ (y @ U), T) for y in Y]),
+        )
     p_value = (1.0 + float(np.sum(replicates >= observed))) / (B + 1.0)
     return CobubbleTest(
         stat=observed,

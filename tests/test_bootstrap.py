@@ -6,7 +6,7 @@ import pytest
 import oracles
 from exuberance import DegenerateFitError
 from exuberance import bootstrap as bt
-from exuberance import recursive, robust
+from exuberance import inference, recursive, robust
 from exuberance.series import default_min_window, frac_to_index
 
 
@@ -552,9 +552,10 @@ class TestBootstrapUnion:
 
 
 class TestOneRowChunks:
-    """Wild and composite replicates built one row per chunk give the
-    bytes of the default chunks, so building a chunk as one panel changes
-    no draw: the multipliers, the resampled paths, the lag recursion."""
+    """Wild, composite and co-bubble replicates built one row per chunk
+    give the bytes of the default chunks, so building a chunk as one panel
+    changes no draw: the multipliers, the resampled paths, the lag
+    recursion, the co-bubble projection."""
 
     @staticmethod
     def _runs():
@@ -568,7 +569,12 @@ class TestOneRowChunks:
             bt.composite_monitor_cv(v, span=30, B=60, k=k, seed=14, multiplier=kind).replicate_max.tobytes()
             for k, kind in ((0, "gaussian"), (1, "rademacher"), (3, "skewed"))
         ]
-        return wild, composite
+        x = _walk(73, 90)
+        cobubble = [
+            inference.cobubble_test(1.5 * x + v, x, delay=2, B=99, seed=15, multiplier=kind).replicates.tobytes()
+            for kind in ("rademacher", "skewed")
+        ]
+        return wild, composite, cobubble
 
     def test_wild_and_composite_replicates(self, monkeypatch):
         want = self._runs()

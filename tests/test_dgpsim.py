@@ -490,6 +490,17 @@ class TestTabulate:
             tabulate_critical_values("sadf", [40], levels=(0.0, 0.95), replications=2000)
         with pytest.raises(ValueError):
             tabulate_critical_values("arma", [40], replications=2000)
+        for seed in (-1, True):
+            with pytest.raises(ValueError, match="seed must be"):
+                tabulate_critical_values("sadf", [40], replications=2000, seed=seed)
+
+    def test_seed_none_draws_a_fresh_seed_and_records_it(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            tab = tabulate_critical_values("sadf", [40], replications=100, seed=None)
+            again = tabulate_critical_values("sadf", [40], replications=100, seed=tab.seed)
+        assert type(tab.seed) is int and tab.seed >= 0
+        assert again.values == tab.values
 
     def test_metadata_recorded(self):
         with warnings.catch_warnings():
@@ -607,6 +618,15 @@ class TestSizePower:
         with pytest.raises(ValueError):
             size_power_study("sadf", null, null, replications=50, level=1.5, cv=1.0)
 
+    def test_seed_validation(self):
+        null = DgpSpec(kind="rw_drift", T=50, seed=0)
+        for seed in (-1, True):
+            with pytest.raises(ValueError, match="seed must be"):
+                size_power_study("sadf", null, null, replications=20, seed=seed, cv=1.0)
+        study = size_power_study("sadf", null, null, replications=20, seed=None, cv=1.0)
+        assert type(study.seed) is int and study.seed >= 0
+        assert size_power_study("sadf", null, null, replications=20, seed=study.seed, cv=1.0) == study
+
     def test_json_round_trip(self):
         null = DgpSpec(kind="rw_drift", T=100, seed=0)
         study = size_power_study(
@@ -692,5 +712,6 @@ class TestOneRowChunks:
     def test_tabulation_and_studies(self, monkeypatch):
         want = self._runs()
         monkeypatch.setattr(bt, "CHUNK_CELLS", 1)
-        assert bt._replicate_values(3, 60, lambda r0, r1: np.full((r1 - r0, 60), float(r0)), lambda Y: Y[:, 0]).tolist() == [0, 1, 2]
+        firsts = bt._replicate_values(0, (), 3, 60, lambda rngs: np.array([[g.random()] * 60 for g in rngs]), lambda Y: Y[:, 0])
+        assert firsts.tolist() == [bt.replicate_rng(0, r).random() for r in range(3)]
         assert self._runs() == want

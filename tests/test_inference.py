@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import oracles
+from exuberance import bootstrap as bt
 from exuberance import ols
 from exuberance.exceptions import DataError, DegenerateFitError
 from exuberance.inference import (
@@ -817,6 +818,24 @@ class TestCobubble:
             assert 0.0 < res.p_value <= 1.0
         with pytest.raises(ValueError):
             cobubble_test(y, x, B=99, seed=6, multiplier="uniform")
+
+    def test_replicates_come_from_streams_keyed_by_replicate(self):
+        # the published rule: replicate r scales the residuals by multipliers
+        # from SeedSequence(seed, spawn_key=(r,)), adds them to the fit and
+        # takes the statistic of the residuals of that series on [1, x]
+        rng = np.random.default_rng(78)
+        T, d = 90, 2
+        x = _bubble_path(rng, T, 30, 60)
+        y = _bubble_path(rng, T, 40, 70)
+        X = np.column_stack([np.ones(T - d), x[: T - d]])
+        fitted = X @ oracles.ols(X, y[d:])[0]
+        for kind in ("gaussian", "rademacher", "skewed"):
+            res = cobubble_test(y, x, delay=d, B=99, seed=8, multiplier=kind)
+            for r in range(res.B):
+                w = bt.multiplier_draws(bt.replicate_rng(8, r), T - d, kind)
+                ystar = fitted + w * (y[d:] - fitted)
+                want = oracles.cusum_stat(ystar - X @ oracles.ols(X, ystar)[0], T)
+                assert res.replicates[r] == pytest.approx(want, rel=1e-12, abs=1e-12), (kind, r)
 
     def test_unknown_multiplier_rejected_on_every_path(self):
         # the exact-fit return skips the bootstrap, and with it the check
