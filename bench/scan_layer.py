@@ -52,6 +52,8 @@ def cases() -> dict:
     y300, y600, y200 = _walk(1, 300), _walk(2, 600), _walk(3, 200)
     panel, wide, robust = _walk(4, (163, 200)), _walk(6, (199, 200)), _walk(7, (100, 200))
     bubble = _bubble(5, 300)
+    # every window of the T = 300 walk at least _m0(300) long
+    starts, ends = np.array([(s, e) for e in range(_m0(300), 301) for s in range(e - _m0(300) + 1)]).T
     # a study's null walks under a volatility break against a late bubble,
     # the cv tabulated from 100 homoskedastic walks
     null, alt = DgpSpec(kind="rw_drift", T=200), DgpSpec(kind="pwy_bubble", T=200, tau_e=0.8, tau_c=1.0, c=1.0, alpha=0.6, y0=100.0)
@@ -64,6 +66,7 @@ def cases() -> dict:
     return {
         "bsadf_backward T=300 k=0": lambda: ols.bsadf_backward(y300, _m0(300), k=0),
         "bsadf_backward T=300 k=2": lambda: ols.bsadf_backward(y300, _m0(300), k=2),
+        "adf_tstat_pairs T=300 k=2": lambda: ols.adf_tstat_pairs(y300, starts, ends, k=2),
         "bsadf_backward T=600 k=2": lambda: ols.bsadf_backward(y600, _m0(600), k=2),
         "bsadf_backward panel 163x200 k=0": lambda: ols.bsadf_backward(panel, _m0(200), k=0),
         "bsadf_backward panel 199x200 k=0": lambda: ols.bsadf_backward(wide, _m0(200), k=0),

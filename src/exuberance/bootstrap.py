@@ -458,7 +458,7 @@ def composite_monitor_cv(
     rows = np.arange(k, n - 1)
     if rows.size < k + 2:
         raise DegenerateFitError(
-            f"need at least {k + 3} observations to fit the lag-{k} null model, got {n}"
+            f"need at least {2 * k + 3} observations to fit the lag-{k} null model, got {n}"
         )
     X = np.ones((rows.size, k + 1))
     for j in range(1, k + 1):

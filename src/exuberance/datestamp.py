@@ -444,17 +444,14 @@ class ModelSelection:
 
 def _segment_ssrs(v: np.ndarray, ms: int):
     """seg(a, b), the SSR of dy on [1, y_(t-1)] over rows t = a+1..b, of
-    every segment of ms..T-ms rows ending at b >= 2 ms: yields ``(i0, nl,
-    b, n, seg)`` per block of lengths n = i0+1..i0+nl, in the layout of
-    one backward sweep (:func:`ols._sweep`).  Segment (a, b] is the ADF
-    window (a-1, b] at const, k = 0, its sums anchored at y_b; seg is the
-    2x2 closed form cdd - cyd^2 / cyy, a tiny negative value 0 and +inf
-    where the level is collinear with the intercept (cyy <= 1e-12 syy)."""
-    T = v.size
-    block, i0 = ols._sweep(v[:, None], "const", 0, 2 * ms), ms - 1
-    while i0 < T - ms:
-        nl = ols._lengths(T - max(2 * ms, i0 + 2) + 1, 1, T - ms - i0)
-        C, slots, b, n = block(i0, nl)
+    every segment of ms..T-ms rows ending at b >= 2 ms: iterates the
+    blocks of one backward sweep (:func:`ols._sweep`) and yields ``(i0,
+    nl, b, n, seg)`` per block of lengths n = i0+1..i0+nl, in its layout.
+    Segment (a, b] is the ADF window (a-1, b] at const, k = 0, its sums
+    anchored at y_b; seg is the 2x2 closed form cdd - cyd^2 / cyy, a tiny
+    negative value 0 and +inf where the level is collinear with the
+    intercept (cyy <= 1e-12 syy)."""
+    for i0, nl, C, slots, b, n in ols._sweep(v[:, None], "const", 0, 2 * ms, ms - 1, v.size - ms):
         sy, sd, syy, syd, sdd = (C[slots[ij], :, 0] for ij in ((0, 1), (0, 2), (1, 1), (1, 2), (2, 2)))
         cyy, cyd, seg, nobs = sy * sy, sy * sd, sd * sd, n + 0.0
         for centred, raw in ((cyy, syy), (cyd, syd), (seg, sdd)):  # cyy = syy - sy^2 / n, ...
@@ -464,7 +461,6 @@ def _segment_ssrs(v: np.ndarray, ms: int):
         np.maximum(seg, 0.0, out=seg)
         np.copyto(seg, np.inf, where=~(cyy > 1e-12 * syy))
         yield i0, nl, b, n, seg
-        i0 += nl
 
 
 def _search_models(v, min_seg):

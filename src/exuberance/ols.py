@@ -36,8 +36,9 @@ factor's pivots bound the condition number by p^p / prod(pivots), and only
 windows past the limit by that bound get an exact eigenvalue check.  Only
 the dense fit reads a window as exact (t-ratio +-inf); a window that
 cannot support the fit (too short, or a column with no variation from
-the anchor) yields NaN.  The sweep runs in blocks of consecutive lengths
-sized by ``CHUNK_CELLS``; ``_sup_curve`` is the one sup loop.
+the anchor) yields NaN.  The sweep sizes its blocks of consecutive
+lengths by ``CHUNK_CELLS`` and yields them shortest first; every scan
+iterates them, and ``_sup_curve`` is the one sup loop.
 
 Re-anchoring changes nothing for an intercept regression, but it keeps
 cancellation error in the running sums small; for integer-valued data
@@ -297,46 +298,42 @@ def _lengths(ne: int, rows: int, left: int) -> int:
     return max(1, min(left, ne, CHUNK_CELLS // 4 // (rows * ne)))
 
 
-def _sweep(Y: np.ndarray, det: str, k: int, e_lo: int, back: int = 0):
+def _sweep(Y: np.ndarray, det: str, k: int, e_lo: int, lo: int = 0, hi: int | None = None, back: int = 0):
     """Backward moments of a time-major (T, rows) panel, swept over window
-    lengths shortest first: ``block(i0, nl)`` returns ``(C, slots, ends,
-    nobs)`` for the windows of i0+1..i0+nl rows t = e, e-1, ... that end at
-    e >= e_lo and start at or after y_1, lengths outer, an intercept
+    lengths shortest first: yields ``(i0, nl, C, slots, ends, nobs)`` for
+    each block of the windows of i0+1..i0+nl rows t = e, e-1, ... that end
+    at e >= e_lo and start at or after y_1, lengths outer, an intercept
     re-anchored at y_(e-back), :func:`_tstats`' scratch after the slots.
-    Calls run i0 upward; lengths no call asked for are added first.  A
+    The blocks are sized by :func:`_lengths` and run i0 upward from ``lo``,
+    below ``hi`` (by default every length); shorter lengths are added but
+    not yielded, and the next block overwrites a block's moments.  A
     one-length block adds its row in place to every endpoint's running
     sums; a many-length block (one series) gathers its windows' terms,
     adds the carried sums to its first length and each length to the next."""
     (T, R), slots = Y.shape, _slots(det, k)
     n, d, Ya = len(slots), np.diff(Y, axis=0), np.roll(Y, back, axis=0) if back else Y
     S = np.full((2 * n + _nparams(det, k) + 4, T + 1, R), -0.0)  # S[:n, e]: window e's sums so far; -0.0 adds nothing, not even a sign
-    i, P = 0, S[:, :0]
-
-    def block(i0, nl):  # not recursive, so the workspaces go with the last reference to it
-        while i < i0:
-            sums(i, _lengths(T - max(e_lo, k + 2 + i) + 1, R, i0 - i))
-        return sums(i0, nl)
-
-    def sums(i0, nl):
-        nonlocal i, P
-        e0 = max(e_lo, k + 2 + i0)
-        top, ne, i = e0 - 2 - i0, T - e0 + 1, i0 + nl  # y[top] is y_(t-1) of the first window's newest row
+    i, P, hi = 0, S[:, :0], T - k - 1 if hi is None else hi
+    while i < hi and lo < hi:
+        e0 = max(e_lo, k + 2 + i)
+        i0, top, ne = i, e0 - 2 - i, T - e0 + 1  # y[top] is y_(t-1) of the first window's newest row
+        i += (nl := _lengths(ne, R, (lo if i < lo else hi) - i))
         if nl == 1:
             C = _terms((ne, R), det, k, lambda j: d[top - j : top - j + ne], Y[top : top + ne], float(i0), Ya[e0 - 1 :], S[:, e0:], True)[0]
-            return C, slots, np.arange(e0, T + 1), np.full(ne, i0 + 1)
-        cnt = ne - np.maximum(0, np.arange(nl) - (e0 - k - 2 - i0))  # the windows from y_1 on: each length's last cnt ends
-        l, ends = np.repeat(np.arange(nl), cnt), np.cumsum(cnt)
-        q = np.arange(l.size) - np.repeat(ends - ne, cnt)
-        P = P if P.shape[1] >= l.size else np.empty((len(S), max(l.size, CHUNK_CELLS // 4 // R), R))  # a block's budget, or more
-        row = top + q - l
-        C = _terms((l.size, R), det, k, lambda j: d[row - j], Y[row], (i0 + l)[:, None] + 0.0, Ya[e0 - 1 + q], P[:, : l.size])[0]
-        C[:n, :ne] += S[:n, e0:]
-        for end, c in zip(ends[:-1].tolist(), cnt[1:].tolist()):  # each length's windows end at its predecessor's last c
-            C[:n, end : end + c] += C[:n, end - c : end]
-        S[:n, T + 1 - cnt[-1] :] = C[:n, l.size - cnt[-1] :]
-        return C, slots, e0 + q, i0 + 1 + l
-
-    return block
+            ends, nobs = np.arange(e0, T + 1), np.full(ne, i0 + 1)
+        else:
+            cnt = ne - np.maximum(0, np.arange(nl) - (e0 - k - 2 - i0))  # the windows from y_1 on: each length's last cnt ends
+            nobs, last = np.repeat(np.arange(i0 + 1, i0 + nl + 1), cnt), np.cumsum(cnt)
+            ends = np.arange(e0, e0 + nobs.size) - np.repeat(last - ne, cnt)
+            P = P if P.shape[1] >= nobs.size else np.empty((len(S), max(nobs.size, CHUNK_CELLS // 4 // R), R))  # a block's budget, or more
+            row = ends - nobs - 1  # y[row] is y_(t-1) of each window's newest row
+            C = _terms((nobs.size, R), det, k, lambda j: d[row - j], Y[row], nobs[:, None] - 1.0, Ya[ends - 1], P[:, : nobs.size])[0]
+            C[:n, :ne] += S[:n, e0:]
+            for end, c in zip(last[:-1].tolist(), cnt[1:].tolist()):  # each length's windows end at its predecessor's last c
+                C[:n, end : end + c] += C[:n, end - c : end]
+            S[:n, T + 1 - cnt[-1] :] = C[:n, nobs.size - cnt[-1] :]
+        if i0 >= lo:
+            yield i0, nl, C, slots, ends, nobs
 
 
 def _tstats(C: np.ndarray, slots: dict, nobs: np.ndarray, p: int, coefs: int = 0):
@@ -448,11 +445,12 @@ def _check_scan(values, m0, det, k):
 def adf_tstat_pairs(values, starts, ends, det: str = "const", k: int = 0) -> np.ndarray:
     """ADF t-ratios for many windows (starts[i], ends[i]] of one series.
 
-    The windows are read from one backward sweep of :func:`_sweep` over
-    their lengths; windows that cannot support the fit yield NaN.  The
-    sweep covers every length between the shortest and the longest
-    window, at every end between the smallest and the largest, so a few
-    windows of a long series cost a full O(T^2) scan.
+    The windows are read from the blocks of one backward sweep
+    (:func:`_sweep`), iterated from the shortest length to the longest;
+    windows that cannot support the fit yield NaN.  The sweep covers
+    every length between the shortest and the longest window, at every
+    end between the smallest and the largest, so a few windows of a long
+    series cost a full O(T^2) scan.
     """
     v = as_values(values)
     det = normalize_det(det)
@@ -468,14 +466,10 @@ def adf_tstat_pairs(values, starts, ends, det: str = "const", k: int = 0) -> np.
     out = np.full(starts.size, np.nan)
     if fit.size:
         e_lo, T, i = ends[fit].min(), ends[fit].max(), ends[fit] - starts[fit] - k - 2
-        block, i0 = _sweep(Y[:T], det, k, e_lo), i.min()
-        while i0 <= i.max():
-            e0 = max(e_lo, k + 2 + i0)
-            nl = _lengths(T - e0 + 1, 1, i.max() + 1 - i0)
-            (C, slots, at, nobs), sel = block(i0, nl), (i >= i0) & (i < i0 + nl)
+        for i0, nl, C, slots, at, nobs in _sweep(Y[:T], det, k, e_lo, i.min(), i.max() + 1):
+            sel = (i >= i0) & (i < i0 + nl)
             w, first = fit[sel], np.searchsorted(nobs, i[sel] + 1)  # a length's first window
             out[w] = _window_tstats(Y, C[:, first + ends[w] - at[first]], slots, i[sel] + 1, starts[w], ends[w], det, k)[:, 0]
-            i0 += nl
     return out
 
 
@@ -506,7 +500,7 @@ def _prefix(Y: np.ndarray, det: str, k: int, m0: int, coefs: bool = False):
 
 def _rolling(Y: np.ndarray, window: int, det: str, k: int, coefs: bool = False):
     """As :func:`_prefix`, for the windows (e - window, e], e = window..T: one sweep block, intercepts at y_(e-window+1)."""
-    C, slots, ends, _ = _sweep(Y, det, k, window, window - 1)(window - k - 2, 1)
+    *_, C, slots, ends, _ = next(_sweep(Y, det, k, window, window - k - 2, window - k - 1, window - 1))
     return _window_tstats(Y, C, slots, window - k - 1, ends - window, ends, det, k, coefs)
 
 
@@ -582,10 +576,10 @@ def bsadf_backward(values, m0: int, det: str = "const", k: int = 0):
 def _backward(values, m0: int, det: str, k: int, sups: bool = False):  # bsadf_backward, or with sups the row sups
     Y, single, det, m0 = _check_scan(values, m0, det, k)
     m0 = max(m0, _min_window_len(det, k))  # shorter windows cannot support the fit
-    block = _sweep(Y, det, k, m0)
+    blocks = _sweep(Y, det, k, m0, m0 - k - 2)
 
     def stat(e, s, n):  # the sweep's blocks are the sup loop's; one length n reads with one nobs
-        C, slots, ends, nobs = block(i0 := int(e[0, 0, 0] - s[0, 0, 0] - k - 2), len(s))
+        i0, _, C, slots, ends, nobs = next(blocks)
         if np.ndim(n) == 0:
             return _window_tstats(Y, C, slots, n - k - 1, ends - n, ends, det, k)[None]
         t = np.full((s.size, Y.shape[1]), np.nan)  # a cell with s < 0 is no window, and NaN

@@ -384,6 +384,15 @@ class TestCompositeMonitorCv:
         with pytest.raises(ValueError, match="too short"):
             bt.bsadf_window_max(v, tau0=0.5, span=40)
 
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_null_model_needs_2k_plus_3_observations(self, k):
+        # the lag-k null regression has n - 1 - k rows for k + 1 columns,
+        # so it needs n >= 2k + 3; the message names that number
+        v = _walk(k, 2 * k + 3)
+        with pytest.raises(DegenerateFitError, match=f"need at least {2 * k + 3} observations .* got {2 * k + 2}$"):
+            bt.composite_monitor_cv(v[:-1], span=2, B=19, seed=0, k=k)
+        assert bt.composite_monitor_cv(v, span=2, B=19, seed=0, k=k).lag_coeffs.size == k
+
     def test_both_entry_points_state_one_control_window_rule(self):
         # the critical value and the observed statistic read the same window
         v = _walk(7, 40)

@@ -617,6 +617,43 @@ class TestLengthBlocks:
         assert ols._lengths(60, 1, 4) == 4
 
 
+class TestSweepBlocks:
+    """The sweep yields its blocks of window lengths in order: i0 runs
+    upward from ``lo``, the blocks cover the lengths lo..hi-1 once, and
+    each reads the moments, ends and counts of a sweep from length 1."""
+
+    @staticmethod
+    def _read(blocks):
+        """Each block's (i0, nl), and the nobs, ends and moments of its windows, concatenated."""
+        spans, parts = [], []
+        for i0, nl, C, slots, ends, nobs in blocks:
+            spans.append((i0, nl))
+            parts.append((nobs.copy(), ends.copy(), C[: len(slots)].copy()))
+        return spans, [np.concatenate(a, axis=-2 if a[0].ndim == 3 else 0) for a in zip(*parts)]
+
+    @pytest.mark.parametrize("nl", [None, 1, 3, 7])
+    def test_blocks_run_upward_from_lo_below_hi(self, monkeypatch, nl):
+        if nl is not None:
+            length_blocks(monkeypatch, nl)
+        stress = _block_panel(60)
+        for rows, det, k, e_lo in (([0, 1, 2, 3, 4], "trend", 2, 18), ([4], "const", 0, 18), ([1], "none", 1, 30)):
+            Y = np.ascontiguousarray(stress[rows].T)
+            top = Y.shape[0] - k - 1
+            _, (nobs, ends, C) = self._read(ols._sweep(Y, det, k, e_lo))
+            for lo, hi in ((0, top), (5, top), (1, 9), (13, 14), (20, 47)):
+                spans, (got_nobs, got_ends, got_C) = self._read(ols._sweep(Y, det, k, e_lo, lo, hi))
+                assert spans[0][0] == lo
+                assert [i for i0, n in spans for i in range(i0, i0 + n)] == list(range(lo, hi))
+                keep = (nobs > lo) & (nobs <= hi)
+                assert got_nobs.tobytes() == nobs[keep].tobytes()
+                assert got_ends.tobytes() == ends[keep].tobytes()
+                assert got_C.tobytes() == C[:, keep].tobytes()
+            for lo, hi in ((9, 9), (12, 3)):
+                assert not list(ols._sweep(Y, det, k, e_lo, lo, hi))
+        # a sample shorter than e_lo asks for no length: no block, no error
+        assert not list(ols._sweep(np.ascontiguousarray(stress[[0]].T), "const", 0, 70, 34, 25))
+
+
 class TestLiveCells:
     """The sweep evaluates only windows that start at or after y_1."""
 
@@ -909,16 +946,16 @@ class TestOneLength:
     only the sup loop says when a block holds one length."""
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_scalar_nobs_gives_the_array_bits(self):
+    def test_scalar_nobs_gives_the_array_bits(self, monkeypatch):
         # every one-length block of the stress rows, t-ratios, refit flags
         # and coefficients, from an int nobs and from nobs per window
         Y = np.ascontiguousarray(_block_panel(60).T)
         refits = nans = 0
+        length_blocks(monkeypatch, 1)
         for det, k in (("none", 1), ("const", 0), ("const", 2), ("trend", 2)):
-            p, block = ols._nparams(det, k), ols._sweep(Y, det, k, 18)
-            for i0 in range(60 - k - 2):
-                C, slots, ends, nobs = block(i0, 1)
-                assert (nobs == i0 + 1).all()
+            p = ols._nparams(det, k)
+            for i0, nl, C, slots, ends, nobs in ols._sweep(Y, det, k, 18):
+                assert nl == 1 and (nobs == i0 + 1).all()
                 for coefs in (0, k + 1):
                     t, refit = ols._tstats(C.copy(), slots, nobs, p, coefs)
                     t1, refit1 = ols._tstats(C.copy(), slots, i0 + 1, p, coefs)
